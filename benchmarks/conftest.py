@@ -34,9 +34,9 @@ def bench_runner() -> dict:
     * ``REPRO_BENCH_ENGINE``: ``fast`` (default) / ``reference`` /
       ``batch`` simulation engine;
     * ``REPRO_BENCH_KERNEL``: kernel backend for the fast/batch engines
-      (``numpy`` default / ``numba`` / ``c`` / ``python`` — see
-      :mod:`repro.sim.kernels`; unavailable backends fall back to numpy
-      with a warning).
+      (``numpy`` / ``numba`` / ``c`` / ``python``; unset = the program
+      default, ``c`` where it builds — see :mod:`repro.sim.kernels`;
+      unavailable backends fall back to numpy with a warning).
 
     E.g. ``REPRO_BENCH_PARALLEL=auto pytest -m slow`` records multi-core
     numbers on a multi-core machine, and ``REPRO_BENCH_KERNEL=numba``
@@ -78,7 +78,15 @@ def bench_runner() -> dict:
 
 
 @pytest.fixture(scope="session")
-def emit(bench_runner):
+def bench_meta(bench_runner) -> dict:
+    """Host/run metadata shared by every BENCH payload of the session."""
+    from repro.obs import run_metadata
+
+    return run_metadata(kernel=bench_runner["kernel"])
+
+
+@pytest.fixture
+def emit(bench_meta):
     """Print a result table and archive it under benchmarks/results/.
 
     With ``data``, a machine-readable ``BENCH_<name>.json`` document is
@@ -87,14 +95,18 @@ def emit(bench_runner):
     trajectory across runs.  Every JSON payload records the *active* kernel
     backend (post-fallback) plus uniform host/run metadata
     (:func:`repro.obs.run_metadata`: python/numpy versions, cpu count,
-    machine, git describe) and a metrics-registry snapshot, so
+    machine, git describe) and the metrics this benchmark moved (counters
+    and timers as a registry delta from the start of the requesting test
+    to the emit, so other tests in the session never leak in; gauges at
+    their current level), so
     compiled-backend entries in the perf trajectory are distinguishable
     from numpy ones and numbers from different hosts never get conflated.
     """
     RESULTS_DIR.mkdir(exist_ok=True)
-    from repro.obs import run_metadata, snapshot
+    from repro.obs import Gauge, registry, snapshot, snapshot_delta
 
-    meta = run_metadata(kernel=bench_runner["kernel"])
+    meta = bench_meta
+    before = snapshot()
 
     def _emit(name: str, text: str, data: dict | None = None) -> None:
         print()
@@ -107,7 +119,9 @@ def emit(bench_runner):
                 "benchmark": name,
                 "kernel": meta["kernel"],  # kept top-level for older readers
                 "meta": meta,
-                "metrics": snapshot(),
+                # counters/timers as moved by this test; gauges are
+                # last-written levels, so they stay absolute
+                "metrics": {**snapshot_delta(before), **registry.snapshot(Gauge)},
                 "data": data,
             }
             (RESULTS_DIR / f"BENCH_{name}.json").write_text(

@@ -107,10 +107,10 @@ def _ladder(scheduler_name: str):
 
     rows = []
     t0 = time.perf_counter()
-    scalar = [fast_simulate(p, _clone(pl)).makespan for p, pl in runs]
+    scalar = [fast_simulate(p, _clone(pl), kernel="numpy").makespan for p, pl in runs]
     rows.append(("scalar", time.perf_counter() - t0, None, np.array(scalar)))
 
-    numpy_engine = BatchEngine(runs)
+    numpy_engine = BatchEngine(runs, kernel="numpy")
     rows.append(("numpy", _time_engine(numpy_engine), None, numpy_engine.makespans()))
 
     for name in available_backends():

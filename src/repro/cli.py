@@ -129,9 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel",
             default=None,
             choices=KERNEL_NAMES,
-            help="simulation kernel backend (default: $REPRO_KERNEL or "
-            "'numpy'); compiled backends are bit-identical to numpy and "
-            "fall back to it, with a warning, when unavailable",
+            help="simulation kernel backend (default: $REPRO_KERNEL, else "
+            "'c' when its kernels build here and 'numpy' otherwise); all "
+            "backends are bit-identical, and a requested backend that is "
+            "unavailable falls back to numpy with a warning",
         )
 
     p_fig = sub.add_parser("figure", help="run one paper figure")

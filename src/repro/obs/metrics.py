@@ -162,13 +162,14 @@ class MetricsRegistry:
     def timer(self, name: str) -> Timer:
         return self._get(name, Timer)
 
-    def snapshot(self) -> dict:
-        """Current value of every instrument, sorted by name.  Counters
-        and gauges map to their value, timers to
-        ``{"seconds", "count"}``."""
+    def snapshot(self, kind: type | None = None) -> dict:
+        """Current value of every instrument (only those of class
+        ``kind`` when given), sorted by name.  Counters and gauges map to
+        their value, timers to ``{"seconds", "count"}``."""
         return {
             name: inst.snapshot()
             for name, inst in sorted(self._instruments.items())
+            if kind is None or isinstance(inst, kind)
         }
 
     def reset(self) -> None:

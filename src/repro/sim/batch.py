@@ -66,13 +66,14 @@ simulation per candidate.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
 from ..core.chunks import Chunk
-from ..obs import counter, stopwatch, trace
+from ..obs import counter, get_tracer, stopwatch, timer, trace
 from ..platform.model import Platform
 from .engine import WorkerStats
 from .fastpath import fast_simulate
@@ -109,6 +110,14 @@ MIN_VECTOR_BATCH = 24
 #: ratio; a new bucket starts below it.  Keeps the active set dense so the
 #: per-step cost is paid over many live instances.
 _BUCKET_RATIO = 2.0
+
+# BatchEngine.run's instruments, looked up once: the dynamic driver calls
+# run() per event-free window, where a registry lookup is not negligible
+_STEP_COUNTERS = {
+    True: counter("batch.steps.strict"),
+    False: counter("batch.steps.ready"),
+}
+_STEP_SECONDS = timer("batch.step_seconds")
 
 # message kind codes
 _K_C_SEND, _K_ROUND, _K_C_RETURN = 1, 2, 3
@@ -181,12 +190,11 @@ class BatchOutcome:
 
 
 def _tier_counter(name: str) -> property:
-    """Per-instance view of one registry-backed tier counter: the
-    process-wide ``batch.compile.<name>`` total minus this instance's
-    baseline (taken at construction / :meth:`BatchCompileCache.clear`)."""
+    """Per-instance count of one tier counter (lookups through this cache
+    since construction / :meth:`BatchCompileCache.clear`)."""
 
     def _get(self) -> int:
-        return self._metrics[name].value - self._base[name]
+        return self._counts[name]
 
     _get.__name__ = name
     return property(_get, doc=_tier_counter.__doc__)
@@ -219,12 +227,12 @@ class BatchCompileCache:
     miss is a compilation), so tests — and profiling — can assert exactly
     which tier recompiled: e.g. re-scoring a shared plan under new worker
     costs must hit ``tmpl`` and ``struct`` and miss only ``stream`` (the
-    two cost multiplies).  The counts feed the process-wide metrics
+    two cost multiplies).  Each lookup also feeds the process-wide metrics
     registry (``batch.compile.<tier>_{hits,misses}``); the per-instance
-    properties subtract a baseline taken at construction, so they read
-    exactly as the old plain-int attributes did.  :meth:`clear` resets
-    the per-instance counters with the entries (the registry totals keep
-    accumulating).
+    properties count only this cache's lookups, so other caches in the
+    process (e.g. a ``fast_simulate`` routed through the batch kernels)
+    never show up in them.  :meth:`clear` resets the per-instance counters
+    with the entries (the registry totals keep accumulating).
     """
 
     _COUNTERS = (
@@ -236,7 +244,7 @@ class BatchCompileCache:
         "stream_misses",
     )
 
-    __slots__ = ("tmpl", "struct", "stream", "_metrics", "_base")
+    __slots__ = ("tmpl", "struct", "stream", "_metrics", "_counts")
 
     def __init__(self) -> None:
         self.tmpl: dict[tuple, tuple] = {}
@@ -248,11 +256,12 @@ class BatchCompileCache:
         self._reset_counters()
 
     def _reset_counters(self) -> None:
-        self._base = {name: m.value for name, m in self._metrics.items()}
+        self._counts = dict.fromkeys(self._COUNTERS, 0)
 
     def bump(self, name: str) -> None:
         """Count one lookup outcome (``name`` is one of the per-tier
         counters, e.g. ``"tmpl_hits"``)."""
+        self._counts[name] += 1
         self._metrics[name].inc()
 
     tmpl_hits = _tier_counter("tmpl_hits")
@@ -341,9 +350,9 @@ class BatchEngine:
     other engines (see :class:`BatchCompileCache`).
 
     ``kernel`` selects the stepping backend (see :mod:`repro.sim.kernels`):
-    the default numpy backend advances one step per Python iteration, a
-    compiled backend (``"numba"`` / ``"c"``) advances whole ``run()``
-    windows in one kernel call.  Results are bit-identical either way.
+    the numpy backend advances one step per Python iteration, a compiled
+    backend (``"c"``, the default where it builds, or ``"numba"``)
+    advances whole ``run()`` windows in one kernel call.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -642,24 +651,37 @@ class BatchEngine:
         )
         if self._t >= limit:
             return self
+        steps = limit - self._t
+        _STEP_COUNTERS[self._strict].inc(steps)
+        tracer = get_tracer()
+        if tracer is None:
+            # tracing disabled: a compiled window can be a ~30 us call, so
+            # the per-run cost is one counter, two clock reads and a timer
+            # add -- no span or stopwatch objects
+            t0 = time.perf_counter()
+            self._advance(limit)
+            _STEP_SECONDS.add(time.perf_counter() - t0)
+            return self
         # the strict recurrence is pure; the ready window fuses the
         # recurrence with the per-step lexicographic policy selection, so
         # the mode attribute is the compile/recurrence/policy-selection
         # phase split for profiling
         mode = "strict" if self._strict else "ready"
-        counter(f"batch.steps.{mode}").inc(limit - self._t)
-        with trace(
-            "batch.run", backend=self._backend.name, mode=mode, steps=limit - self._t
-        ), stopwatch("batch.step_seconds"):
-            if self._backend.whole_run:
-                self._run_kernel(limit)
-                self._t = limit
-            else:
-                step = self._step_strict if self._strict else self._step_ready
-                while self._t < limit:
-                    step(self._n_active())
-                    self._t += 1
+        attrs = {"backend": self._backend.name, "mode": mode, "steps": steps}
+        with tracer.span("batch.run", attrs), _STEP_SECONDS.time():
+            self._advance(limit)
         return self
+
+    def _advance(self, limit: int) -> None:
+        """Step every live instance from ``self._t`` to ``limit``."""
+        if self._backend.whole_run:
+            self._run_kernel(limit)
+            self._t = limit
+        else:
+            step = self._step_strict if self._strict else self._step_ready
+            while self._t < limit:
+                step(self._n_active())
+                self._t += 1
 
     def _run_kernel(self, limit: int) -> None:
         """One whole-run kernel call advancing steps ``[self._t, limit)``."""

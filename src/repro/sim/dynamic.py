@@ -21,13 +21,30 @@ network outage, not a power loss); a ``crash`` with no later ``join``
 permanently removes the worker, and a run that still holds messages for it
 raises :class:`DynamicStall` unless a controller migrates the work.
 
+**Native windows.**  Between two timeline events nothing changes the
+platform, so on the fast engine the driver hands each event-free window
+to :class:`~repro.sim.fastpath.FastEngine`'s own drain loops (strict
+order or ready policy, with the demand allocator refilling as usual):
+they take per-worker start floors (crash-window availability and the
+event frontier, ``inf`` for a worker that never rejoins) and stop before
+the first message that would start at or after the next event.  The
+driver then applies the due events, fires the controller and opens the
+next window.  The per-message interpretation of the same rules stays
+where it is needed: the reference engine (the oracle), runs with
+``record_events`` (trace synthesis), ``completion`` criteria (the coded
+family's per-return decode check), opaque policies, and strict orders
+under a demand allocator; it also raises the stall and strict-order
+errors where a window stops short of them.
+
 **Bit-identity.**  With an empty timeline the driver posts exactly the
 message sequence of :func:`~repro.sim.fastpath.fast_simulate`, through the
-same :meth:`~repro.sim.fastpath.FastEngine.post_next` arithmetic, so
-makespans and per-worker statistics are bit-identical (the property wall in
-``tests/test_dynamic.py`` pins this across the scheduler × CMode × policy
-matrix).  The same timeline interpretation also runs on the reference
-event engine (``engine="reference"``) for the equivalence wall.
+same arithmetic, so makespans and per-worker statistics are bit-identical
+(the property wall in ``tests/test_dynamic.py`` pins this across the
+scheduler × CMode × policy matrix).  Native windows and the per-message
+loop are bit-identical too (makespans, statistics, kills and boundary
+decisions — the equivalence wall in ``tests/test_dynamic_validation.py``),
+and the same timeline interpretation also runs on the reference event
+engine (``engine="reference"``) for the engine equivalence wall.
 
 **Online control.**  A ``controller`` callback fires at every event
 boundary with the live :class:`DynamicRun`; it may reclaim unstarted
@@ -74,7 +91,7 @@ from .allocator import PanelDemandAllocator
 from .engine import Engine, SimResult
 from .fastpath import FastEngine, supports_fast_path
 from .plan import Plan
-from .policies import ReadyPolicy, StrictOrderPolicy, key_spec_of
+from .policies import PolicyKeySpec, ReadyPolicy, StrictOrderPolicy, key_spec_of
 from .worker_state import CMode, c_message_count
 
 __all__ = [
@@ -457,6 +474,9 @@ class DynamicRun:
         synth = record and adapter.supports_control
         self._port_log: list[PortEvent] | None = [] if synth else None
         self._comp_log: list[ComputeEvent] | None = [] if synth else None
+        # event-free windows run on FastEngine's own drain loops; trace
+        # synthesis and completion tracking need the per-message loop
+        self._native = adapter.supports_control and not synth and completion is None
         policy = plan.policy
         self._order: list[int] | None = None
         self._pos = 0
@@ -467,14 +487,14 @@ class DynamicRun:
         # onto the surviving pipelines (the shared-prefix re-scoring
         # contract of the boundary re-selection).
         self._executed: list[int] = []
-        self._fields: tuple[str, ...] | None = None
+        self._spec: PolicyKeySpec | None = None
         self._opaque = None
         if isinstance(policy, StrictOrderPolicy):
             self._order = list(policy.order)
         else:
             spec = key_spec_of(policy.priority) if isinstance(policy, ReadyPolicy) else None
             if spec is not None:
-                self._fields = spec.fields
+                self._spec = spec
             else:
                 if not isinstance(adapter, _ReferenceAdapter):
                     raise TypeError(
@@ -566,7 +586,6 @@ class DynamicRun:
         # into each worker's legal start.
         ad = self.adapter
         avail = self.avail
-        fields = self._fields
         port_free = ad.port_free
         best = -1
         best_eff = 0.0
@@ -595,7 +614,7 @@ class DynamicRun:
         ad = self.adapter
         return tuple(
             ad.head_cid(i) if f == "head_cid" else legal if f == "legal_start" else i
-            for f in self._fields
+            for f in self._spec.fields
         )
 
     # ------------------------------------------------------------------
@@ -610,6 +629,11 @@ class DynamicRun:
         while True:
             if self.allocator is not None:
                 ad.refill(self.allocator)
+            if self._native:
+                self._advance_window()
+            # one interpreted step: at a native window's end this applies
+            # the due events, raises the stall/strict-order error, or ends
+            # the run -- exactly where the window stopped
             pick = self._choose()
             if pick is None:
                 if self._order is None and ad.pending_workers:
@@ -645,6 +669,25 @@ class DynamicRun:
                 f"policy stopped with pending messages on workers {leftover}"
             )
         return self
+
+    def _advance_window(self) -> None:
+        """Post every message that starts before the next timeline event
+        through :class:`FastEngine`'s own drain loops, with each worker's
+        :meth:`_floor` as its start floor.  Returns at the event boundary,
+        when the run drains, or before any message the per-message step
+        must handle (a worker that never rejoins, a strict order naming a
+        drained worker raises there too).  Strict orders under a demand
+        allocator stay on the per-message step."""
+        eng = self.adapter.engine
+        until = self.events[self.eidx].time if self.eidx < len(self.events) else _INF
+        floors = [self._floor(i) for i in range(eng._p)]
+        order = self._order
+        if order is None:
+            eng._run_ready(self.allocator, self._spec, floors, until)
+        elif self.allocator is None:
+            pos = eng._run_strict(order, floors, until, self._pos)
+            self._executed.extend(order[self._pos : pos])
+            self._pos = pos
 
     def _floor(self, widx: int) -> float:
         """External start floor of worker ``widx``'s next message: its
@@ -943,11 +986,12 @@ class DynamicRun:
         other.killed = []
         other._port_log = None  # probes are what-ifs: never recorded
         other._comp_log = None
+        other._native = True
         other._order = None if self._order is None else list(self._order)
         # probes never re-select (no controller), so they carry no history
         other._executed = []
         other._pos = self._pos
-        other._fields = self._fields
+        other._spec = self._spec
         other._opaque = None
         return other
 
@@ -974,14 +1018,17 @@ def simulate_dynamic(
     """Run ``plan`` on ``platform`` under a :class:`PlatformTimeline`.
 
     With an empty (or ``None``) timeline the result is bit-identical to
-    :func:`~repro.sim.fastpath.fast_simulate`.  ``engine`` selects the
-    underlying simulator: ``"fast"`` (default; falls back to the reference
-    engine for plans the fast path cannot interpret) or ``"reference"``
-    (honours ``plan.collect_events`` for full traces — the equivalence
-    wall's second interpretation; like ``fast_simulate``, the fast engine
-    never records traces regardless of the flag).  ``controller`` fires at
-    every event boundary with the live :class:`DynamicRun` (fast engine
-    only).
+    :func:`~repro.sim.fastpath.fast_simulate`.  On the fast engine each
+    event-free window runs on ``FastEngine``'s own drain loops (see the
+    module docstring); ``record_events`` and ``completion`` runs walk the
+    per-message loop instead, with bit-identical results.  ``engine``
+    selects the underlying simulator: ``"fast"`` (default; falls back to
+    the reference engine for plans the fast path cannot interpret) or
+    ``"reference"`` (honours ``plan.collect_events`` for full traces — the
+    equivalence wall's second interpretation; like ``fast_simulate``, the
+    fast engine never records traces regardless of the flag).
+    ``controller`` fires at every event boundary with the live
+    :class:`DynamicRun` (fast engine only).
 
     With ``record_events`` the result carries full port/compute traces and
     an audit annex in ``meta["dynamic"]`` (``c_mode``, ``killed_cids``) —

@@ -38,6 +38,8 @@ idea at chunk granularity).
 
 from __future__ import annotations
 
+from itertools import islice
+from math import inf as _INF
 from typing import Sequence
 
 from ..core.blocks import BlockGrid
@@ -495,9 +497,10 @@ class FastEngine:
                 self.assign_chunk(widx, ch)
         allocator = plan.allocator
         policy = plan.policy
+        floors = [0.0] * self._p
         if isinstance(policy, StrictOrderPolicy):
             if allocator is None:
-                self._run_strict(policy.order)
+                self._run_strict(policy.order, floors, _INF)
             else:
                 self._run_strict_alloc(policy.order, allocator)
         elif isinstance(policy, ReadyPolicy):
@@ -508,7 +511,7 @@ class FastEngine:
                     "(no PolicyKeySpec); use fast_simulate, which falls "
                     "back to the reference engine"
                 )
-            self._run_ready(allocator, spec)
+            self._run_ready(allocator, spec, floors, _INF)
         else:
             raise TypeError(
                 f"FastEngine cannot interpret policy {type(policy).__name__}; "
@@ -518,7 +521,18 @@ class FastEngine:
             leftover = self.pending_workers
             raise RuntimeError(f"policy stopped with pending messages on workers {leftover}")
 
-    def _run_strict(self, order: Sequence[int]) -> None:
+    def _run_strict(
+        self, order: Sequence[int], floors: Sequence[float], until: float, first: int = 0
+    ) -> int:
+        """Post ``order[first:]`` and return the position it stopped at.
+
+        ``floors`` are per-worker start floors (``post_next``'s
+        ``min_start``; ``inf`` never serves the worker) and ``until`` an
+        exclusive horizon: the loop stops before posting a message whose
+        start is ``>= until``.  Static replays pass zero floors and
+        ``until=inf``; the dynamic driver passes its crash-window/frontier
+        floors and the next timeline event's time.
+        """
         # Inlined post_next: strict-order replay needs no head cache (the
         # message sequence is fixed), so the whole recurrence runs on local
         # references.  Operation-for-operation identical to post_next.
@@ -546,8 +560,12 @@ class FastEngine:
         through = self.blocks_through_port
         total_updates = self.total_updates
         last_end = self.last_end
+        # static replays (zero floors, no horizon) skip the window test
+        windowed = until != _INF or any(floors)
+        stop = len(order)
         try:
-            for opos, widx in enumerate(order):
+            todo = islice(order, first, None) if first else order
+            for opos, widx in enumerate(todo, first):
                 lst = chunks[widx]
                 pos = pos_arr[widx]
                 if pos >= len(lst):
@@ -574,7 +592,16 @@ class FastEngine:
                     nblocks = rec[2]
                     legal = last_comp_end[widx]
                     kind = 3
-                start = port_free if port_free > legal else legal
+                if windowed:
+                    floor = floors[widx]
+                    if floor > legal:
+                        legal = floor
+                    start = port_free if port_free > legal else legal
+                    if start >= until:
+                        stop = opos
+                        break
+                else:
+                    start = port_free if port_free > legal else legal
                 end = start + nblocks * c_arr[widx]
                 port_free = end
                 port_busy += end - start
@@ -619,6 +646,7 @@ class FastEngine:
             self.last_end = last_end
             for i in range(self._p):
                 self._refresh_head(i)
+        return stop
 
     def _run_strict_alloc(self, order: Sequence[int], allocator: PanelDemandAllocator) -> None:
         for pos, widx in enumerate(order):
@@ -631,33 +659,55 @@ class FastEngine:
             self.post_next(widx)
         self._refill(allocator)
 
-    def _run_ready(self, allocator: PanelDemandAllocator | None, spec: PolicyKeySpec) -> None:
-        # Serve pending workers by (effective start, spec fields); ascending
-        # index scan with strict improvement reproduces the reference
-        # tuple-comparison tie-breaking exactly (including the implicit
-        # lowest-worker-index tie-break).
+    def _run_ready(
+        self,
+        allocator: PanelDemandAllocator | None,
+        spec: PolicyKeySpec,
+        floors: Sequence[float],
+        until: float,
+    ) -> None:
+        """Serve pending workers by (effective start, spec fields) until
+        they drain, or until the chosen message would start at or after
+        ``until``.
+
+        ``floors`` (as in :meth:`_run_strict`) raise each worker's legal
+        start before it is compared, so a floored start feeds both the
+        effective start and the ``legal_start`` key; a worker whose floor
+        is ``inf`` is never served (the loop stops once only such workers
+        remain).  Ascending index scan with strict improvement reproduces
+        the reference tuple-comparison tie-breaking exactly (including the
+        implicit lowest-worker-index tie-break).
+        """
         fields = spec.fields
         single = (
             fields[0] in ("head_cid", "legal_start")
             and (len(fields) == 1 or (len(fields) == 2 and fields[1] == "worker_index"))
         )
         if single:
-            self._run_ready_single(allocator, by_cid=fields[0] == "head_cid")
+            self._run_ready_single(allocator, floors, until, by_cid=fields[0] == "head_cid")
         else:
-            self._run_ready_generic(allocator, fields)
+            self._run_ready_generic(allocator, floors, until, fields)
 
     def _run_ready_single(
-        self, allocator: PanelDemandAllocator | None, *, by_cid: bool
+        self,
+        allocator: PanelDemandAllocator | None,
+        floors: Sequence[float],
+        until: float,
+        *,
+        by_cid: bool,
     ) -> None:
         # Specialization for the two registry specs: one scalar key, no
         # tuple allocation per candidate.
         kinds = self._head_stage_kind
-        legals = self._head_legal
+        heads = self._head_legal
         cids = self._head_cid
         p = self._p
+        # all-zero floors (static replays) scan the head cache itself
+        floored = any(floors)
         while True:
             if allocator is not None:
                 self._refill(allocator)
+            legals = _floored(heads, floors) if floored else heads
             best = -1
             best_eff = 0.0
             best_key: float | int = 0
@@ -672,17 +722,23 @@ class FastEngine:
                     best = i
                     best_eff = eff
                     best_key = key
-            if best < 0:
+            if best < 0 or best_eff >= until:
                 break
-            self.post_next(best)
+            self.post_next(best, floors[best])
 
     def _run_ready_generic(
-        self, allocator: PanelDemandAllocator | None, fields: tuple[str, ...]
+        self,
+        allocator: PanelDemandAllocator | None,
+        floors: Sequence[float],
+        until: float,
+        fields: tuple[str, ...],
     ) -> None:
         kinds = self._head_stage_kind
-        legals = self._head_legal
+        heads = self._head_legal
         cids = self._head_cid
         p = self._p
+        floored = any(floors)
+        legals = heads
 
         def key_of(i: int) -> tuple:
             return tuple(
@@ -693,6 +749,8 @@ class FastEngine:
         while True:
             if allocator is not None:
                 self._refill(allocator)
+            if floored:
+                legals = _floored(heads, floors)
             best = -1
             best_eff = 0.0
             best_key: tuple = ()
@@ -708,9 +766,14 @@ class FastEngine:
                     key = key_of(i)
                     if key < best_key:
                         best, best_eff, best_key = i, eff, key
-            if best < 0:
+            if best < 0 or best_eff >= until:
                 break
-            self.post_next(best)
+            self.post_next(best, floors[best])
+
+
+def _floored(heads: list[float], floors: Sequence[float]) -> list[float]:
+    """Per-worker legal starts raised to their start floors."""
+    return [h if h > f else f for h, f in zip(heads, floors)]
 
 
 def supports_fast_path(plan: Plan) -> bool:

@@ -16,7 +16,8 @@ Backends
 
 ``numpy``
     No kernel at all: :class:`~repro.sim.batch.BatchEngine` keeps its
-    per-step numpy loops.  Always available; the oracle.
+    per-step numpy loops.  Always available; the oracle, and the default
+    wherever the C backend cannot be built.
 ``numba``
     The two kernels below, compiled with ``numba.njit(cache=True)``.
     Needs the optional ``numba`` dependency (``pip install repro-mm[speed]``).
@@ -24,6 +25,7 @@ Backends
     The same kernels as a small C file, built once with the system C
     compiler (``-O2 -ffp-contract=off``) into a cached shared library and
     driven through :mod:`ctypes`.  Needs a working ``cc``/``gcc``/``clang``.
+    The default backend whenever it builds.
 ``python``
     The numba kernels interpreted by CPython (no compilation).  Slow --
     it exists so the *kernel algorithm itself* is testable in
@@ -31,10 +33,13 @@ Backends
 
 Selection: every ``kernel=`` parameter accepts a backend name, a
 :class:`KernelBackend` instance, or ``None`` -- which reads the
-``REPRO_KERNEL`` environment variable and defaults to ``"numpy"``.
-Requesting an unavailable backend falls back to numpy with a single
-warning per process, so ``REPRO_KERNEL=numba`` is safe to export on
-machines where numba is missing.
+``REPRO_KERNEL`` environment variable and otherwise defaults to ``"c"``
+when the C kernels build here, ``"numpy"`` when they do not (the build
+is attempted once per process, before any simulation runs, and a failed
+build falls back silently).  Explicitly requesting an unavailable
+backend falls back to numpy with a single warning per process, so
+``REPRO_KERNEL=numba`` is safe to export on machines where numba is
+missing.
 
 Kernels take an explicit ``t0``/``t1`` step window, so
 ``BatchEngine.run(max_steps=)``, ``checkpoint()/restore()`` and the
@@ -476,6 +481,8 @@ class CBackend(KernelBackend):
             raise KernelUnavailable(
                 "the c kernel backend needs a C compiler (cc/gcc/clang) on PATH"
             )
+        if not shutil.which(self._cc):
+            raise KernelUnavailable(f"C compiler {self._cc!r} not found")
         self._lib = None
 
     # -- build ----------------------------------------------------------
@@ -504,22 +511,19 @@ class CBackend(KernelBackend):
                 tmp_so = os.path.join(directory, f".build_{os.getpid()}.so")
                 with open(c_path, "w") as fh:
                     fh.write(_C_SOURCE)
+                cmd = [
+                    self._cc, "-O2", "-ffp-contract=off", "-fPIC", "-shared",
+                    c_path, "-o", tmp_so,
+                ]
                 try:
-                    subprocess.run(
-                        [
-                            self._cc,
-                            "-O2",
-                            "-ffp-contract=off",
-                            "-fPIC",
-                            "-shared",
-                            c_path,
-                            "-o",
-                            tmp_so,
-                        ],
-                        check=True,
-                        capture_output=True,
-                        text=True,
-                    )
+                    try:
+                        subprocess.run(cmd, check=True, capture_output=True, text=True)
+                    except OSError as exc:
+                        # the compiler itself cannot launch: not a cache
+                        # problem, so no tempdir retry can help
+                        raise KernelUnavailable(
+                            f"cannot run C compiler {self._cc!r}: {exc}"
+                        ) from exc
                     os.replace(tmp_so, so_path)  # atomic vs concurrent builds
                 finally:
                     for path in (c_path, tmp_so):
@@ -543,13 +547,22 @@ class CBackend(KernelBackend):
                 raise KernelUnavailable(
                     f"C kernel compilation failed with {self._cc}: {exc.stderr}"
                 ) from exc
-        lib = ctypes.CDLL(so_path)
-        i64 = ctypes.c_int64
-        ptr = ctypes.c_void_p
-        lib.strict_run.restype = None
-        lib.strict_run.argtypes = [i64, i64, i64] + [ptr] * 11
-        lib.ready_run.restype = None
-        lib.ready_run.argtypes = [i64, i64, i64, i64] + [ptr] * 12 + [i64] + [ptr] * 4
+        try:
+            lib = ctypes.CDLL(so_path)
+            i64 = ctypes.c_int64
+            ptr = ctypes.c_void_p
+            lib.strict_run.restype = None
+            lib.strict_run.argtypes = [i64, i64, i64] + [ptr] * 11
+            lib.ready_run.restype = None
+            lib.ready_run.argtypes = (
+                [i64, i64, i64, i64] + [ptr] * 12 + [i64] + [ptr] * 4
+            )
+        except (OSError, AttributeError) as exc:
+            # a noexec cache mount, or a cached .so built for another
+            # architecture/libc (the cache key hashes only the source)
+            raise KernelUnavailable(
+                f"cannot load C kernels from {so_path}: {exc}"
+            ) from exc
         return lib
 
     def ensure_ready(self) -> None:
@@ -650,21 +663,44 @@ def available_backends() -> tuple[str, ...]:
     return tuple(out)
 
 
+def _ready_backend(name: str) -> KernelBackend:
+    """:func:`get_backend` plus its one-time build/compile, so a backend
+    that cannot build is unavailable before any simulation runs (the
+    failure verdict is cached like a constructor failure)."""
+    backend = get_backend(name)
+    try:
+        backend.ensure_ready()
+    except KernelUnavailable as exc:
+        _instances.pop(name, None)
+        _failures[name] = str(exc)
+        raise
+    return backend
+
+
 def resolve_kernel(kernel=None) -> KernelBackend:
     """Resolve a ``kernel=`` parameter to a backend instance.
 
-    ``None`` consults :data:`KERNEL_ENV` (``REPRO_KERNEL``) and defaults
-    to ``"numpy"``; a :class:`KernelBackend` passes through; a name is
-    looked up in the registry.  A requested-but-unavailable backend falls
-    back to numpy with one clear warning per process, so environment-knob
-    users never crash on a machine without the optional dependency.
+    A :class:`KernelBackend` passes through; a name is looked up in the
+    registry; ``None`` consults :data:`KERNEL_ENV` (``REPRO_KERNEL``) and,
+    when that is unset, defaults to ``"c"`` if the C kernels build here
+    and to ``"numpy"`` otherwise (silently: a host without a compiler is a
+    supported configuration, not a misconfiguration).  Named backends are
+    built on resolution, so a requested-but-unavailable one -- missing
+    dependency or failed build -- falls back to numpy with one clear
+    warning per process, and environment-knob users never crash on a
+    machine without the optional dependency.
     """
     if isinstance(kernel, KernelBackend):
         return kernel
     if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip() or "numpy"
+        kernel = os.environ.get(KERNEL_ENV, "").strip() or None
+    if kernel is None:
+        try:
+            return _ready_backend("c")
+        except KernelUnavailable:
+            return get_backend("numpy")
     try:
-        return get_backend(kernel)
+        return _ready_backend(kernel)
     except KernelUnavailable as exc:
         counter("kernel.fallback").inc()
         if kernel not in _warned:

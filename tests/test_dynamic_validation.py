@@ -14,6 +14,10 @@ adaptive replanning).  Coded-redundancy runs (pseudo-mode ``coded``,
 ~20% of the draw) are audited against the decode criterion instead:
 >= ``k`` distinct returns per stripe, killed shares never returning C.
 
+Every case also runs without recording, where the driver advances
+event-free windows on ``FastEngine``'s own drain loops, and must match
+its recorded rerun (which walks the per-message loop) bit for bit.
+
 The fuzz wall draws seeded random cases; a failure message always carries
 the reproducing seed.  To replay one case by hand::
 
@@ -27,6 +31,7 @@ Environment knobs: ``REPRO_FUZZ_SEED`` (base seed; the literal string
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import time
@@ -48,12 +53,14 @@ from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import make_scheduler
 from repro.sim.dynamic import (
     TIMELINE_FAMILIES,
+    DynamicRun,
     DynamicStall,
     PlatformTimeline,
     random_timeline,
     simulate_dynamic,
 )
 from repro.sim.fastpath import fast_simulate
+from repro.sim.policies import PolicyKeySpec, ReadyPolicy, StrictOrderPolicy
 from repro.sim.validate import InvariantViolation, validate_dynamic
 from repro.theory.steady_state import makespan_lower_bound
 
@@ -138,20 +145,66 @@ def _case(seed: int):
     return platform, grid, timeline, name, mode
 
 
-def _run_and_validate(seed: int) -> bool:
-    """Run one seeded case and audit it; False when unschedulable."""
+def _simulate_case(seed: int, *, record_events: bool):
+    """One seeded case's dynamic run: ``(result, kills)``, where ``kills``
+    lists each live run's ``(cid, time)`` kills (probes excluded)."""
     platform, grid, timeline, name, mode = _case(seed)
-    try:
+    with _live_runs() as runs:
         if mode == "coded":
             sim = make_scheduler(name).run_dynamic(
-                platform, grid, timeline, record_events=True
+                platform, grid, timeline, record_events=record_events
             )
         else:
             sim = AdaptiveScheduler(make_scheduler(name), mode).run_dynamic(
-                platform, grid, timeline, record_events=True
+                platform, grid, timeline, record_events=record_events
             )
+    return sim, [run.killed for run in runs]
+
+
+@contextlib.contextmanager
+def _live_runs():
+    """Collect every DynamicRun that ``simulate_dynamic`` constructs while
+    active (probes are cloned without ``__init__``, so they stay out)."""
+    runs: list[DynamicRun] = []
+    init = DynamicRun.__init__
+
+    def logged(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runs.append(self)
+
+    DynamicRun.__init__ = logged
+    try:
+        yield runs
+    finally:
+        DynamicRun.__init__ = init
+
+
+def _outcome(sim, kills) -> tuple:
+    """Everything the native and interpreted drivers must agree on, bit
+    for bit."""
+    return (
+        sim.makespan,
+        sim.worker_stats,
+        sim.port_busy,
+        kills,
+        sim.meta["dynamic"].get("decisions"),
+    )
+
+
+def _run_and_validate(seed: int) -> bool:
+    """Run one seeded case, audit it, and require the default run (native
+    event-free windows) to match its ``record_events=True`` rerun, which
+    walks the driver's per-message loop; False when unschedulable."""
+    platform, grid, timeline, name, mode = _case(seed)
+    try:
+        native = _simulate_case(seed, record_events=False)
+        sim, kills = _simulate_case(seed, record_events=True)
     except SchedulingError:
         return False  # instance infeasible for this algorithm: vacuous
+    assert _outcome(*native) == _outcome(sim, kills), (
+        f"native windows diverge from the interpreted rerun; reproduce with "
+        f"tests.test_dynamic_validation.replay({seed})"
+    )
     validate_dynamic(sim, timeline, grid=grid)
     return True
 
@@ -206,6 +259,121 @@ def test_fuzz_wall_randomized_long():
                 f"reproduce with tests.test_dynamic_validation.replay({seed})"
             )
     assert validated >= target
+
+
+# ----------------------------------------------------------------------
+# native event-free windows vs the per-message driver loop
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("offset", range(0, 48, 8))
+def test_native_windows_match_per_message_driver(offset, monkeypatch):
+    """The fuzz wall compares each live run with its recorded rerun, whose
+    probes still run native windows; here every window, probes included,
+    is switched off, so the adaptive/reselect boundary scores are checked
+    against the per-message loop too."""
+    base = _seed_base() + 90_000 + offset
+    for seed in range(base, base + 8):
+        try:
+            native = _outcome(*_simulate_case(seed, record_events=False))
+        except SchedulingError:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(DynamicRun, "_advance_window", lambda self: None)
+            stepped = _outcome(*_simulate_case(seed, record_events=False))
+        assert native == stepped, (
+            f"native windows diverge from the per-message driver; reproduce "
+            f"with tests.test_dynamic_validation.replay({seed})"
+        )
+
+
+def _native_and_recorded(platform, grid, timeline, make_plan):
+    """Run a fresh plan natively and recorded; return both outcomes (or
+    both raised exceptions as ``(type, message)``)."""
+    out = []
+    for record in (False, True):
+        try:
+            sim = simulate_dynamic(
+                platform, make_plan(), timeline, grid, record_events=record
+            )
+        except RuntimeError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((sim.makespan, sim.worker_stats, sim.port_busy))
+    return out
+
+
+@pytest.mark.parametrize("name", ["Hom", "Het", "ODDOML"])
+def test_native_stall_matches_interpreted(name, het_platform, ragged_grid):
+    """A worker that crashes for good stalls strict (Hom) and ready
+    (Het, ODDOML's demand allocator) runs with the same exception type and
+    message on both driver paths."""
+    def make_plan():
+        return make_scheduler(name).plan(het_platform, ragged_grid)
+
+    # crash a worker holding work (the demand allocator serves them all)
+    victim = max([i for i, chunks in enumerate(make_plan().assignments) if chunks] or [0])
+    timeline = PlatformTimeline().straggle(0.5, 1, 3.0).crash(1.0, victim)
+    native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, make_plan)
+    assert native == recorded
+    assert native[0] is DynamicStall
+
+
+def test_native_strict_order_error_matches_interpreted(het_platform, ragged_grid):
+    """A strict order naming a drained worker fails at the same position
+    with the same message on both driver paths (mid-window, after an
+    event boundary)."""
+    def make_plan():
+        plan = make_scheduler("Hom").plan(het_platform, ragged_grid)
+        order = list(plan.policy.order)
+        plan.policy = StrictOrderPolicy(order + [order[-1]])
+        return plan
+
+    timeline = PlatformTimeline().straggle(2.0, 0, 4.0)
+    native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, make_plan)
+    assert native == recorded
+    assert native[0] is RuntimeError and "has no pending message" in native[1]
+
+
+@pytest.mark.parametrize("name", ["Hom", "Het", "ODDOML", "ORROML"])
+def test_native_crash_rejoin_mid_run_matches(name, het_platform, ragged_grid):
+    """A crash that rejoins while the other workers keep the port busy,
+    with a parameter event inside the outage and an empty outage at one
+    instant: the native windows floor the crashed worker exactly like the
+    per-message loop and the reference engine."""
+    plan = lambda: make_scheduler(name).plan(het_platform, ragged_grid)  # noqa: E731
+    nominal = fast_simulate(het_platform, plan(), ragged_grid).makespan
+    timeline = (
+        PlatformTimeline()
+        .crash(0.2 * nominal, 1)
+        .set_bandwidth(0.3 * nominal, 2, 3.0)
+        .join(0.45 * nominal, 1)
+        .crash(0.6 * nominal, 3)
+        .join(0.6 * nominal, 3)
+    )
+    native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, plan)
+    assert native == recorded
+    ref = simulate_dynamic(het_platform, plan(), timeline, ragged_grid, engine="reference")
+    assert native == (ref.makespan, ref.worker_stats, ref.port_busy)
+    assert native[0] > nominal
+
+
+@pytest.mark.parametrize("offset", range(8))
+def test_native_generic_key_spec_matches(offset):
+    """Fuzz timelines under a multi-field ready key, (legal_start,
+    head_cid), which no registry scheduler uses: the floored legal start
+    must break effective-start ties in the native generic loop exactly as
+    in the per-message loop and on the reference engine."""
+    seed = _seed_base() + 60_000 + offset
+    platform, grid, timeline, _name, _mode = _case(seed)
+
+    def make_plan():
+        plan = make_scheduler("Het").plan(platform, grid)
+        plan.policy = ReadyPolicy(PolicyKeySpec(("legal_start", "head_cid")))
+        return plan
+
+    native, recorded = _native_and_recorded(platform, grid, timeline, make_plan)
+    assert native == recorded, f"replay seed {seed}"
+    ref = simulate_dynamic(platform, make_plan(), timeline, grid, engine="reference")
+    assert native == (ref.makespan, ref.worker_stats, ref.port_busy), f"seed {seed}"
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The equivalence walls (``test_batch_equivalence``, ``test_golden_figures``)
 pin that every backend computes bit-identical results; this file pins the
 *registry* contract around them: resolution order (instance > name > env >
-numpy), unknown-name errors, the single-warning numpy fallback for
-unavailable backends, whole-run vs per-step dispatch, windowed stepping,
+c when it builds > numpy), unknown-name errors, the single-warning numpy
+fallback for explicitly requested but unavailable backends, whole-run vs per-step dispatch, windowed stepping,
 and the ``fast_simulate``/harness integration points.
 """
 
@@ -68,10 +68,21 @@ def test_resolve_instance_passes_through():
     assert resolve_kernel(backend) is backend
 
 
+def _c_builds() -> bool:
+    try:
+        get_backend("c").ensure_ready()
+    except KernelUnavailable:
+        return False
+    return True
+
+
 def test_resolve_name_and_default(monkeypatch):
+    """The implicit default is the C kernel whenever it builds here, numpy
+    otherwise; a name always wins."""
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert resolve_kernel(None).name == "numpy"
+    assert resolve_kernel(None).name == ("c" if _c_builds() else "numpy")
     assert resolve_kernel("python").name == "python"
+    assert resolve_kernel("numpy").name == "numpy"
 
 
 def test_resolve_env_knob(monkeypatch):
@@ -110,6 +121,82 @@ def test_unavailable_backend_falls_back_with_single_warning(broken_backend):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert resolve_kernel(broken_backend).name == "numpy"
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """Empty the per-process backend caches and warning latch, so a test
+    can re-resolve backends under a changed environment."""
+    monkeypatch.delenv(KERNEL_ENV, raising=False)
+    monkeypatch.setattr(kernels, "_instances", {})
+    monkeypatch.setattr(kernels, "_failures", {})
+    monkeypatch.setattr(kernels, "_warned", set())
+
+
+def test_default_without_c_is_numpy_silently(monkeypatch, fresh_registry):
+    def unavailable():
+        raise KernelUnavailable("c disabled for this test")
+
+    monkeypatch.setattr(kernels, "_FACTORIES", {**kernels._FACTORIES, "c": unavailable})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_kernel(None).name == "numpy"
+
+
+def test_default_with_missing_compiler_is_numpy(monkeypatch, tmp_path, fresh_registry):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    assert "c" not in available_backends()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_kernel(None).name == "numpy"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_default_with_unlaunchable_compiler_is_numpy(monkeypatch, tmp_path, fresh_registry):
+    """A compiler that is found but cannot run fails the build with
+    KernelUnavailable (not a bare OSError), before any simulation runs."""
+    cc = tmp_path / "cc"
+    cc.write_text("not an executable format\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("CC", str(cc))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+    with pytest.raises(KernelUnavailable, match="cannot run C compiler"):
+        type(get_backend("c"))().ensure_ready()
+    assert resolve_kernel(None).name == "numpy"
+    # the failed build is cached as the backend's verdict
+    assert "c" not in available_backends()
+    assert not list((tmp_path / "cache").glob("*.so"))
+
+
+def test_default_with_unloadable_cached_so_is_numpy(monkeypatch, tmp_path, fresh_registry):
+    """A cached .so that cannot be loaded (foreign architecture, noexec
+    mount) fails the build with KernelUnavailable, so the implicit
+    default falls back to numpy instead of crashing."""
+    import hashlib
+
+    digest = hashlib.sha256(kernels._C_SOURCE.encode()).hexdigest()[:16]
+    (tmp_path / f"repro_kernels_{digest}.so").write_bytes(b"not a shared object\n")
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    try:
+        get_backend("c")
+    except KernelUnavailable:
+        pytest.skip("no C compiler on this host")
+    with pytest.raises(KernelUnavailable, match="cannot load C kernels"):
+        type(get_backend("c"))().ensure_ready()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_kernel(None).name == "numpy"
+    assert "c" not in available_backends()
+
+
+def test_explicit_unavailable_c_warns_once(monkeypatch, tmp_path, fresh_registry):
+    monkeypatch.setenv("CC", "/nonexistent/cc")
+    with pytest.warns(RuntimeWarning, match="kernel backend 'c' is unavailable"):
+        assert resolve_kernel("c").name == "numpy"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_kernel("c").name == "numpy"
 
 
 def test_unavailable_env_knob_falls_back(monkeypatch, broken_backend):
