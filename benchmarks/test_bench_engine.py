@@ -6,7 +6,9 @@ port messages per second).  The kernel-ladder tests time the same strict /
 ready recurrence through every rung of the execution stack -- per-run
 scalar fast path, per-step numpy batch, and each available compiled
 kernel backend (see :mod:`repro.sim.kernels`) -- asserting the rungs stay
-bit-identical while the compiled ones get faster.
+bit-identical while the compiled ones get faster.  Each engine rung also
+reports its compile time (``BatchEngine`` construction), the cost that
+dominates a planning-bound figure.
 """
 
 import time
@@ -93,11 +95,19 @@ def _time_engine(engine: BatchEngine, rounds: int = _LADDER_ROUNDS) -> float:
     return best
 
 
+def _compiled(runs, kernel) -> tuple[BatchEngine, float]:
+    """A fresh engine over ``runs`` and its construction (compile) time."""
+    t0 = time.perf_counter()
+    engine = BatchEngine(runs, kernel=kernel)
+    return engine, time.perf_counter() - t0
+
+
 def _ladder(scheduler_name: str):
     """Time one paper-scale plan population through every ladder rung.
 
     Returns ``(steps_per_plan, rows)`` where each row is
-    ``(label, seconds, warmup_seconds or None, makespans)``.
+    ``(label, seconds, compile_seconds or None, warmup_seconds or None,
+    makespans)``.
     """
     plat = memory_heterogeneous()
     grid = BlockGrid.paper_instance(80_000)
@@ -108,10 +118,12 @@ def _ladder(scheduler_name: str):
     rows = []
     t0 = time.perf_counter()
     scalar = [fast_simulate(p, _clone(pl), kernel="numpy").makespan for p, pl in runs]
-    rows.append(("scalar", time.perf_counter() - t0, None, np.array(scalar)))
+    rows.append(("scalar", time.perf_counter() - t0, None, None, np.array(scalar)))
 
-    numpy_engine = BatchEngine(runs, kernel="numpy")
-    rows.append(("numpy", _time_engine(numpy_engine), None, numpy_engine.makespans()))
+    numpy_engine, compile_s = _compiled(runs, "numpy")
+    rows.append(
+        ("numpy", _time_engine(numpy_engine), compile_s, None, numpy_engine.makespans())
+    )
 
     for name in available_backends():
         if name == "numpy":
@@ -120,37 +132,40 @@ def _ladder(scheduler_name: str):
         t0 = time.perf_counter()
         backend.ensure_ready()  # JIT compile / build+load, timed separately
         warmup = time.perf_counter() - t0
-        engine = BatchEngine(
-            [(plat, _clone(plan)) for _ in range(_LADDER_B)], kernel=backend
+        engine, compile_s = _compiled(
+            [(plat, _clone(plan)) for _ in range(_LADDER_B)], backend
         )
-        rows.append((name, _time_engine(engine), warmup, engine.makespans()))
+        rows.append((name, _time_engine(engine), compile_s, warmup, engine.makespans()))
     return _plan_steps(plan), rows
 
 
 def _report_ladder(name: str, scheduler_name: str, emit) -> None:
     steps, rows = _ladder(scheduler_name)
-    base = dict((label, secs) for label, secs, _w, _m in rows)["numpy"]
-    reference = rows[0][3]
+    base = dict((label, secs) for label, secs, _c, _w, _m in rows)["numpy"]
+    reference = rows[0][4]
     lines = [
         f"{name}: {scheduler_name} plan, {steps} steps x {_LADDER_B} instances "
-        f"(best of {_LADDER_ROUNDS})"
+        f"(run: best of {_LADDER_ROUNDS}; compile: BatchEngine construction)"
     ]
     data = {"steps": steps, "batch": _LADDER_B, "rungs": {}}
-    for label, secs, warmup, makespans in rows:
+    for label, secs, compile_s, warmup, makespans in rows:
         assert np.array_equal(makespans, reference), label  # bit-identical
-        extra = f", warm-up {warmup * 1e3:.1f} ms" if warmup is not None else ""
+        extra = f", compile {compile_s * 1e3:.2f} ms" if compile_s is not None else ""
+        if warmup is not None:
+            extra += f", warm-up {warmup * 1e3:.1f} ms"
         lines.append(
             f"  {label:>7}: {secs * 1e3:8.2f} ms  ({base / secs:6.1f}x vs numpy{extra})"
         )
         data["rungs"][label] = {
             "seconds": secs,
             "speedup_vs_numpy": base / secs,
+            "compile_seconds": compile_s,
             "warmup_seconds": warmup,
         }
     emit(name, "\n".join(lines), data=data)
     # real compiled backends must beat the per-step numpy path handily;
     # the interpreted `python` rung is a debugging oracle, not a target
-    for label, secs, _w, _m in rows:
+    for label, secs, _c, _w, _m in rows:
         if label in ("numba", "c"):
             assert base / secs >= 3.0, (label, base / secs)
 

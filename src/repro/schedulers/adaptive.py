@@ -928,14 +928,13 @@ class AdaptiveScheduler:
         scores = shared_prefix_makespans(
             runs, prefix_steps, compile_cache=self._batch_cache
         )
-        # the struct/stream tiers key on id(plan) and pin the plan objects,
-        # but this boundary's candidate plans (each embedding the full run
+        # the struct tier keys on id(plan) and pins the plan objects, but
+        # this boundary's candidate plans (each embedding the full run
         # history) can never be resubmitted at a later boundary — drop
         # them so memory stays bounded in the number of boundaries; the
         # tmpl tier is what genuinely re-hits across boundaries (counters
         # are left running on purpose)
         self._batch_cache.struct.clear()
-        self._batch_cache.stream.clear()
         stats = self._reselect_stats
         stats["searches"] += 1
         stats["candidates"] += len(runs)

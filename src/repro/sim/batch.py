@@ -9,31 +9,34 @@ batch can be replayed as one set of numpy array programs: every Python-level
 loop iteration advances *all* instances by one port message instead of one.
 
 The vectorization rests on a separation the scalar engines blur: almost
-everything about a simulation is *timing-independent*.  Which message is
-posted at global step ``t`` (for strict orders), its block count and
-pre-multiplied port/compute cost, which ring slot a round's compute end
-lands in, the warm-up rounds whose legal start is 0, and every integer
-statistic (blocks in/out, updates, chunk counts) are all functions of the
-plan alone and are compiled into dense ``(steps, B)`` arrays up front.
-Only the float recurrence -- ``start = max(port_free, legal)``, ``end =
-start + cost``, ``compute_end = max(end, compute_free) + work`` -- runs in
-the stepping loop, over one flat state vector ``S`` holding each
-(instance, worker)'s ``[c_return_end, compute_end, compute_busy,
-ring[0..depth)]`` slots.  A step is ~15 numpy calls regardless of batch
-width.
+everything about a simulation is *timing-independent*.  A worker's message
+stream -- each message's kind, block count, update count and chunk id, the
+ring slot a round's compute end lands in, the legal-start source (the
+always-0.0 slot for warm-up rounds) -- and every integer statistic (blocks
+in/out, updates, chunk counts) are functions of the plan alone.  They are
+compiled once per distinct ``(plan, worker)`` pair into flat streams that
+every instance replaying that plan shares; an instance owns only ``(B,
+P)`` scalars: a stream pointer and end per worker, its state-segment base
+and the worker costs ``(c, w)``.  Only the float recurrence -- ``start =
+max(port_free, legal)``, ``end = start + nblocks * c``, ``compute_end =
+max(end, compute_free) + updates * w`` -- runs in the stepping loop, over
+one flat state vector ``S`` holding each (instance, worker)'s
+``[c_return_end, compute_end, compute_busy, ring[0..depth), 0.0]`` slots.  A
+step is a few dozen numpy calls regardless of batch width.
 
 Per-instance results are **bit-identical** to
-:func:`~repro.sim.fastpath.fast_simulate`: costs are pre-multiplied with
-the same Python-float arithmetic the scalar engines perform per message,
-every IEEE-754 add/sub/max happens in the same per-instance order, and
-ready-policy ties resolve through the same lexicographic ``(effective
-start, PolicyKeySpec fields)`` comparison.  ``tests/test_batch_equivalence
-.py`` and the golden-figure wall pin this.
+:func:`~repro.sim.fastpath.fast_simulate`: each message cost is the same
+single IEEE-754 multiply the scalar engines perform, every add/sub/max
+happens in the same per-instance order, and ready-policy ties resolve
+through the same lexicographic ``(effective start, PolicyKeySpec
+fields)`` comparison.  ``tests/test_batch_equivalence.py`` and the
+golden-figure wall pin this.
 
 Two replay modes cover the batchable plans:
 
 * **strict order** (:class:`~repro.sim.policies.StrictOrderPolicy`): the
-  step -> message mapping is compiled, so a step is row slices + one
+  step -> worker mapping is the plan's order (stored once per distinct
+  plan), so a step is one order gather, a stream-pointer bump and one
   state gather/scatter;
 * **ready** (:class:`~repro.sim.policies.ReadyPolicy` with a declarative
   :class:`~repro.sim.policies.PolicyKeySpec`): per-worker head keys are
@@ -151,6 +154,22 @@ def _plan_steps(plan: Plan) -> int:
     )
 
 
+def _checked_order(plan: Plan, p: int, lengths: list[int]) -> np.ndarray:
+    """``plan``'s strict order as an array, checked against the message
+    counts of its workers' streams on a ``p``-worker platform."""
+    order = np.asarray(plan.policy.order, dtype=np.int64)
+    if order.size and (order.min() < 0 or order.max() >= p):
+        raise ValueError("strict order names a worker outside the platform")
+    counts = np.bincount(order, minlength=p)
+    if counts.tolist() != lengths[:p]:
+        raise RuntimeError(
+            "strict order and pipelines disagree: per-worker "
+            f"occurrence counts {counts.tolist()} vs message counts "
+            f"{lengths[:p]}"
+        )
+    return order
+
+
 @dataclass(frozen=True)
 class BatchOutcome:
     """Per-instance result of a batch run (the eventless subset of
@@ -203,53 +222,47 @@ def _tier_counter(name: str) -> property:
 class BatchCompileCache:
     """Compiled-stream cache shared across :class:`BatchEngine` instances.
 
-    Compiling a batch splits per-(instance, worker) work into three layers,
+    Compiling a batch splits per-(instance, worker) work into two layers,
     each cached at its natural sharing granularity:
 
     * ``tmpl`` — per chunk *shape*: the (kind, nblocks, updates) message
       template of one round structure (shared by thousands of chunks);
     * ``struct`` — per ``(plan, worker)``: the concatenated message stream
-      with relative legal-start/ring-slot indices — everything that does
-      not depend on the worker's ``(c, w)`` scalars or the batch layout;
-    * ``stream`` — per ``(plan, worker, c, w)``: the pre-multiplied
-      port/compute cost arrays.
+      with legal-start/ring-slot indices relative to the worker's state
+      segment, plus its integer statistics — everything about the
+      worker's messages.
 
-    Candidate populations that share plan objects (HomI shares one scoring
-    plan per ``(n, mu)`` across threshold candidates; a sweep resubmitting
-    the same plan) then recompile nothing but — at most — the two cost
-    multiplies.  One cache instance is created per :func:`batch_outcomes`
-    call and shared across its length buckets; pass an explicit instance to
-    reuse compilations across calls.  Cached values keep their plan (and
-    rounds tuple) alive, so the ``id()``-based keys cannot be recycled
-    while the cache exists.
+    Worker costs are not compiled at all: the kernels multiply each
+    message's ``nblocks * c`` / ``updates * w`` inline from the
+    instance's ``(c, w)``.  Candidate populations that share plan objects
+    (HomI shares one scoring plan per ``(n, mu)`` across threshold
+    candidates; a sweep resubmitting the same plan) therefore recompile
+    nothing, and inside one engine every instance of a plan walks the
+    same stream.  One cache instance is created per :func:`batch_outcomes`
+    call and shared across its length buckets; pass an explicit instance
+    to reuse compilations across calls.  Cached values keep their plan
+    (and rounds tuple) alive, so the ``id()``-based keys cannot be
+    recycled while the cache exists.
 
     Per-tier ``*_hits`` / ``*_misses`` counters account every lookup (a
     miss is a compilation), so tests — and profiling — can assert exactly
     which tier recompiled: e.g. re-scoring a shared plan under new worker
-    costs must hit ``tmpl`` and ``struct`` and miss only ``stream`` (the
-    two cost multiplies).  Each lookup also feeds the process-wide metrics
-    registry (``batch.compile.<tier>_{hits,misses}``); the per-instance
-    properties count only this cache's lookups, so other caches in the
-    process (e.g. a ``fast_simulate`` routed through the batch kernels)
-    never show up in them.  :meth:`clear` resets the per-instance counters
-    with the entries (the registry totals keep accumulating).
+    costs must miss neither tier.  Each lookup also feeds the process-wide
+    metrics registry (``batch.compile.<tier>_{hits,misses}``); the
+    per-instance properties count only this cache's lookups, so other
+    caches in the process (e.g. a ``fast_simulate`` routed through the
+    batch kernels) never show up in them.  :meth:`clear` resets the
+    per-instance counters with the entries (the registry totals keep
+    accumulating).
     """
 
-    _COUNTERS = (
-        "tmpl_hits",
-        "tmpl_misses",
-        "struct_hits",
-        "struct_misses",
-        "stream_hits",
-        "stream_misses",
-    )
+    _COUNTERS = ("tmpl_hits", "tmpl_misses", "struct_hits", "struct_misses")
 
-    __slots__ = ("tmpl", "struct", "stream", "_metrics", "_counts")
+    __slots__ = ("tmpl", "struct", "_metrics", "_counts")
 
     def __init__(self) -> None:
         self.tmpl: dict[tuple, tuple] = {}
         self.struct: dict[tuple, tuple] = {}
-        self.stream: dict[tuple, tuple] = {}
         self._metrics = {
             name: counter(f"batch.compile.{name}") for name in self._COUNTERS
         }
@@ -268,18 +281,16 @@ class BatchCompileCache:
     tmpl_misses = _tier_counter("tmpl_misses")
     struct_hits = _tier_counter("struct_hits")
     struct_misses = _tier_counter("struct_misses")
-    stream_hits = _tier_counter("stream_hits")
-    stream_misses = _tier_counter("stream_misses")
 
     def clear(self) -> None:
         self.tmpl.clear()
         self.struct.clear()
-        self.stream.clear()
         self._reset_counters()
 
     def worker_struct(self, plan: Plan, w: int, chunk_template) -> tuple:
-        """Parameter-independent message stream of ``plan``'s worker ``w``
-        (must have at least one chunk)."""
+        """Message stream of ``plan``'s worker ``w`` (must have at least
+        one chunk): ``(kind, nb, upd, cid, rel_legal, rel_ring, blocks_in,
+        blocks_out, updates)``."""
         key = (id(plan), w)
         hit = self.struct.get(key)
         if hit is not None:
@@ -293,19 +304,19 @@ class BatchCompileCache:
         nb = np.concatenate([t[1] for t in tmpls])
         upd = np.concatenate([t[2] for t in tmpls])
         cid = np.repeat(
-            np.fromiter((ch.cid for ch in chunks), np.int64, len(chunks)),
+            np.fromiter((ch.cid for ch in chunks), np.float64, len(chunks)),
             np.fromiter((t[0].size for t in tmpls), np.int64, len(tmpls)),
         )
         is_round = kind == _K_ROUND
         g = np.cumsum(is_round) - 1  # global round index per worker
         rel_ring = 3 + (g % depth)  # ring slot, relative to the S segment
         # legal-start source, relative to the segment base: 0 = c_return_end
-        # slot, 1 = compute_end slot, -1 = the frozen 0.0 (warm-up rounds),
-        # else the ring slot of round (g - depth)
+        # slot, 1 = compute_end slot, 3 + depth = the never-written 0.0
+        # slot (warm-up rounds), else the ring slot of round (g - depth)
         rel_legal = np.where(
             kind == _K_C_SEND,
             0,
-            np.where(kind == _K_C_RETURN, 1, np.where(g < depth, -1, rel_ring)),
+            np.where(kind == _K_C_RETURN, 1, np.where(g < depth, 3 + depth, rel_ring)),
         )
         blocks_out = int(nb[kind == _K_C_RETURN].sum())
         struct = (
@@ -321,23 +332,6 @@ class BatchCompileCache:
         )
         self.struct[key] = (plan, struct)
         return struct
-
-    def worker_stream(
-        self, plan: Plan, w: int, c: float, wcost: float, nb: np.ndarray, upd: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pre-multiplied (comm, comp) cost arrays for worker params
-        ``(c, wcost)`` — one vectorized multiply per stream on a miss,
-        IEEE-identical to the scalar engines' per-message products."""
-        key = (id(plan), w, c, wcost)
-        hit = self.stream.get(key)
-        if hit is not None:
-            self.bump("stream_hits")
-            return hit[1], hit[2]
-        self.bump("stream_misses")
-        comm = nb * c
-        comp = upd * wcost
-        self.stream[key] = (plan, comm, comp)
-        return comm, comp
 
 
 class BatchEngine:
@@ -398,10 +392,10 @@ class BatchEngine:
         the ``id()`` cache key stays valid).
 
         Cached per (round structure, C-block count, C mode): thousands of
-        chunks share one memoized rounds tuple.  Worker-dependent costs are
-        scaled from these with one vectorized multiply per stream --
-        IEEE-754 identical to the scalar engines' per-message
-        ``nblocks * c`` / ``updates * w``.
+        chunks share one memoized rounds tuple.  Counts are stored as
+        (integral) float64, so the kernels' inline ``nblocks * c`` /
+        ``updates * w`` is IEEE-754 identical to the scalar engines'
+        per-message int * float products.
         """
         key = (id(chunk.rounds), chunk.h, chunk.w, c_mode)
         cached = self._cache.tmpl.get(key)
@@ -425,195 +419,135 @@ class BatchEngine:
             upds.append(0)
         tmpl = (
             np.array(kinds, dtype=np.int8),
-            np.array(nbs, dtype=np.int64),
-            np.array(upds, dtype=np.int64),
+            np.array(nbs, dtype=np.float64),
+            np.array(upds, dtype=np.float64),
             chunk.rounds,
         )
         self._cache.tmpl[key] = tmpl
         return tmpl
 
     def _compile(self, runs: Sequence[tuple[Platform, Plan]]) -> None:
-        lengths = np.array([_plan_steps(plan) for _pf, plan in runs], dtype=np.int64)
+        cache = self._cache
+        P = max(platform.p for platform, _plan in runs)
+        # the shared message streams: each distinct (plan, worker) struct
+        # once, whatever the number of instances replaying it
+        streams: dict[tuple[int, int], tuple[int, tuple]] = {}
+        parts: list[tuple] = []
+        n_msgs = 0
+        # one layout per distinct (plan, p): per-worker stream offsets and
+        # lengths, prefetch depths and statistics (and the strict order)
+        layout_of: dict[tuple[int, int], int] = {}
+        layouts: list[tuple[list[int], ...]] = []
+        orders: list[np.ndarray] = []
+        kidx = np.empty(len(runs), dtype=np.int64)
+        for i, (platform, plan) in enumerate(runs):
+            p = platform.p
+            k = layout_of.get((id(plan), p))
+            if k is None:
+                k = layout_of[(id(plan), p)] = len(layouts)
+                layout = tuple([0] * P for _ in range(7))
+                start, length, depth, chunks, blocks_in, blocks_out, updates = layout
+                for w in range(p):
+                    depth[w] = plan.depths[w]
+                    if depth[w] < 1:
+                        raise ValueError("prefetch depth must be >= 1")
+                    chunks[w] = len(plan.assignments[w])
+                    if not chunks[w]:
+                        continue
+                    hit = streams.get((id(plan), w))
+                    if hit is None:
+                        struct = cache.worker_struct(plan, w, self._chunk_template)
+                        hit = streams[(id(plan), w)] = (n_msgs, struct)
+                        parts.append(struct)
+                        n_msgs += struct[0].size
+                    start[w], struct = hit
+                    length[w] = struct[0].size
+                    blocks_in[w], blocks_out[w], updates[w] = struct[6:]
+                if self._strict:
+                    orders.append(_checked_order(plan, p, length))
+                layouts.append(layout)
+            kidx[i] = k
+
         # sort instances by descending step count: the active set at step t
         # is then always the leading rows [0:n_act), so per-instance state
         # lives in cheap basic slices.
+        table = np.array(layouts, dtype=np.int64)  # (K, 7, P)
+        lengths = table[kidx, 1].sum(axis=1)
         perm = np.argsort(-lengths, kind="stable")
+        kidx = kidx[perm]
         self._perm = perm
         self._runs = [runs[i] for i in perm]
         self._lengths = lengths[perm]
         self._len_asc = self._lengths[::-1].copy()
-
+        self._kidx = kidx
+        self._layouts = layouts
         B = len(self._runs)
-        P = max(platform.p for platform, _plan in self._runs)
         self._B, self._P = B, P
-        total_msgs = int(lengths.sum())
 
-        # flat per-message stream arrays, one segment per (instance, worker)
-        f_kind = np.zeros(total_msgs, dtype=np.int8)
-        f_nb = np.zeros(total_msgs, dtype=np.int64)
-        f_comm = np.zeros(total_msgs, dtype=np.float64)
-        f_comp = np.zeros(total_msgs, dtype=np.float64)
-        f_upd = np.zeros(total_msgs, dtype=np.int64)
-        f_cid = np.zeros(total_msgs, dtype=np.int64)
-        f_legal = np.zeros(total_msgs, dtype=np.int64)  # index into S (0 = frozen 0.0)
-        f_ring = np.zeros(total_msgs, dtype=np.int64)  # ring slot (rounds only)
-        base = np.zeros((B, P), dtype=np.int64)
-        end = np.zeros((B, P), dtype=np.int64)
-        seg = np.zeros((B, P), dtype=np.int64)  # state-segment base per (b, w)
-        depth_arr = np.ones((B, P), dtype=np.int64)
+        # the shared streams: (kind, nb, upd, cid, rel_legal, rel_ring)
+        dtypes = (np.int8, np.float64, np.float64, np.float64, np.int64, np.int64)
+        self._flat = tuple(
+            np.concatenate([np.zeros(0, dt)] + [part[f] for part in parts])
+            for f, dt in enumerate(dtypes)
+        )
+        self._base = table[kidx, 0]
+        self._end = self._base + table[kidx, 1]
+        self._depth = table[kidx, 2]
+        self._ptr = self._base.copy()
 
-        # timing-independent per-instance statistics
-        self._stat_blocks_in = np.zeros((B, P), dtype=np.int64)
-        self._stat_blocks_out = np.zeros((B, P), dtype=np.int64)
-        self._stat_updates = np.zeros((B, P), dtype=np.int64)
-        self._stat_chunks = np.zeros((B, P), dtype=np.int64)
+        # state vector S: each (b, w) owns [c_return_end, compute_end,
+        # compute_busy, ring[0..depth), 0.0] -- the last slot is never
+        # written (warm-up legal starts).  Workers beyond an instance's
+        # platform own none.
+        p_of = np.array([platform.p for platform, _plan in self._runs], dtype=np.int64)
+        self._valid = np.arange(P) < p_of[:, None]
+        widths = np.where(self._valid, 4 + self._depth, 0).ravel()
+        seg = np.cumsum(widths) - widths
+        self._seg = np.where(self._valid, seg.reshape(B, P), 0)
+        self._S = np.zeros(int(widths.sum()), dtype=np.float64)
 
-        # state vector S: S[0] is a frozen 0.0 (warm-up legal starts); each
-        # (b, w) then owns [c_return_end, compute_end, compute_busy,
-        # ring[0..depth)].
-        s_size = 1
-        pos = 0
-        for b, (platform, plan) in enumerate(self._runs):
-            for w in range(platform.p):
-                worker = platform[w]
-                depth = plan.depths[w]
-                if depth < 1:
-                    raise ValueError("prefetch depth must be >= 1")
-                depth_arr[b, w] = depth
-                seg[b, w] = s_size
-                s_size += 3 + depth
-                base[b, w] = pos
-                chunks = plan.assignments[w]
-                self._stat_chunks[b, w] = len(chunks)
-                if not chunks:
-                    end[b, w] = pos
-                    continue
-                (
-                    kind,
-                    nb,
-                    upd,
-                    cid,
-                    rel_legal,
-                    rel_ring,
-                    blocks_in,
-                    blocks_out,
-                    updates,
-                ) = self._cache.worker_struct(plan, w, self._chunk_template)
-                comm, comp = self._cache.worker_stream(
-                    plan, w, worker.c, worker.w, nb, upd
-                )
-                n = kind.size
-                sl = slice(pos, pos + n)
-                f_kind[sl] = kind
-                f_nb[sl] = nb
-                f_comm[sl] = comm
-                f_comp[sl] = comp
-                f_upd[sl] = upd
-                f_cid[sl] = cid
-                pos += n
-                end[b, w] = pos
-                # relative legal/ring indices anchored at this (b, w)'s S
-                # segment; -1 marks the frozen 0.0 warm-up slot
-                s0 = seg[b, w]
-                f_ring[sl] = s0 + rel_ring
-                f_legal[sl] = np.where(rel_legal < 0, 0, s0 + rel_legal)
-                self._stat_blocks_out[b, w] = blocks_out
-                self._stat_blocks_in[b, w] = blocks_in
-                self._stat_updates[b, w] = updates
-        assert pos == total_msgs
-        self._flat = (f_kind, f_nb, f_comm, f_comp, f_upd, f_cid, f_legal, f_ring)
-        self._base, self._end, self._seg, self._depth = base, end, seg, depth_arr
+        # per-instance worker costs, multiplied into each message inline
+        platforms = [platform for platform, _plan in self._runs]
+        self._cost_c = np.zeros((B, P), dtype=np.float64)
+        self._cost_w = np.zeros((B, P), dtype=np.float64)
+        self._cost_c[self._valid] = [wk.c for pf in platforms for wk in pf]
+        self._cost_w[self._valid] = [wk.w for pf in platforms for wk in pf]
 
-        # mutable state
-        self._S = np.zeros(s_size, dtype=np.float64)
         self._port_free = np.zeros(B, dtype=np.float64)
         self._port_busy = np.zeros(B, dtype=np.float64)
-        self._rows = np.arange(B, dtype=np.int64)
+        # flat (b * P + w) row offsets for the numpy per-step paths
+        self._row_off = np.arange(B, dtype=np.int64) * P
 
+        # the kernel's arguments after (t0, t1), in its signature order;
+        # every array in them is updated in place
+        f_kind, f_nb, f_upd, f_cid, f_legal, f_ring = self._flat
+        costs = (self._cost_c, self._cost_w)
+        state = (self._S, self._port_free, self._port_busy)
         if self._strict:
-            self._compile_strict()
+            sizes = [order.size for order in orders]
+            self._order_flat = np.concatenate([np.zeros(0, np.int64)] + orders)
+            self._order_base = (np.cumsum(sizes) - sizes)[kidx]
+            self._kernel_args = (
+                B, P, self._lengths, self._order_flat, self._order_base,
+                self._ptr, self._seg, *costs, f_kind, f_nb, f_upd, f_legal, f_ring,
+                *state,
+            )
         else:
             self._compile_ready()
-
-    def _compile_strict(self) -> None:
-        """Dense ``(T, B)`` per-step attribute arrays: row ``t`` holds the
-        message every instance posts at global step ``t`` (padding beyond an
-        instance's length is never read -- rows are sorted by length)."""
-        B = self._B
-        T = int(self._lengths[0]) if B else 0
-        f_kind, _f_nb, f_comm, f_comp, _f_upd, _f_cid, f_legal, f_ring = self._flat
-        # filled as (B, T) -- contiguous row writes per instance -- then
-        # transposed once so each step reads a contiguous row
-        d_legal = np.zeros((B, T), dtype=np.int64)
-        d_ce = np.zeros((B, T), dtype=np.int64)  # compute-end slot (seg + 1)
-        d_ring = np.zeros((B, T), dtype=np.int64)
-        d_comm = np.zeros((B, T), dtype=np.float64)
-        d_comp = np.zeros((B, T), dtype=np.float64)
-        d_round = np.zeros((B, T), dtype=bool)
-        d_cret = np.zeros((B, T), dtype=bool)
-        order_chunks: list[np.ndarray] = []
-        order_base = np.zeros(B, dtype=np.int64)
-        pos = 0
-        for b, (platform, plan) in enumerate(self._runs):
-            order = np.asarray(plan.policy.order, dtype=np.int64)
-            p = platform.p
-            if order.size and (order.min() < 0 or order.max() >= p):
-                raise ValueError("strict order names a worker outside the platform")
-            counts = np.bincount(order, minlength=p)
-            stream_lens = self._end[b, :p] - self._base[b, :p]
-            if not np.array_equal(counts, stream_lens):
-                raise RuntimeError(
-                    "strict order and pipelines disagree: per-worker "
-                    f"occurrence counts {counts.tolist()} vs message counts "
-                    f"{stream_lens.tolist()}"
-                )
-            n = order.size
-            order_base[b] = pos
-            order_chunks.append(order)
-            pos += n
-            if not n:
-                continue
-            # occurrence rank of each step among its worker's appearances
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            sort = np.argsort(order, kind="stable")
-            occ = np.empty(n, dtype=np.int64)
-            occ[sort] = np.arange(n) - np.repeat(starts, counts)
-            mp = self._base[b, order] + occ
-            kind = f_kind[mp]
-            d_legal[b, :n] = f_legal[mp]
-            d_ce[b, :n] = self._seg[b, order] + 1
-            d_ring[b, :n] = f_ring[mp]
-            d_comm[b, :n] = f_comm[mp]
-            d_comp[b, :n] = f_comp[mp]
-            d_round[b, :n] = kind == _K_ROUND
-            d_cret[b, :n] = kind == _K_C_RETURN
-        self._d_legal = np.ascontiguousarray(d_legal.T)
-        self._d_ce = np.ascontiguousarray(d_ce.T)
-        self._d_ring = np.ascontiguousarray(d_ring.T)
-        self._d_comm = np.ascontiguousarray(d_comm.T)
-        self._d_comp = np.ascontiguousarray(d_comp.T)
-        self._d_round = np.ascontiguousarray(d_round.T)
-        self._d_cret = np.ascontiguousarray(d_cret.T)
-        self._order_flat = (
-            np.concatenate(order_chunks) if order_chunks else np.zeros(0, np.int64)
-        )
-        self._order_base = order_base
-        self._has_round = self._d_round.any(axis=1).tolist()
-        self._has_cret = self._d_cret.any(axis=1).tolist()
+            self._kernel_args = (
+                B, P, self._lengths, self._ptr, self._end, self._seg, *costs,
+                self._head_legal, self._head_cid, f_kind, f_nb, f_upd, f_cid,
+                f_legal, f_ring, self._field_codes, *state,
+            )
 
     def _compile_ready(self) -> None:
-        f_kind, _f_nb, _f_comm, _f_comp, _f_upd, f_cid, f_legal, _f_ring = self._flat
-        self._ptr = self._base.copy()
+        f_cid = self._flat[3]
         live = self._ptr < self._end
-        # one float64 view of the cid stream, shared by every step (the
-        # per-step ``astype`` it replaces allocated a fresh cast each time)
-        self._f_cid_f64 = f_cid.astype(np.float64)
         # cached head keys for the vectorized argmin; cids as float64 so
         # drained workers mask with +inf (cids are exact below 2**53)
         self._head_legal = np.where(live, 0.0, np.inf)
         self._head_cid = np.full((self._B, self._P), np.inf)
-        if live.any():
-            self._head_cid[live] = self._f_cid_f64[self._ptr[live]]
+        self._head_cid[live] = f_cid[self._ptr[live]]
         self._wk_range = np.arange(self._P, dtype=np.float64)
         self._field_codes = np.array(
             [FIELD_CODES[f] for f in self._key_fields], dtype=np.int64
@@ -685,71 +619,43 @@ class BatchEngine:
 
     def _run_kernel(self, limit: int) -> None:
         """One whole-run kernel call advancing steps ``[self._t, limit)``."""
-        if self._strict:
-            self._backend.strict_run(
-                self._t,
-                limit,
-                self._B,
-                self._lengths,
-                self._d_legal,
-                self._d_ce,
-                self._d_ring,
-                self._d_comm,
-                self._d_comp,
-                self._d_round,
-                self._d_cret,
-                self._S,
-                self._port_free,
-                self._port_busy,
-            )
-        else:
-            f_kind, _f_nb, f_comm, f_comp, _f_upd, _f_cid, f_legal, f_ring = self._flat
-            self._backend.ready_run(
-                self._t,
-                limit,
-                self._B,
-                self._P,
-                self._lengths,
-                self._ptr,
-                self._end,
-                self._seg,
-                self._head_legal,
-                self._head_cid,
-                f_kind,
-                f_comm,
-                f_comp,
-                self._f_cid_f64,
-                f_legal,
-                f_ring,
-                self._field_codes,
-                self._S,
-                self._port_free,
-                self._port_busy,
-            )
+        run = self._backend.strict_run if self._strict else self._backend.ready_run
+        run(self._t, limit, *self._kernel_args)
 
-    def _step_strict(self, n_act: int) -> None:
-        t = self._t
+    def _post(self, n_act: int, off, mp, seg, legal) -> None:
+        """Post stream message ``mp`` on flat (instance, worker) slot
+        ``off`` (state segment ``seg``) of every active instance: the
+        recurrence both modes share."""
         S = self._S
-        legal = S[self._d_legal[t, :n_act]]
+        f_kind, f_nb, f_upd, _f_cid, _f_legal, f_ring = self._flat
         start = np.maximum(self._port_free[:n_act], legal)
-        end = start + self._d_comm[t, :n_act]
+        end = start + f_nb[mp] * self._cost_c.reshape(-1)[off]
         self._port_free[:n_act] = end
         self._port_busy[:n_act] += end - start
-        if self._has_round[t]:
-            rm = self._d_round[t, :n_act]
-            cei = self._d_ce[t, :n_act][rm]
+        kind = f_kind[mp]
+        rm = kind == _K_ROUND
+        if rm.any():
+            mr, sr = mp[rm], seg[rm]
+            cei = sr + 1
             cs = np.maximum(end[rm], S[cei])
-            ce = cs + self._d_comp[t, :n_act][rm]
-            S[self._d_ring[t, :n_act][rm]] = ce
+            ce = cs + f_upd[mr] * self._cost_w.reshape(-1)[off[rm]]
+            S[sr + f_ring[mr]] = ce
             S[cei] = ce
             S[cei + 1] += ce - cs  # compute_busy (indices unique per step)
-        if self._has_cret[t]:
-            cm = self._d_cret[t, :n_act]
-            S[self._d_ce[t, :n_act][cm] - 1] = end[cm]
+        cm = kind == _K_C_RETURN
+        if cm.any():
+            S[seg[cm]] = end[cm]
+
+    def _step_strict(self, n_act: int) -> None:
+        workers = self._order_flat[self._order_base[:n_act] + self._t]
+        off = self._row_off[:n_act] + workers
+        ptr = self._ptr.reshape(-1)
+        mp = ptr[off]
+        ptr[off] = mp + 1
+        seg = self._seg.reshape(-1)[off]
+        self._post(n_act, off, mp, seg, self._S[seg + self._flat[4][mp]])
 
     def _step_ready(self, n_act: int) -> None:
-        S = self._S
-        rows = self._rows[:n_act]
         head_legal = self._head_legal[:n_act]
         eff = np.maximum(self._port_free[:n_act, None], head_legal)
         sel = eff == eff.min(axis=1, keepdims=True)
@@ -762,34 +668,18 @@ class BatchEngine:
                 vals = self._wk_range
             v = np.where(sel, vals, np.inf)
             sel = v == v.min(axis=1, keepdims=True)
-        w = sel.argmax(axis=1)
+        off = self._row_off[:n_act] + sel.argmax(axis=1)
 
-        f_kind, _f_nb, f_comm, f_comp, _f_upd, _f_cid, f_legal, f_ring = self._flat
-        idx = (rows, w)
-        mp = self._ptr[idx]
-        legal = head_legal[rows, w]
-        start = np.maximum(self._port_free[:n_act], legal)
-        end = start + f_comm[mp]
-        self._port_free[:n_act] = end
-        self._port_busy[:n_act] += end - start
-        kind = f_kind[mp]
-        rm = kind == _K_ROUND
-        if rm.any():
-            cei = self._seg[rows[rm], w[rm]] + 1
-            cs = np.maximum(end[rm], S[cei])
-            ce = cs + f_comp[mp[rm]]
-            S[f_ring[mp[rm]]] = ce
-            S[cei] = ce
-            S[cei + 1] += ce - cs
-        cm = kind == _K_C_RETURN
-        if cm.any():
-            S[self._seg[rows[cm], w[cm]]] = end[cm]
+        ptr, head_legal_f = self._ptr.reshape(-1), self._head_legal.reshape(-1)
+        mp = ptr[off]
+        seg = self._seg.reshape(-1)[off]
+        self._post(n_act, off, mp, seg, head_legal_f[off])
         nxt = mp + 1
-        self._ptr[idx] = nxt
-        live = nxt < self._end[idx]
-        safe = np.minimum(nxt, len(f_kind) - 1)
-        self._head_legal[idx] = np.where(live, S[f_legal[safe]], np.inf)
-        self._head_cid[idx] = np.where(live, self._f_cid_f64[safe], np.inf)
+        ptr[off] = nxt
+        live = nxt < self._end.reshape(-1)[off]
+        safe = np.minimum(nxt, len(self._flat[0]) - 1)
+        head_legal_f[off] = np.where(live, self._S[seg + self._flat[4][safe]], np.inf)
+        self._head_cid.reshape(-1)[off] = np.where(live, self._flat[3][safe], np.inf)
 
     # ------------------------------------------------------------------
     # checkpoint / restore
@@ -797,21 +687,26 @@ class BatchEngine:
     def checkpoint(self) -> tuple:
         """Snapshot the batch state (O(B*P*depth)); :meth:`restore` replays
         alternative continuations from the same frontier."""
-        extra = (
-            ()
-            if self._strict
-            else (self._ptr.copy(), self._head_legal.copy(), self._head_cid.copy())
+        heads = (
+            () if self._strict else (self._head_legal.copy(), self._head_cid.copy())
         )
-        return (self._t, self._S.copy(), self._port_free.copy(), self._port_busy.copy(), extra)
+        return (
+            self._t,
+            self._S.copy(),
+            self._port_free.copy(),
+            self._port_busy.copy(),
+            self._ptr.copy(),
+            heads,
+        )
 
     def restore(self, token: tuple) -> None:
-        self._t, S, pf, pb, extra = token
+        self._t, S, pf, pb, ptr, heads = token
         np.copyto(self._S, S)
         np.copyto(self._port_free, pf)
         np.copyto(self._port_busy, pb)
+        np.copyto(self._ptr, ptr)
         if not self._strict:
-            ptr, hl, hc = extra
-            np.copyto(self._ptr, ptr)
+            hl, hc = heads
             np.copyto(self._head_legal, hl)
             np.copyto(self._head_cid, hc)
 
@@ -866,6 +761,8 @@ class BatchEngine:
             src = sub._S[sub._seg[0, w] : sub._seg[0, w] + width]
             dst_idx = full._seg[:, w, None] + np.arange(width)
             full._S[dst_idx] = src
+        # every instance has consumed the prefix's messages of each worker
+        full._ptr[:] = full._base + np.bincount(prefix, minlength=full._P)
         full._t = prefix_steps
         return full
 
@@ -891,8 +788,10 @@ class BatchEngine:
         stops at the *first* divergent step — and every error names the
         step (or per-worker message) index and the worker involved, so a
         caller debugging a bad candidate batch sees exactly where the
-        orders split instead of a blanket mismatch."""
-        f_kind, _f_nb, f_comm, f_comp, _u, _c, _l, _r = self._flat
+        orders split instead of a blanket mismatch.  Messages are compared
+        by kind and by port/compute *cost*; an instance walking instance
+        0's own stream under the same worker costs matches trivially."""
+        f_kind, f_nb, f_upd = self._flat[:3]
         ob = self._order_base
         ref = self._order_flat[ob[0] : ob[0] + prefix_steps]
         for b in range(1, self._B):
@@ -922,18 +821,26 @@ class BatchEngine:
                         f"{int(self._depth[b, w])} differs from instance 0's "
                         f"{int(self._depth[0, w])}"
                     )
-                for label, flat in (
-                    ("kind", f_kind),
-                    ("port cost", f_comm),
-                    ("compute cost", f_comp),
+                if (
+                    sb == s0
+                    and self._cost_c[b, w] == self._cost_c[0, w]
+                    and self._cost_w[b, w] == self._cost_w[0, w]
                 ):
-                    m = self._first_mismatch(flat[sb : sb + n], flat[s0 : s0 + n])
+                    continue
+                for label, flat, costs in (
+                    ("kind", f_kind, None),
+                    ("port cost", f_nb, self._cost_c),
+                    ("compute cost", f_upd, self._cost_w),
+                ):
+                    got, want = flat[sb : sb + n], flat[s0 : s0 + n]
+                    if costs is not None:
+                        got, want = got * costs[b, w], want * costs[0, w]
+                    m = self._first_mismatch(got, want)
                     if m >= 0:
                         raise ValueError(
                             f"instance {b} worker {w} diverges from the "
                             f"shared message prefix at its message {m}: "
-                            f"{label} {flat[sb + m]!r} != instance 0's "
-                            f"{flat[s0 + m]!r}"
+                            f"{label} {got[m]!r} != instance 0's {want[m]!r}"
                         )
 
     # ------------------------------------------------------------------
@@ -943,13 +850,8 @@ class BatchEngine:
         # final port_free is the last comm end (it is nondecreasing); each
         # worker's compute_end slot holds its last compute end -- the
         # makespan is their maximum, exactly FastEngine's running last_end
-        out = self._port_free.copy()
-        for b, (platform, _plan) in enumerate(self._runs):
-            p = platform.p
-            if p:
-                ce = self._S[self._seg[b, :p] + 1]
-                out[b] = max(out[b], ce.max())
-        return out
+        compute_ends = np.where(self._valid, self._S[self._seg + 1], -np.inf)
+        return np.maximum(self._port_free, compute_ends.max(axis=1))
 
     def makespans(self) -> np.ndarray:
         """Per-instance makespans, in the original run order (the batch
@@ -967,16 +869,19 @@ class BatchEngine:
         makespans = self._sorted_makespans()
         out: list[BatchOutcome | None] = [None] * self._B
         for b, (platform, plan) in enumerate(self._runs):
+            _start, _len, _depth, chunks, blocks_in, blocks_out, updates = (
+                self._layouts[self._kidx[b]]
+            )
             stats = []
             for w in range(platform.p):
                 s = self._seg[b, w]
                 stats.append(
                     WorkerStats(
                         worker=w,
-                        chunks=int(self._stat_chunks[b, w]),
-                        blocks_in=int(self._stat_blocks_in[b, w]),
-                        blocks_out=int(self._stat_blocks_out[b, w]),
-                        updates=int(self._stat_updates[b, w]),
+                        chunks=chunks[w],
+                        blocks_in=blocks_in[w],
+                        blocks_out=blocks_out[w],
+                        updates=updates[w],
                         compute_busy=float(self._S[s + 2]),
                         finish=float(max(self._S[s], self._S[s + 1])),
                     )
@@ -984,19 +889,21 @@ class BatchEngine:
             out[self._perm[b]] = BatchOutcome(
                 makespan=float(makespans[b]),
                 port_busy=float(self._port_busy[b]),
-                blocks_through_port=int(
-                    self._stat_blocks_in[b].sum() + self._stat_blocks_out[b].sum()
-                ),
-                total_updates=int(self._stat_updates[b].sum()),
+                blocks_through_port=sum(blocks_in) + sum(blocks_out),
+                total_updates=sum(updates),
                 worker_stats=tuple(stats),
                 meta=dict(plan.meta),
             )
         return out  # type: ignore[return-value]
 
 
-def _fallback_outcome(platform: Platform, plan: Plan, kernel=None) -> BatchOutcome:
+def _scalar_result(platform: Platform, plan: Plan, kernel, makespan_only: bool):
+    """One run on the scalar fast path, as a :class:`BatchOutcome` (or its
+    bare makespan)."""
     counter("batch.scalar_runs").inc()
     res = fast_simulate(platform, plan, kernel=kernel)
+    if makespan_only:
+        return res.makespan
     return BatchOutcome(
         makespan=res.makespan,
         port_busy=res.port_busy,
@@ -1033,6 +940,7 @@ def batch_outcomes(
     min_batch: int = MIN_VECTOR_BATCH,
     compile_cache: BatchCompileCache | None = None,
     kernel=None,
+    _makespans: bool = False,
 ) -> list[BatchOutcome]:
     """Simulate every ``(platform, plan)`` run, vectorizing compatible
     groups, and return per-run outcomes in input order.
@@ -1046,18 +954,26 @@ def batch_outcomes(
     buckets share one :class:`BatchCompileCache` (``compile_cache`` or a
     fresh one), so candidates that share plan objects — e.g. HomI's scoring
     plans per ``(n, mu)`` — compile their message streams once per call.
+
+    ``_makespans=True`` is :func:`batch_simulate`'s path through the same
+    grouping: bare makespans (read per bucket from
+    :meth:`BatchEngine.makespans`) instead of outcome records.
     """
     backend = resolve_kernel(kernel)
     cache = compile_cache if compile_cache is not None else BatchCompileCache()
-    steps = [_plan_steps(plan) for _pf, plan in runs]
+    collect = BatchEngine.makespans if _makespans else BatchEngine.outcomes
+    # a message count is a function of the plan: count each distinct one once
+    plans = {id(plan): plan for _pf, plan in runs}
+    counts = {key: _plan_steps(plan) for key, plan in plans.items()}
+    steps = [counts[id(plan)] for _pf, plan in runs]
     groups: dict[Any, list[int]] = {}
     for i, (_platform, plan) in enumerate(runs):
         groups.setdefault(_batch_mode(plan), []).append(i)
-    out: list[BatchOutcome | None] = [None] * len(runs)
+    out: list = [None] * len(runs)
     for mode, indices in groups.items():
         if mode is None:
             for i in indices:
-                out[i] = _fallback_outcome(*runs[i], kernel=backend)
+                out[i] = _scalar_result(*runs[i], backend, _makespans)
             continue
         indices.sort(key=lambda i: -steps[i])
         for bucket in _buckets(indices, steps):
@@ -1066,15 +982,15 @@ def batch_outcomes(
             # a skewed group's tiny tail buckets stay on the scalar path
             if not force and len(bucket) < min_batch:
                 for i in bucket:
-                    out[i] = _fallback_outcome(*runs[i], kernel=backend)
+                    out[i] = _scalar_result(*runs[i], backend, _makespans)
                 continue
             counter("batch.vectorized_runs").inc(len(bucket))
             engine = BatchEngine(
                 [runs[i] for i in bucket], compile_cache=cache, kernel=backend
             ).run()
-            for i, outcome in zip(bucket, engine.outcomes()):
-                out[i] = outcome
-    return out  # type: ignore[return-value]
+            for i, result in zip(bucket, collect(engine)):
+                out[i] = result
+    return out
 
 
 def shared_prefix_makespans(
@@ -1125,8 +1041,8 @@ def batch_simulate(
     """
     if not len(runs):
         return np.zeros(0, dtype=np.float64)
-    outcomes = batch_outcomes(
+    makespans = batch_outcomes(
         runs, force=force, min_batch=min_batch, compile_cache=compile_cache,
-        kernel=kernel,
+        kernel=kernel, _makespans=True,
     )
-    return np.array([o.makespan for o in outcomes], dtype=np.float64)
+    return np.array(makespans, dtype=np.float64)

@@ -1,15 +1,19 @@
 """Compiled simulation kernels behind a backend registry.
 
 The batch engine (:mod:`repro.sim.batch`) advances every instance of a
-bucket by one port message per Python loop iteration -- ~15 tiny numpy
-calls over a flat state vector.  At paper scale the arrays are short
+bucket by one port message per Python loop iteration -- a few dozen tiny
+numpy calls over a flat state vector.  At paper scale the arrays are short
 enough that interpreter/dispatch overhead dominates, so this module
 compiles the two hot recurrences as **whole-run kernels**: one call
-consumes the dense per-step arrays and advances *all* steps of a bucket
-inside compiled code.  The numpy per-step path remains the bit-identical
-equivalence oracle (the kernels perform the same IEEE-754 operations in
-the same per-instance order, so results match exactly -- the equivalence
-walls pin this).
+advances *all* steps of a bucket inside compiled code.  Both kernels walk
+the engine's shared per-plan message streams through per-instance
+``(B, P)`` stream pointers -- the strict kernel takes each step's worker
+from the plan's order, the ready kernel selects it lexicographically --
+and compute each message's ``nblocks * c`` / ``updates * w`` inline from
+the instance's worker costs.  The numpy per-step path remains the
+bit-identical equivalence oracle (the kernels perform the same IEEE-754
+operations in the same per-instance order, so results match exactly --
+the equivalence walls pin this).
 
 Backends
 --------
@@ -96,39 +100,54 @@ def _strict_run(
     t0,
     t1,
     B,
-    lengths,  # (B,) int64, descending -- instance b is live while t < lengths[b]
-    d_legal,  # (T, B) int64   index into S of the head message's legal start
-    d_ce,  # (T, B) int64      compute-end slot (segment base + 1)
-    d_ring,  # (T, B) int64    ring slot written by round messages
-    d_comm,  # (T, B) float64  pre-multiplied port cost
-    d_comp,  # (T, B) float64  pre-multiplied compute cost
-    d_round,  # (T, B) bool    message is a ROUND
-    d_cret,  # (T, B) bool     message is a C_RETURN
-    S,  # (s,) float64         flat state vector (S[0] frozen 0.0)
+    P,
+    lengths,  # (B,) int64, descending -- instance b posts steps [0, lengths[b])
+    order,  # (n,) int64       strict orders of the distinct plans, concatenated
+    order_base,  # (B,) int64  offset of instance b's order in ``order``
+    ptr,  # (B, P) int64       next stream message per (instance, worker)
+    seg,  # (B, P) int64       state-segment base per (instance, worker)
+    cost_c,  # (B, P) float64  worker port cost per block
+    cost_w,  # (B, P) float64  worker compute cost per update
+    f_kind,  # (N,) int8       shared message streams: kind codes (1/2/3)
+    f_nb,  # (N,) float64      blocks moved (integral)
+    f_upd,  # (N,) float64     block updates (integral)
+    f_legal,  # (N,) int64     legal-start slot, relative to seg
+    f_ring,  # (N,) int64      ring slot relative to seg (rounds only)
+    S,  # (s,) float64         flat state vector, one segment per (b, w)
     port_free,  # (B,) float64
     port_busy,  # (B,) float64
 ):
-    n_act = B
-    for t in range(t0, t1):
-        while n_act > 0 and lengths[n_act - 1] <= t:
-            n_act -= 1
-        for b in range(n_act):
-            legal = S[d_legal[t, b]]
-            pf = port_free[b]
+    # instances are independent, so each one runs its whole window in turn
+    for b in range(B):
+        stop = min(t1, lengths[b])
+        if stop <= t0:
+            break  # lengths descend: every later instance is drained too
+        pf = port_free[b]
+        busy = port_busy[b]
+        ob = order_base[b]
+        for t in range(t0, stop):
+            w = order[ob + t]
+            mp = ptr[b, w]
+            ptr[b, w] = mp + 1
+            sg = seg[b, w]
+            legal = S[sg + f_legal[mp]]
             start = pf if pf > legal else legal
-            end = start + d_comm[t, b]
-            port_free[b] = end
-            port_busy[b] += end - start
-            if d_round[t, b]:
-                cei = d_ce[t, b]
+            end = start + f_nb[mp] * cost_c[b, w]
+            busy += end - start
+            pf = end
+            kind = f_kind[mp]
+            if kind == 2:  # ROUND
+                cei = sg + 1
                 cf = S[cei]
                 cs = end if end > cf else cf
-                ce = cs + d_comp[t, b]
-                S[d_ring[t, b]] = ce
+                ce = cs + f_upd[mp] * cost_w[b, w]
+                S[sg + f_ring[mp]] = ce
                 S[cei] = ce
                 S[cei + 1] += ce - cs
-            elif d_cret[t, b]:
-                S[d_ce[t, b] - 1] = end
+            elif kind == 3:  # C_RETURN
+                S[sg] = end
+        port_free[b] = pf
+        port_busy[b] = busy
 
 
 def _ready_run(
@@ -137,14 +156,16 @@ def _ready_run(
     B,
     P,
     lengths,  # (B,) int64, descending
-    ptr,  # (B, P) int64      next message per (instance, worker)
+    ptr,  # (B, P) int64      next stream message per (instance, worker)
     endp,  # (B, P) int64     end of each (instance, worker) stream
     seg,  # (B, P) int64      state-segment base per (instance, worker)
+    cost_c,  # (B, P) float64
+    cost_w,  # (B, P) float64
     head_legal,  # (B, P) float64  cached head legal starts (inf = drained)
     head_cid,  # (B, P) float64    cached head chunk ids (inf = drained)
-    f_kind,  # (N,) int8      flat message stream: kind codes (1/2/3)
-    f_comm,  # (N,) float64
-    f_comp,  # (N,) float64
+    f_kind,  # (N,) int8      shared message streams, as in the strict kernel
+    f_nb,  # (N,) float64
+    f_upd,  # (N,) float64
     f_cid,  # (N,) float64    chunk ids as float64 (exact below 2**53)
     f_legal,  # (N,) int64
     f_ring,  # (N,) int64
@@ -155,14 +176,15 @@ def _ready_run(
 ):
     inf = np.inf
     n_fields = fields.shape[0]
-    n_act = B
-    for t in range(t0, t1):
-        while n_act > 0 and lengths[n_act - 1] <= t:
-            n_act -= 1
-        for b in range(n_act):
-            pf = port_free[b]
-            hl = head_legal[b]
-            hc = head_cid[b]
+    for b in range(B):
+        stop = min(t1, lengths[b])
+        if stop <= t0:
+            break
+        pf = port_free[b]
+        busy = port_busy[b]
+        hl = head_legal[b]
+        hc = head_cid[b]
+        for _t in range(t0, stop):
             # lexicographic argmin over (effective start, spec fields);
             # ascending scan with strict improvement == the numpy masked
             # argmin (ties resolve to the lowest worker index)
@@ -195,28 +217,31 @@ def _ready_run(
                     if vi > vb:
                         break
             mp = ptr[b, best]
-            end = best_eff + f_comm[mp]
-            port_free[b] = end
-            port_busy[b] += end - best_eff
+            sg = seg[b, best]
+            end = best_eff + f_nb[mp] * cost_c[b, best]
+            busy += end - best_eff
+            pf = end
             kind = f_kind[mp]
             if kind == 2:  # ROUND
-                cei = seg[b, best] + 1
+                cei = sg + 1
                 cf = S[cei]
                 cs = end if end > cf else cf
-                ce = cs + f_comp[mp]
-                S[f_ring[mp]] = ce
+                ce = cs + f_upd[mp] * cost_w[b, best]
+                S[sg + f_ring[mp]] = ce
                 S[cei] = ce
                 S[cei + 1] += ce - cs
             elif kind == 3:  # C_RETURN
-                S[seg[b, best]] = end
+                S[sg] = end
             nxt = mp + 1
             ptr[b, best] = nxt
             if nxt < endp[b, best]:
-                hl[best] = S[f_legal[nxt]]
+                hl[best] = S[sg + f_legal[nxt]]
                 hc[best] = f_cid[nxt]
             else:
                 hl[best] = inf
                 hc[best] = inf
+        port_free[b] = pf
+        port_busy[b] = busy
 
 
 # ----------------------------------------------------------------------
@@ -228,47 +253,53 @@ _C_SOURCE = r"""
 
 #define RMAX(a, b) ((a) > (b) ? (a) : (b))
 
-void strict_run(int64_t t0, int64_t t1, int64_t B,
+void strict_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
                 const int64_t *restrict lengths,
-                const int64_t *restrict d_legal,
-                const int64_t *restrict d_ce,
-                const int64_t *restrict d_ring,
-                const double *restrict d_comm,
-                const double *restrict d_comp,
-                const uint8_t *restrict d_round,
-                const uint8_t *restrict d_cret,
+                const int64_t *restrict order,
+                const int64_t *restrict order_base,
+                int64_t *restrict ptr,
+                const int64_t *restrict seg,
+                const double *restrict cost_c,
+                const double *restrict cost_w,
+                const int8_t *restrict f_kind,
+                const double *restrict f_nb,
+                const double *restrict f_upd,
+                const int64_t *restrict f_legal,
+                const int64_t *restrict f_ring,
                 double *restrict S,
                 double *restrict port_free,
                 double *restrict port_busy)
 {
-    int64_t n_act = B;
-    for (int64_t t = t0; t < t1; t++) {
-        while (n_act > 0 && lengths[n_act - 1] <= t) n_act--;
-        const int64_t *leg = d_legal + t * B;
-        const int64_t *cea = d_ce + t * B;
-        const int64_t *ring = d_ring + t * B;
-        const double *comm = d_comm + t * B;
-        const double *comp = d_comp + t * B;
-        const uint8_t *rnd = d_round + t * B;
-        const uint8_t *cret = d_cret + t * B;
-        for (int64_t b = 0; b < n_act; b++) {
-            double legal = S[leg[b]];
-            double pf = port_free[b];
+    for (int64_t b = 0; b < B; b++) {
+        int64_t stop = lengths[b] < t1 ? lengths[b] : t1;
+        if (stop <= t0) break;
+        double pf = port_free[b];
+        double busy = port_busy[b];
+        const int64_t *ord = order + order_base[b];
+        for (int64_t t = t0; t < stop; t++) {
+            int64_t off = b * P + ord[t];
+            int64_t mp = ptr[off];
+            ptr[off] = mp + 1;
+            int64_t sg = seg[off];
+            double legal = S[sg + f_legal[mp]];
             double start = RMAX(pf, legal);
-            double end = start + comm[b];
-            port_free[b] = end;
-            port_busy[b] += end - start;
-            if (rnd[b]) {
-                int64_t cei = cea[b];
+            double end = start + f_nb[mp] * cost_c[off];
+            busy += end - start;
+            pf = end;
+            int8_t kind = f_kind[mp];
+            if (kind == 2) {          /* ROUND */
+                int64_t cei = sg + 1;
                 double cs = RMAX(end, S[cei]);
-                double ce = cs + comp[b];
-                S[ring[b]] = ce;
+                double ce = cs + f_upd[mp] * cost_w[off];
+                S[sg + f_ring[mp]] = ce;
                 S[cei] = ce;
                 S[cei + 1] += ce - cs;
-            } else if (cret[b]) {
-                S[cea[b] - 1] = end;
+            } else if (kind == 3) {   /* C_RETURN */
+                S[sg] = end;
             }
         }
+        port_free[b] = pf;
+        port_busy[b] = busy;
     }
 }
 
@@ -277,11 +308,13 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
                int64_t *restrict ptr,
                const int64_t *restrict endp,
                const int64_t *restrict seg,
+               const double *restrict cost_c,
+               const double *restrict cost_w,
                double *restrict head_legal,
                double *restrict head_cid,
                const int8_t *restrict f_kind,
-               const double *restrict f_comm,
-               const double *restrict f_comp,
+               const double *restrict f_nb,
+               const double *restrict f_upd,
                const double *restrict f_cid,
                const int64_t *restrict f_legal,
                const int64_t *restrict f_ring,
@@ -291,13 +324,14 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
                double *restrict port_free,
                double *restrict port_busy)
 {
-    int64_t n_act = B;
-    for (int64_t t = t0; t < t1; t++) {
-        while (n_act > 0 && lengths[n_act - 1] <= t) n_act--;
-        for (int64_t b = 0; b < n_act; b++) {
-            const double pf = port_free[b];
-            double *hl = head_legal + b * P;
-            double *hc = head_cid + b * P;
+    for (int64_t b = 0; b < B; b++) {
+        int64_t stop = lengths[b] < t1 ? lengths[b] : t1;
+        if (stop <= t0) break;
+        double pf = port_free[b];
+        double busy = port_busy[b];
+        double *hl = head_legal + b * P;
+        double *hc = head_cid + b * P;
+        for (int64_t t = t0; t < stop; t++) {
             int64_t best = 0;
             double v = hl[0];
             double best_eff = RMAX(pf, v);
@@ -318,30 +352,33 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
             }
             int64_t off = b * P + best;
             int64_t mp = ptr[off];
-            double end = best_eff + f_comm[mp];
-            port_free[b] = end;
-            port_busy[b] += end - best_eff;
+            int64_t sg = seg[off];
+            double end = best_eff + f_nb[mp] * cost_c[off];
+            busy += end - best_eff;
+            pf = end;
             int8_t kind = f_kind[mp];
             if (kind == 2) {          /* ROUND */
-                int64_t cei = seg[off] + 1;
+                int64_t cei = sg + 1;
                 double cs = RMAX(end, S[cei]);
-                double ce = cs + f_comp[mp];
-                S[f_ring[mp]] = ce;
+                double ce = cs + f_upd[mp] * cost_w[off];
+                S[sg + f_ring[mp]] = ce;
                 S[cei] = ce;
                 S[cei + 1] += ce - cs;
             } else if (kind == 3) {   /* C_RETURN */
-                S[seg[off]] = end;
+                S[sg] = end;
             }
             int64_t nxt = mp + 1;
             ptr[off] = nxt;
             if (nxt < endp[off]) {
-                hl[best] = S[f_legal[nxt]];
+                hl[best] = S[sg + f_legal[nxt]];
                 hc[best] = f_cid[nxt];
             } else {
                 hl[best] = INFINITY;
                 hc[best] = INFINITY;
             }
         }
+        port_free[b] = pf;
+        port_busy[b] = busy;
     }
 }
 """
@@ -432,17 +469,18 @@ class NumbaBackend(KernelBackend):
 
     def _warm(self) -> None:
         strict, ready = self._jit()
+        i8 = np.zeros(1, np.int8)
         i64 = np.zeros(1, np.int64)
         f64 = np.zeros(1, np.float64)
-        tb_i = np.zeros((1, 1), np.int64)
-        tb_f = np.zeros((1, 1), np.float64)
-        tb_b = np.zeros((1, 1), np.bool_)
         bp = np.zeros((1, 1), np.int64)
         bp_f = np.zeros((1, 1), np.float64)
-        strict(0, 0, 0, i64, tb_i, tb_i, tb_i, tb_f, tb_f, tb_b, tb_b, f64, f64, f64)
+        strict(
+            0, 0, 0, 1, i64, i64, i64, bp, bp, bp_f, bp_f,
+            i8, f64, f64, i64, i64, f64, f64, f64,
+        )
         ready(
-            0, 0, 0, 1, i64, bp, bp, bp, bp_f, bp_f,
-            np.zeros(1, np.int8), f64, f64, f64, i64, i64, i64, f64, f64, f64,
+            0, 0, 0, 1, i64, bp, bp, bp, bp_f, bp_f, bp_f, bp_f,
+            i8, f64, f64, f64, i64, i64, i64, f64, f64, f64,
         )
 
     def strict_run(self, *args) -> None:
@@ -552,10 +590,10 @@ class CBackend(KernelBackend):
             i64 = ctypes.c_int64
             ptr = ctypes.c_void_p
             lib.strict_run.restype = None
-            lib.strict_run.argtypes = [i64, i64, i64] + [ptr] * 11
+            lib.strict_run.argtypes = [i64, i64, i64, i64] + [ptr] * 15
             lib.ready_run.restype = None
             lib.ready_run.argtypes = (
-                [i64, i64, i64, i64] + [ptr] * 12 + [i64] + [ptr] * 4
+                [i64, i64, i64, i64] + [ptr] * 14 + [i64] + [ptr] * 4
             )
         except (OSError, AttributeError) as exc:
             # a noexec cache mount, or a cached .so built for another
@@ -575,37 +613,45 @@ class CBackend(KernelBackend):
     # -- dispatch -------------------------------------------------------
     @staticmethod
     def _p(arr: np.ndarray, dtype):
-        assert arr.dtype == dtype and arr.flags.c_contiguous
+        # the C code reads the buffer as raw memory: a mistyped or strided
+        # array must never reach it (an assert would vanish under -O)
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            raise TypeError(
+                f"C kernel argument must be a C-contiguous {np.dtype(dtype)} "
+                f"array, got {arr.dtype} (C-contiguous: {arr.flags.c_contiguous})"
+            )
         import ctypes
 
         return ctypes.c_void_p(arr.ctypes.data)
 
     def strict_run(
-        self, t0, t1, B, lengths, d_legal, d_ce, d_ring, d_comm, d_comp,
-        d_round, d_cret, S, port_free, port_busy,
+        self, t0, t1, B, P, lengths, order, order_base, ptr, seg, cost_c, cost_w,
+        f_kind, f_nb, f_upd, f_legal, f_ring, S, port_free, port_busy,
     ) -> None:
         self.ensure_ready()
         p, f8, i8 = self._p, np.float64, np.int64
         self._lib.strict_run(
-            t0, t1, B,
-            p(lengths, i8), p(d_legal, i8), p(d_ce, i8), p(d_ring, i8),
-            p(d_comm, f8), p(d_comp, f8),
-            p(d_round.view(np.uint8), np.uint8), p(d_cret.view(np.uint8), np.uint8),
+            t0, t1, B, P,
+            p(lengths, i8), p(order, i8), p(order_base, i8), p(ptr, i8), p(seg, i8),
+            p(cost_c, f8), p(cost_w, f8),
+            p(f_kind, np.int8), p(f_nb, f8), p(f_upd, f8),
+            p(f_legal, i8), p(f_ring, i8),
             p(S, f8), p(port_free, f8), p(port_busy, f8),
         )
 
     def ready_run(
-        self, t0, t1, B, P, lengths, ptr, endp, seg, head_legal, head_cid,
-        f_kind, f_comm, f_comp, f_cid, f_legal, f_ring, fields,
-        S, port_free, port_busy,
+        self, t0, t1, B, P, lengths, ptr, endp, seg, cost_c, cost_w,
+        head_legal, head_cid, f_kind, f_nb, f_upd, f_cid, f_legal, f_ring,
+        fields, S, port_free, port_busy,
     ) -> None:
         self.ensure_ready()
         p, f8, i8 = self._p, np.float64, np.int64
         self._lib.ready_run(
             t0, t1, B, P,
             p(lengths, i8), p(ptr, i8), p(endp, i8), p(seg, i8),
+            p(cost_c, f8), p(cost_w, f8),
             p(head_legal, f8), p(head_cid, f8),
-            p(f_kind, np.int8), p(f_comm, f8), p(f_comp, f8), p(f_cid, f8),
+            p(f_kind, np.int8), p(f_nb, f8), p(f_upd, f8), p(f_cid, f8),
             p(f_legal, i8), p(f_ring, i8),
             int(fields.shape[0]), p(fields, i8),
             p(S, f8), p(port_free, f8), p(port_busy, f8),

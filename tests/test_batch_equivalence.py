@@ -35,8 +35,10 @@ from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.batch import (
     BatchEngine,
+    _plan_steps,
     batch_outcomes,
     batch_simulate,
+    shared_prefix_makespans,
     supports_batch,
 )
 from repro.sim.engine import simulate
@@ -442,6 +444,139 @@ def test_shared_prefix_rejects_divergent_prefixes(het_platform, small_grid):
 
 
 # ----------------------------------------------------------------------
+# shared per-plan streams: one compiled stream, many instances
+# ----------------------------------------------------------------------
+def _cost_variants(platform: Platform, n: int) -> list[Platform]:
+    """``n`` cost scalings of ``platform`` (same memories)."""
+    return [
+        Platform(
+            [Worker(w.index, w.c * (1 + 0.25 * k), w.w * (2 - 0.125 * k), w.m) for w in platform]
+        )
+        for k in range(n)
+    ]
+
+
+def _scalar_reference(platform: Platform, plan: Plan):
+    """Per-instance reference: the scalar fast path on a fresh plan."""
+    return fast_simulate(platform, clone_plan(plan), kernel="numpy")
+
+
+class _Deal:
+    """Stands in for ``random.Random`` in :func:`_chunk_assignments`:
+    deals panels to ``active`` workers only, so the others get no chunk."""
+
+    def __init__(self, active: list[int], seed: int) -> None:
+        self.active = active
+        self.rng = random.Random(seed)
+
+    def randrange(self, _p: int) -> int:
+        return self.rng.choice(self.active)
+
+    def shuffle(self, seq: list) -> None:
+        self.rng.shuffle(seq)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("scheduler", ["Hom", "ORROML"], ids=["strict", "ready"])
+def test_one_plan_many_cost_variants(scheduler, kernel, het_platform, ragged_grid):
+    """One plan object scored under eight cost variants in one engine:
+    every instance walks the plan's single stream with its own (c, w)."""
+    plan = make_scheduler(scheduler).plan(het_platform, ragged_grid)
+    plan.collect_events = False
+    runs = [(pf, plan) for pf in _cost_variants(het_platform, 8)]
+    engine = BatchEngine(runs, kernel=kernel)
+    assert engine._flat[0].size == _plan_steps(plan)
+    for (pf, _plan), outcome in zip(runs, engine.run().outcomes()):
+        assert_outcome_equivalent(_scalar_reference(pf, plan), outcome)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize(
+    "policy_factory",
+    [_strict_factory, lambda a, m, r: ReadyPolicy(demand_priority)],
+    ids=["strict", "ready"],
+)
+def test_mixed_shared_and_distinct_plans(policy_factory, kernel, het_platform, small_grid, ragged_grid):
+    """Shared and distinct plans in one engine, on 4- and 2-worker
+    platforms, with workers that hold no chunk at all."""
+    pair = Platform([Worker(0, 0.75, 1.25, 21), Worker(1, 1.5, 0.5, 32)])
+
+    def plan_on(platform, grid, sides, active, seed):
+        deal = _Deal(active, seed)
+        assignments = _chunk_assignments(platform, grid, sides, deal)
+        return Plan(
+            assignments=assignments,
+            policy=policy_factory(assignments, CMode.BOTH, deal),
+            depths=[1 + w % 3 for w in range(platform.p)],
+            collect_events=False,
+        )
+
+    idle_het = plan_on(het_platform, ragged_grid, [2, 3, 1, 2], [0, 2], 1)
+    full_het = plan_on(het_platform, small_grid, [3, 2, 2, 4], [0, 1, 2, 3], 2)
+    idle_pair = plan_on(pair, small_grid, [3, 4], [1], 3)
+    full_pair = plan_on(pair, ragged_grid, [2, 2], [0, 1], 4)
+    variants = _cost_variants(het_platform, 3)
+    runs = [
+        (variants[0], idle_het),
+        (pair, idle_pair),
+        (variants[1], full_het),
+        (variants[2], idle_het),
+        (pair, full_pair),
+        (het_platform, idle_het),
+        (_cost_variants(pair, 2)[1], idle_pair),
+    ]
+    engine = BatchEngine(runs, kernel=kernel)
+    distinct = (idle_het, full_het, idle_pair, full_pair)
+    assert engine._flat[0].size == sum(_plan_steps(plan) for plan in distinct)
+    for (pf, plan), outcome in zip(runs, engine.run().outcomes()):
+        assert_outcome_equivalent(_scalar_reference(pf, plan), outcome)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_strict_checkpoint_partial_run_restore(kernel, het_platform, ragged_grid):
+    """Strict mode checkpoints its stream pointers: a partial run after a
+    checkpoint is fully undone by restore."""
+    plan = make_scheduler("Hom").plan(het_platform, ragged_grid)
+    plan.collect_events = False
+    runs = [(pf, plan) for pf in _cost_variants(het_platform, 8)]
+    engine = BatchEngine(runs, kernel=kernel)
+    engine.run(max_steps=5)
+    token = engine.checkpoint()
+    engine.run(max_steps=engine.total_steps // 2)
+    engine.restore(token)
+    got = engine.run().makespans()
+    assert list(got) == [_scalar_reference(pf, plan).makespan for pf, _plan in runs]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_shared_prefix_over_shared_plan_objects(kernel, het_platform, small_grid):
+    """shared_prefix_makespans over candidates that share plan objects
+    (and equal-cost platform objects) stays bit-identical."""
+    rng = random.Random(17)
+    assignments = _chunk_assignments(het_platform, small_grid, [3, 2, 2, 4], rng)
+    counts = _message_counts(assignments, CMode.BOTH)
+    order = [w for w, n in enumerate(counts) for _ in range(n)]
+    rng.shuffle(order)
+    prefix_len = len(order) // 2
+
+    def plan_with(suffix_key):
+        suffix = sorted(order[prefix_len:], key=suffix_key)
+        return Plan(
+            assignments=[list(chs) for chs in assignments],
+            policy=StrictOrderPolicy(order[:prefix_len] + suffix),
+            depths=[2] * het_platform.p,
+            collect_events=False,
+        )
+
+    a = plan_with(lambda w: w)
+    b = plan_with(lambda w: -w)
+    twin = Platform(list(het_platform))
+    runs = [(het_platform, a), (twin, b), (twin, a), (het_platform, b), (het_platform, a)]
+    got = shared_prefix_makespans(runs, prefix_len, kernel=kernel)
+    assert list(got) == [_scalar_reference(pf, plan).makespan for pf, plan in runs]
+
+
+# ----------------------------------------------------------------------
 # planning consumers route through the batch API
 # ----------------------------------------------------------------------
 def test_het_variant_scores_unchanged(het_platform, small_grid):
@@ -478,10 +613,10 @@ def test_homi_dedupe_preserves_choice(het_platform, small_grid):
 # ----------------------------------------------------------------------
 def test_compile_cache_shared_across_engines(het_platform, small_grid):
     """One BatchCompileCache serves many engines: candidates that share a
-    plan object recompile nothing, candidates that share only the plan's
-    structure redo just the two cost multiplies — results stay
-    bit-identical to fresh compilation."""
-    from repro.sim.batch import BatchCompileCache
+    plan object recompile nothing (worker costs are multiplied inline by
+    the kernels), and inside one engine every instance of a plan walks
+    the same stream — results stay bit-identical to fresh compilation."""
+    from repro.sim.batch import BatchCompileCache, _plan_steps
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
     plan.collect_events = False
@@ -498,8 +633,12 @@ def test_compile_cache_shared_across_engines(het_platform, small_grid):
     # the plan's per-worker structure was compiled once, not per engine
     enrolled = sum(1 for chunks in plan.assignments if chunks)
     assert len(cache.struct) == enrolled
-    # each distinct (c, w) pair owns one pre-multiplied stream per worker
-    assert len(cache.stream) == enrolled * len(variants)
+    assert cache.struct_misses == enrolled
+    assert cache.struct_hits == enrolled * (len(variants) - 1)
+    # one engine over all the variants holds the plan's streams once
+    together = BatchEngine(runs, compile_cache=cache)
+    assert together._flat[0].size == _plan_steps(plan)
+    assert list(together.run().makespans()) == fresh
 
 
 def test_compile_cache_hits_within_one_submission(het_platform, small_grid):
@@ -525,9 +664,9 @@ def test_compile_cache_hits_within_one_submission(het_platform, small_grid):
 def test_compile_cache_cost_only_change_recompiles_two_multiplies(
     het_platform, small_grid
 ):
-    """Re-scoring one shared plan under new worker costs must hit the tmpl
-    and struct tiers and miss only the stream tier — i.e. recompile nothing
-    but the comm and comp cost multiplies."""
+    """Re-scoring one shared plan under new worker costs must recompile
+    nothing: no new tmpl or struct misses (the cost multiplies happen
+    inline in the kernels, per message)."""
     from repro.sim.batch import BatchCompileCache
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
@@ -536,7 +675,6 @@ def test_compile_cache_cost_only_change_recompiles_two_multiplies(
     cache = BatchCompileCache()
     base = BatchEngine([(het_platform, plan)], compile_cache=cache).run().makespans()[0]
     assert cache.struct_misses == enrolled
-    assert cache.stream_misses == enrolled
     struct_misses = cache.struct_misses
     tmpl_misses = cache.tmpl_misses
 
@@ -546,13 +684,11 @@ def test_compile_cache_cost_only_change_recompiles_two_multiplies(
     rescored = (
         BatchEngine([(scaled, plan)], compile_cache=cache).run().makespans()[0]
     )
-    # structure and templates fully reused ...
+    # structure and templates fully reused: nothing recompiled
     assert cache.struct_misses == struct_misses
     assert cache.tmpl_misses == tmpl_misses
     assert cache.struct_hits == enrolled
     assert cache.tmpl_hits >= 1
-    # ... only the per-(plan, worker) cost multiplies recompiled
-    assert cache.stream_misses == 2 * enrolled
     # and the rescored makespan is still bit-identical to a fresh replay
     assert rescored == fast_simulate(scaled, clone_plan(plan), small_grid).makespan
     assert base == fast_simulate(het_platform, clone_plan(plan), small_grid).makespan
@@ -560,7 +696,7 @@ def test_compile_cache_cost_only_change_recompiles_two_multiplies(
 
 def test_compile_cache_reuse_across_buckets(het_platform):
     """One batch_outcomes call shares its compile cache across length
-    buckets: duplicate plan submissions reuse struct+stream wholesale, and
+    buckets: duplicate plan submissions share one stream, and
     a short bucket's chunk shapes hit the tmpl tier compiled by the long
     bucket (the plans' message counts differ 4x, so they cannot share a
     bucket — :data:`_BUCKET_RATIO` is 2)."""
@@ -584,12 +720,12 @@ def test_compile_cache_reuse_across_buckets(het_platform):
         assert outcome.makespan == fast_simulate(pf, clone_plan(plan)).makespan
     enrolled_long = sum(1 for chunks in long_plan.assignments if chunks)
     enrolled_short = sum(1 for chunks in short_plan.assignments if chunks)
-    # struct/stream compiled once per (plan, worker) — the duplicate
-    # submissions are pure hits, across both buckets of the one call
+    # struct compiled once per (plan, worker); a duplicate submission in
+    # the same engine shares its twin's stream without another lookup
     assert cache.struct_misses == enrolled_long + enrolled_short
-    assert cache.struct_hits >= enrolled_long + enrolled_short
-    assert cache.stream_misses == enrolled_long + enrolled_short
-    assert cache.stream_hits >= enrolled_long + enrolled_short
+    assert cache.struct_hits == 0
+    engine = BatchEngine(runs[:2], compile_cache=cache)
+    assert engine._flat[0].size == _plan_steps(long_plan)
     # the short bucket's chunk shapes were already templated by the long one
     assert cache.tmpl_hits > 0
 
@@ -603,7 +739,6 @@ def test_compile_cache_clear_resets_accounting(het_platform, small_grid):
     BatchEngine([(het_platform, plan)], compile_cache=cache).run()
     assert cache.struct_misses > 0
     cache.clear()
-    assert not cache.struct and not cache.stream and not cache.tmpl
+    assert not cache.struct and not cache.tmpl
     assert cache.struct_misses == cache.struct_hits == 0
-    assert cache.stream_misses == cache.stream_hits == 0
     assert cache.tmpl_misses == cache.tmpl_hits == 0

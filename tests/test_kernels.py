@@ -357,3 +357,26 @@ def test_c_backend_builds_into_configured_cache(monkeypatch, tmp_path):
     backend2 = type(get_backend("c"))()
     backend2.ensure_ready()
     assert list(tmp_path.glob("repro_kernels_*.so")) == libs
+
+
+@pytest.mark.parametrize("scheduler", ["Hom", "ORROML"], ids=["strict", "ready"])
+def test_c_backend_rejects_mistyped_arrays(scheduler, het_platform, small_grid):
+    """The C kernels read their buffers as raw memory, so the dtype and
+    contiguity guard must raise (an ``assert`` would vanish under -O)."""
+    if not _c_builds():
+        pytest.skip("the C kernels do not build here")
+
+    plan = make_scheduler(scheduler).plan(het_platform, small_grid)
+    plan.collect_events = False
+    engine = BatchEngine([(het_platform, plan)], kernel="c")
+    run = engine._backend.strict_run if engine._strict else engine._backend.ready_run
+    args = engine._kernel_args
+    mistyped = tuple(
+        a.astype(np.float32) if a is engine._cost_c else a for a in args
+    )
+    with pytest.raises(TypeError, match="float64"):
+        run(0, 1, *mistyped)
+    strided = np.repeat(engine._ptr, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous
+    with pytest.raises(TypeError, match="C-contiguous"):
+        run(0, 1, *(strided if a is engine._ptr else a for a in args))

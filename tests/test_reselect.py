@@ -204,15 +204,14 @@ def test_reselect_search_does_less_work_than_from_scratch():
     assert incremental < stats["full_steps"]
     # compile-cache accounting: candidate plans share the survivor chunks'
     # round structures (tmpl tier) and the prefix instance recompiles
-    # nothing (struct/stream tiers hit when shared_prefix replays it)
+    # nothing (the struct tier hits when shared_prefix replays it)
     cache = wrapper._batch_cache
     assert cache.tmpl_hits > cache.tmpl_misses
     assert cache.struct_hits > 0
-    assert cache.stream_hits > 0
     # boundary candidate plans can never be resubmitted later, so the
-    # plan-pinning struct/stream tiers are dropped after each search:
-    # memory stays bounded in the number of boundaries
-    assert not cache.struct and not cache.stream
+    # plan-pinning struct tier is dropped after each search: memory stays
+    # bounded in the number of boundaries
+    assert not cache.struct
 
 
 def test_reselect_stats_only_in_reselect_mode():
