@@ -31,9 +31,7 @@ def bench_runner() -> dict:
       core; unset/``0``/``1`` = in-process serial execution);
     * ``REPRO_BENCH_CACHE``: content-addressed result-cache directory
       (reruns become lookups);
-    * ``REPRO_BENCH_ENGINE``: ``fast`` (default) / ``reference`` /
-      ``batch`` simulation engine;
-    * ``REPRO_BENCH_KERNEL``: kernel backend for the fast/batch engines
+    * ``REPRO_BENCH_KERNEL``: simulation kernel backend
       (``numpy`` / ``numba`` / ``c`` / ``python``; unset = the program
       default, ``c`` where it builds — see :mod:`repro.sim.kernels`;
       unavailable backends fall back to numpy with a warning).
@@ -59,13 +57,6 @@ def bench_runner() -> dict:
             )
         parallel = n if n >= 2 else None
     cache = os.environ.get("REPRO_BENCH_CACHE", "").strip() or None
-    engine = os.environ.get("REPRO_BENCH_ENGINE", "").strip() or "fast"
-    from repro.experiments.harness import ENGINES
-
-    if engine not in ENGINES:
-        raise pytest.UsageError(
-            f"REPRO_BENCH_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
     kernel = os.environ.get("REPRO_BENCH_KERNEL", "").strip() or None
     if kernel is not None:
         from repro.sim.kernels import KERNEL_NAMES
@@ -74,7 +65,7 @@ def bench_runner() -> dict:
             raise pytest.UsageError(
                 f"REPRO_BENCH_KERNEL must be one of {KERNEL_NAMES}, got {kernel!r}"
             )
-    return {"parallel": parallel, "cache": cache, "engine": engine, "kernel": kernel}
+    return {"parallel": parallel, "cache": cache, "kernel": kernel}
 
 
 @pytest.fixture(scope="session")
@@ -92,8 +83,8 @@ def emit(bench_meta):
     With ``data``, a machine-readable ``BENCH_<name>.json`` document is
     written next to the text table; CI uploads ``benchmarks/results/`` as a
     workflow artifact, so these JSON snapshots accumulate a measurement
-    trajectory across runs.  Every JSON payload records the *active* kernel
-    backend (post-fallback) plus uniform host/run metadata
+    trajectory across runs.  Every JSON payload's ``meta`` records the
+    *active* kernel backend (post-fallback) plus uniform host/run metadata
     (:func:`repro.obs.run_metadata`: python/numpy versions, cpu count,
     machine, git describe) and the metrics this benchmark moved (counters
     and timers as a registry delta from the start of the requesting test
@@ -117,7 +108,6 @@ def emit(bench_meta):
 
             payload = {
                 "benchmark": name,
-                "kernel": meta["kernel"],  # kept top-level for older readers
                 "meta": meta,
                 # counters/timers as moved by this test; gauges are
                 # last-written levels, so they stay absolute

@@ -103,14 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             help="content-addressed result cache directory (reruns become lookups)",
         )
-        p.add_argument(
-            "--engine",
-            default="fast",
-            choices=("reference", "fast", "batch"),
-            help="simulation engine: per-run event engine, per-run flat-array "
-            "fast path (default), or one vectorized batch over all plans -- "
-            "makespans are bit-identical across all three",
-        )
         add_objective_opt(p)
         add_kernel_opt(p)
         add_trace_opt(p)
@@ -139,7 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("fig", choices=sorted(FIGURES))
     p_fig.add_argument("--scale", type=float, default=1.0, help="problem scale (1.0 = paper)")
     p_fig.add_argument("--algorithms", default=None, help="comma-separated subset")
-    p_fig.add_argument("--validate", action="store_true", help="audit traces")
+    p_fig.add_argument(
+        "--validate",
+        action="store_true",
+        help="simulate on the reference engine and audit its traces",
+    )
     add_runner_opts(p_fig)
 
     p_sum = sub.add_parser("summary", help="run the Figure 9 summary")
@@ -187,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--engine",
         default="reference",
-        choices=("reference", "fast", "batch"),
+        choices=("reference", "fast"),
         help="simulation engine; 'reference' (default) keeps the full event "
-        "trace for --gantt and the breakdown report, the others skip traces",
+        "trace for --gantt and the breakdown report, 'fast' skips traces",
     )
     add_objective_opt(p_run)
     add_kernel_opt(p_run)
@@ -367,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="oblivious,adaptive",
         help="dynamic evaluation modes (comma-separated)",
     )
-    p_prof.add_argument(
-        "--engine",
-        default="fast",
-        choices=("reference", "fast", "batch"),
-        help="simulation engine for the figure workload",
-    )
     add_kernel_opt(p_prof)
     add_trace_opt(p_prof)
 
@@ -399,7 +389,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         validate=args.validate,
         parallel=args.parallel,
         cache=args.cache,
-        engine=args.engine,
         kernel=args.kernel,
         objective=args.objective,
     )
@@ -418,7 +407,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         figures=figures,
         parallel=args.parallel,
         cache=args.cache,
-        engine=args.engine,
         kernel=args.kernel,
         objective=args.objective,
     )
@@ -464,25 +452,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .schedulers.base import SchedulingError
 
     try:
-        if args.engine == "reference":
-            res = sched.run(platform, grid)
-        else:
-            plan = sched.plan(platform, grid)
-            plan.collect_events = False
-            if args.engine == "fast":
-                from .sim.fastpath import fast_simulate
-
-                res = fast_simulate(platform, plan, grid, kernel=args.kernel)
-            else:
-                from .sim.batch import batch_outcomes
-
-                # force=True: a single run is below MIN_VECTOR_BATCH, but
-                # the flag promises the vectorized engine
-                outcome = batch_outcomes(
-                    [(platform, plan)], force=True, kernel=args.kernel
-                )[0]
-                res = outcome.to_sim_result(platform, plan, grid)
-            res.meta.setdefault("algorithm", sched.name)
+        res = sched.run(
+            platform,
+            grid,
+            collect_events=args.engine == "reference",
+            kernel=args.kernel,
+        )
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -610,7 +585,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         parallel=args.parallel,
         cache=args.cache,
-        engine=args.engine,
         kernel=args.kernel,
         objective=args.objective,
     )
@@ -738,15 +712,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             label = f"dynamic scenario {args.dynamic} (severity {args.severity:g})"
         else:
             fig = args.figure or "fig7"
-            with trace("profile", target=fig, engine=args.engine) as root:
+            with trace("profile", target=fig) as root:
                 run_figure(
-                    fig,
-                    args.scale,
-                    _algorithms(args.algorithms),
-                    engine=args.engine,
-                    kernel=args.kernel,
+                    fig, args.scale, _algorithms(args.algorithms), kernel=args.kernel
                 )
-            label = f"figure {fig} (engine {args.engine})"
+            label = f"figure {fig}"
         metrics = snapshot_delta(before)
     finally:
         if created:

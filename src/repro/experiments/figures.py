@@ -121,25 +121,23 @@ def run_figure(
     validate: bool = False,
     parallel=None,
     cache=None,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Run one paper figure end to end.
 
-    ``parallel``, ``cache``, ``engine``, ``kernel`` and ``objective`` are
-    forwarded to
-    :func:`~repro.experiments.harness.run_experiment`, so a figure's
-    (algorithm, instance) runs can fan out across cores, reuse
-    content-addressed results from earlier invocations, simulate as one
-    vectorized batch (``engine="batch"``), or replay through a compiled
-    kernel backend (``kernel="numba"``/``"c"``).
+    ``validate``, ``parallel``, ``cache``, ``kernel`` and ``objective``
+    are forwarded to :func:`~repro.experiments.harness.run_experiment`,
+    so a figure's (algorithm, instance) runs can be audited on the
+    reference engine, fan out across cores, reuse content-addressed
+    results from earlier invocations, or replay through a chosen kernel
+    backend.
     """
     try:
         factory = FIGURES[fig]
     except KeyError:
         raise KeyError(f"unknown figure {fig!r}; known: {sorted(FIGURES)}") from None
-    with trace("figure", fig=fig, scale=scale, engine=engine):
+    with trace("figure", fig=fig, scale=scale):
         return run_experiment(
             fig,
             factory(scale),
@@ -147,7 +145,6 @@ def run_figure(
             validate=validate,
             parallel=parallel,
             cache=cache,
-            engine=engine,
             kernel=kernel,
             objective=objective,
         )
@@ -160,18 +157,17 @@ def run_summary(
     *,
     parallel=None,
     cache=None,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Figure 9: union of all experiments (relative metrics recomputed over
-    the merged instance set)."""
+    the merged instance set); the keyword options are forwarded to
+    :func:`run_figure`."""
     merged: ExperimentResult | None = None
     for fig in figures:
         res = run_figure(
             fig, scale, schedulers,
-            parallel=parallel, cache=cache, engine=engine, kernel=kernel,
-            objective=objective,
+            parallel=parallel, cache=cache, kernel=kernel, objective=objective,
         )
         merged = res if merged is None else merged.merged_with(res, name="fig9")
     assert merged is not None

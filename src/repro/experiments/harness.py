@@ -26,9 +26,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "run_dynamic_experiment",
-    "evaluate_runs",
-    "evaluate_suite",
-    "ENGINES",
 ]
 
 
@@ -105,9 +102,6 @@ class ExperimentResult:
         return merged
 
 
-ENGINES = ("fast", "reference", "batch")
-
-
 def _resolve_objective(schedulers, objective) -> Objective | None:
     """Resolve ``objective`` and apply it to every scheduler of the suite
     (so searching algorithms optimize it and their cache signatures fold
@@ -152,7 +146,6 @@ def run_experiment(
     collect_events: bool = False,
     parallel=None,
     cache=None,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> ExperimentResult:
@@ -163,32 +156,27 @@ def run_experiment(
     experiment.  With ``validate`` the full trace is collected and audited
     against the one-port/memory/dependency invariants.
 
-    ``engine`` selects how plans are simulated: ``"fast"`` (default) runs
-    each plan on the scalar fast path, ``"reference"`` on the event engine,
-    and ``"batch"`` compiles every plan first and simulates the whole
-    experiment in one vectorized :func:`~repro.sim.batch.batch_outcomes`
-    submission -- all three produce bit-identical makespans (the golden
-    wall pins this).  ``validate``/``collect_events`` need full traces and
-    force the reference engine.
+    Every run goes through :meth:`~repro.schedulers.base.Scheduler.run`:
+    eventless runs replay on the fast path (batch-replayable plans through
+    a single-instance :class:`~repro.sim.batch.BatchEngine` on the
+    compiled kernel).  ``validate``/``collect_events`` are the oracle
+    switch: they need full traces and so force the in-process reference
+    engine, whose makespans are bit-identical (the golden wall pins this).
 
-    ``parallel`` fans work out across worker processes (see
-    :func:`repro.experiments.parallel.resolve_workers` for accepted
-    values): with the default engine whole (algorithm, instance) runs fan
-    out; with an explicit engine the *plan construction* fans out while
-    scoring stays in one central (vectorized, for ``"batch"``) submission.
-    ``cache`` (a path or :class:`~repro.experiments.parallel.ResultCache`)
-    skips runs whose content-addressed result is already stored; it works
-    with the eventless fast path (keyed on the scalar engine fingerprint)
-    and with ``engine="batch"`` (keyed additionally on
-    :data:`~repro.sim.batch.BATCH_ENGINE_VERSION`), and is ignored for the
-    reference engine.  Both are ignored when ``validate`` or
-    ``collect_events`` asks for full traces.
+    ``parallel`` fans whole (algorithm, instance) runs out across worker
+    processes (see :func:`repro.experiments.parallel.resolve_workers` for
+    accepted values).  ``cache`` (a path or
+    :class:`~repro.experiments.parallel.ResultCache`) skips runs whose
+    content-addressed result is already stored (keyed by
+    :func:`~repro.experiments.parallel.task_key`).  Both are ignored, with
+    a warning, when ``validate`` or ``collect_events`` asks for full
+    traces.
 
     ``kernel`` selects a compiled simulation backend (see
-    :mod:`repro.sim.kernels`) for the ``"fast"`` and ``"batch"`` engines;
-    every backend is bit-identical, so cached results stay valid.  The
-    parallel ``RunTask`` fan-out honours the ``REPRO_KERNEL`` environment
-    knob (inherited by worker processes) rather than an explicit argument.
+    :mod:`repro.sim.kernels`) for the eventless in-process runs; every
+    backend is bit-identical, so cached results stay valid.  The parallel
+    ``RunTask`` fan-out honours the ``REPRO_KERNEL`` environment knob
+    (inherited by worker processes) rather than an explicit argument.
 
     ``objective`` (a name, spec string, or
     :class:`~repro.experiments.objectives.Objective`) is applied to every
@@ -205,7 +193,7 @@ def run_experiment(
     ``experiment`` span when tracing is enabled.
     """
     before = snapshot()
-    with trace("experiment", name=name, engine=engine):
+    with trace("experiment", name=name):
         result = _run_experiment(
             name,
             instances,
@@ -214,7 +202,6 @@ def run_experiment(
             collect_events=collect_events,
             parallel=parallel,
             cache=cache,
-            engine=engine,
             kernel=kernel,
             objective=objective,
         )
@@ -231,12 +218,9 @@ def _run_experiment(
     collect_events: bool = False,
     parallel=None,
     cache=None,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> ExperimentResult:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     scheds = list(schedulers) if schedulers is not None else default_suite()
     obj = _resolve_objective(scheds, objective)
     result = ExperimentResult(
@@ -247,7 +231,8 @@ def _run_experiment(
     bounds = {inst.label: makespan_lower_bound(inst.platform, inst.grid) for inst in instances}
 
     full_traces = validate or collect_events
-    if (parallel is not None or cache is not None) and full_traces:
+    use_runner = parallel is not None or cache is not None
+    if use_runner and full_traces:
         import warnings
 
         warnings.warn(
@@ -255,29 +240,7 @@ def _run_experiment(
             "set: they need the eventless fast path",
             stacklevel=2,
         )
-    elif cache is not None and engine == "reference":
-        import warnings
-
-        warnings.warn(
-            f"cache= is ignored with engine={engine!r}: cached payloads "
-            "address the eventless fast-path/batch runs",
-            stacklevel=2,
-        )
-    if engine != "fast" and full_traces:
-        import warnings
-
-        warnings.warn(
-            f"engine={engine!r} is ignored when validate/collect_events is "
-            "set: full traces require the in-process reference engine",
-            stacklevel=2,
-        )
-    if engine != "fast" and not full_traces:
-        return _run_with_engine(
-            result, instances, scheds, bounds, engine, parallel, cache,
-            kernel=kernel, objective=obj,
-        )
-    use_runner = (parallel is not None or cache is not None) and not full_traces
-    if use_runner:
+    elif use_runner:
         from .parallel import RunTask, run_tasks
 
         pairs = [(sched, inst) for inst in instances for sched in scheds]
@@ -342,171 +305,6 @@ def _run_experiment(
                     meta=meta,
                 )
             )
-    return result
-
-
-def evaluate_suite(
-    jobs: Sequence[tuple[Scheduler, Platform, BlockGrid]],
-    engine: str,
-    *,
-    parallel=None,
-    cache=None,
-    kernel=None,
-) -> list[dict]:
-    """Plan and simulate every ``(scheduler, platform, grid)`` job under an
-    explicit engine, returning one JSON-safe payload per job in order
-    (``{"makespan", "n_enrolled", "meta"}`` — meta includes the plan's
-    wall-clock ``planning_seconds`` — or ``{"error"}`` for infeasible
-    jobs).
-
-    With ``parallel``, plan construction fans out over worker processes
-    (the ROADMAP's "planning is the remaining single-thread bottleneck"
-    item): plans pickle back, scoring stays centralized — one vectorized
-    :func:`~repro.sim.batch.batch_outcomes` submission for ``"batch"``.
-    With ``cache`` (``engine="batch"`` only), payloads are content-addressed
-    on the batch engine version via :func:`~repro.experiments.parallel
-    .task_key`; hits skip planning *and* simulation, misses are stored
-    back (a hit replays the original run's ``planning_seconds``).
-    """
-    from .parallel import PlanTask, _as_cache, _json_safe, plan_tasks, task_key
-
-    store = _as_cache(cache) if engine == "batch" else None
-    payloads: list[dict | None] = [None] * len(jobs)
-    keys: list[str | None] = [None] * len(jobs)
-    todo: list[int] = []
-    for idx, (sched, platform, grid) in enumerate(jobs):
-        if store is not None:
-            keys[idx] = key = task_key(sched, platform, grid, engine="batch")
-            hit = store.get(key)
-            if hit is not None:
-                payloads[idx] = hit
-                continue
-        todo.append(idx)
-    if todo:
-        plan_payloads = plan_tasks(
-            [PlanTask(*jobs[i]) for i in todo], parallel=parallel
-        )
-        runnable = [
-            (i, pp) for i, pp in zip(todo, plan_payloads) if "error" not in pp
-        ]
-        values = evaluate_runs(
-            [(jobs[i][1], pp["plan"]) for i, pp in runnable], engine,
-            kernel=kernel,
-        )
-        cursor = 0
-        for i, pp in zip(todo, plan_payloads):
-            if "error" in pp:
-                payloads[i] = {"error": pp["error"]}
-            else:
-                makespan, n_enrolled, run_meta = values[cursor]
-                cursor += 1
-                meta = _json_safe(dict(run_meta))
-                meta["planning_seconds"] = pp["planning_seconds"]
-                payloads[i] = {
-                    "makespan": makespan,
-                    "n_enrolled": n_enrolled,
-                    "meta": meta,
-                }
-            if store is not None:
-                store.put(keys[i], payloads[i])
-    assert all(p is not None for p in payloads)
-    return payloads  # type: ignore[return-value]
-
-
-def evaluate_runs(runs, engine: str, *, kernel=None) -> list[tuple[float, int, dict]]:
-    """Simulate pre-compiled ``(platform, plan)`` runs under an explicit
-    engine, returning ``(makespan, n_enrolled, meta)`` per run (traces off;
-    allocator plans are consumed).  The returned meta additionally records
-    the run's ``"port_blocks"`` (total blocks through the master port),
-    which the cost objectives price.
-
-    The single place where the engine vocabulary maps to simulation calls:
-    ``"batch"`` submits all runs to one vectorized
-    :func:`~repro.sim.batch.batch_outcomes` call, the others simulate per
-    run.  All engines are bit-identical per run.  ``kernel`` selects a
-    compiled backend for ``"batch"`` and ``"fast"`` (the reference engine
-    always interprets, since it carries the event machinery).
-    """
-    if engine == "batch":
-        from ..sim.batch import batch_outcomes
-
-        with trace("simulate", engine=engine, runs=len(runs)):
-            return [
-                (o.makespan, o.n_enrolled, _with_port(o.meta, o.blocks_through_port))
-                for o in batch_outcomes(runs, kernel=kernel)
-            ]
-    if engine == "reference":
-        from ..sim.engine import simulate as run_one
-    elif engine == "fast":
-        from ..sim.fastpath import fast_simulate
-
-        def run_one(platform, plan):
-            return fast_simulate(platform, plan, kernel=kernel)
-    else:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    with trace("simulate", engine=engine, runs=len(runs)):
-        sims = [run_one(platform, plan) for platform, plan in runs]
-    return [
-        (sim.makespan, sim.n_enrolled, _with_port(sim.meta, sim.blocks_through_port))
-        for sim in sims
-    ]
-
-
-def _with_port(meta: dict, blocks_through_port: int) -> dict:
-    """Copy ``meta`` with the run's port traffic recorded under
-    ``"port_blocks"`` — what the cost objectives price per byte."""
-    out = dict(meta)
-    out["port_blocks"] = int(blocks_through_port)
-    return out
-
-
-def _run_with_engine(
-    result: ExperimentResult,
-    instances: Sequence[Instance],
-    scheds: Sequence[Scheduler],
-    bounds: dict[str, float],
-    engine: str,
-    parallel=None,
-    cache=None,
-    kernel=None,
-    objective: Objective | None = None,
-) -> ExperimentResult:
-    """Plan (optionally across processes), then simulate under an
-    explicitly chosen engine (``engine="fast"`` in `run_experiment` goes
-    through ``Scheduler.run`` in the main loop instead)."""
-    pairs = [(sched, inst) for inst in instances for sched in scheds]
-    payloads = evaluate_suite(
-        [(sched, inst.platform, inst.grid) for sched, inst in pairs],
-        engine,
-        parallel=parallel,
-        cache=cache,
-        kernel=kernel,
-    )
-    for (sched, inst), payload in zip(pairs, payloads):
-        if "error" in payload:
-            result.failures[(sched.name, inst.label)] = payload["error"]
-            continue
-        meta = dict(payload["meta"])
-        meta.setdefault("algorithm", sched.name)
-        if objective is not None:
-            _annotate_objective(
-                meta,
-                objective,
-                makespan=payload["makespan"],
-                workers=payload["n_enrolled"],
-                port_blocks=meta.get("port_blocks"),
-                block_bytes=inst.grid.block_bytes,
-            )
-        result.measurements.append(
-            Measurement(
-                algorithm=sched.name,
-                instance=inst.label,
-                makespan=payload["makespan"],
-                n_enrolled=payload["n_enrolled"],
-                bound=bounds[inst.label],
-                meta=meta,
-            )
-        )
     return result
 
 

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..core.blocks import BlockGrid
-from ..obs import counter, stopwatch, trace
+from ..obs import counter, trace
 from ..platform.model import Platform
 from ..schedulers.base import Scheduler, SchedulingError
 from ..schedulers.geometry import GEOMETRY_VERSION
@@ -55,7 +55,6 @@ from .objectives import OBJECTIVE_VERSION
 __all__ = [
     "ENGINE_FINGERPRINT",
     "RunTask",
-    "PlanTask",
     "ResultCache",
     "fingerprint_platform",
     "fingerprint_grid",
@@ -64,7 +63,6 @@ __all__ = [
     "dynamic_task_key",
     "resolve_workers",
     "run_tasks",
-    "plan_tasks",
 ]
 
 #: Version tag of the *result-producing code*: the simulation semantics AND
@@ -150,18 +148,10 @@ def dynamic_task_key(
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def task_key(
-    scheduler: Scheduler, platform: Platform, grid: BlockGrid, engine: str = "fast"
-) -> str:
-    """Content-addressed cache key of one ``(algorithm, instance)`` run.
-
-    ``engine="fast"`` (the default, and what :class:`RunTask` uses) keys on
-    :data:`ENGINE_FINGERPRINT` alone — the scalar engines are bit-identical
-    so they share payloads.  ``engine="batch"`` additionally keys on
-    :data:`repro.sim.batch.BATCH_ENGINE_VERSION`: batch results are pinned
-    bit-identical too, but the producing code is distinct, so a batch-layer
-    semantics bump must be able to invalidate its payloads independently.
-    """
+def task_key(scheduler: Scheduler, platform: Platform, grid: BlockGrid) -> str:
+    """Content-addressed cache key of one ``(algorithm, instance)`` run,
+    as simulated by :meth:`~repro.schedulers.base.Scheduler.run` (every
+    engine and kernel backend is bit-identical, so one key per run)."""
     parts = [
         ENGINE_FINGERPRINT,
         GEOMETRY_VERSION,
@@ -170,12 +160,6 @@ def task_key(
         fingerprint_platform(platform),
         fingerprint_grid(grid),
     ]
-    if engine != "fast":
-        if engine != "batch":
-            raise ValueError(f"no cache key scheme for engine {engine!r}")
-        from ..sim.batch import BATCH_ENGINE_VERSION
-
-        parts.insert(1, BATCH_ENGINE_VERSION)
     canon = "|".join(parts)
     return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -194,52 +178,6 @@ class RunTask:
     @property
     def key(self) -> str:
         return task_key(self.scheduler, self.platform, self.grid)
-
-
-@dataclass(frozen=True)
-class PlanTask:
-    """One planning unit: compile ``scheduler``'s plan for ``(platform,
-    grid)`` without simulating it.
-
-    The batch-engine experiment path scores centrally (one vectorized
-    submission) but plans per (algorithm, instance); planning is the
-    remaining single-thread bottleneck, so these tasks fan out across
-    processes.  Plans — chunks, policies, demand allocators — all pickle.
-    """
-
-    scheduler: Scheduler
-    platform: Platform
-    grid: BlockGrid
-
-
-def _execute_plan_task(task: PlanTask) -> dict:
-    """Compile one plan to a payload (top level so it pickles).
-
-    Payloads carry the plan (events disabled — the batch path never wants
-    traces) and its wall-clock planning time, or a deterministic ``error``
-    for instances the algorithm cannot schedule.
-    """
-    error: str | None = None
-    with trace("plan", algorithm=task.scheduler.name), stopwatch("plan.seconds") as sw:
-        try:
-            plan = task.scheduler.plan(task.platform, task.grid)
-        except SchedulingError as exc:
-            error = str(exc)
-    if error is not None:
-        return {"error": error, "planning_seconds": sw.elapsed}
-    plan.collect_events = False
-    return {"plan": plan, "planning_seconds": sw.elapsed}
-
-
-def plan_tasks(tasks: Sequence[PlanTask], *, parallel=None) -> list[dict]:
-    """Compile every task's plan, in task order, fanning out across worker
-    processes when ``parallel`` asks for it (planning is deterministic, so
-    the fan-out is result-identical to the serial loop)."""
-    workers = min(resolve_workers(parallel), max(1, len(tasks)))
-    if workers <= 1:
-        return [_execute_plan_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_execute_plan_task, tasks))
 
 
 def _json_safe(value):

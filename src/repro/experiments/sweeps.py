@@ -85,37 +85,17 @@ def _measure_points(
     algorithms: Sequence[str],
     parallel,
     cache,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> list[SweepPoint]:
     """Shared sweep core: run every algorithm on every (ratio, platform)
-    point.  With ``parallel``/``cache`` the whole sweep becomes one flat
-    task list through :func:`repro.experiments.parallel.run_tasks`, so a
-    multi-ratio sweep saturates the worker pool instead of fanning out one
-    point at a time.  ``engine="batch"`` instead compiles every plan first
-    and simulates the whole sweep in one vectorized submission
-    (``"reference"`` selects the event engine; all engines produce
-    bit-identical makespans)."""
-    from .harness import ENGINES
-
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    point through the eventless
+    :meth:`~repro.schedulers.base.Scheduler.run`, skipping infeasible
+    combinations.  With ``parallel``/``cache`` the whole sweep becomes one
+    flat task list through :func:`repro.experiments.parallel.run_tasks`,
+    so a multi-ratio sweep saturates the worker pool instead of fanning
+    out one point at a time."""
     points: list[SweepPoint] = []
-    if engine != "fast":
-        if cache is not None and engine == "reference":
-            import warnings
-
-            warnings.warn(
-                f"cache= is ignored with engine={engine!r}: cached payloads "
-                "address the eventless fast-path/batch runs",
-                stacklevel=3,
-            )
-            cache = None
-        return _measure_points_engine(
-            labelled_platforms, grid, algorithms, engine, parallel, cache,
-            kernel=kernel, objective=objective,
-        )
     if parallel is not None or cache is not None:
         from .parallel import RunTask, run_tasks
 
@@ -171,55 +151,6 @@ def _measure_points(
     return points
 
 
-def _points_from(labelled_platforms, grid, keys, values) -> list[SweepPoint]:
-    by_point: dict[int, tuple[dict, dict]] = {}
-    for (ratio, plat, name), (makespan, n_enrolled) in zip(keys, values):
-        makespans, enrollment = by_point.setdefault(id(plat), ({}, {}))
-        makespans[name] = makespan
-        enrollment[name] = n_enrolled
-    return [
-        SweepPoint(
-            ratio=ratio,
-            makespans=by_point.get(id(plat), ({}, {}))[0],
-            enrollment=by_point.get(id(plat), ({}, {}))[1],
-            bound=makespan_lower_bound(plat, grid),
-        )
-        for ratio, plat in labelled_platforms
-    ]
-
-
-def _measure_points_engine(
-    labelled_platforms, grid, algorithms, engine, parallel=None, cache=None,
-    kernel=None, objective=None,
-) -> list[SweepPoint]:
-    """Plan (optionally across processes, skipping cached batch results),
-    then score centrally under the explicit engine — one vectorized
-    submission for ``"batch"``; infeasible combinations are skipped exactly
-    like the serial path's SchedulingError handling."""
-    from .harness import evaluate_suite
-
-    scheds = {name: make_scheduler(name, objective=objective) for name in algorithms}
-    jobs = [
-        (ratio, plat, name)
-        for ratio, plat in labelled_platforms
-        for name in algorithms
-    ]
-    payloads = evaluate_suite(
-        [(scheds[name], plat, grid) for _ratio, plat, name in jobs],
-        engine,
-        parallel=parallel,
-        cache=cache,
-        kernel=kernel,
-    )
-    keys, values = [], []
-    for (ratio, plat, name), payload in zip(jobs, payloads):
-        if "error" in payload:
-            continue
-        keys.append((ratio, plat, name))
-        values.append((payload["makespan"], payload["n_enrolled"]))
-    return _points_from(labelled_platforms, grid, keys, values)
-
-
 def heterogeneity_sweep(
     ratios: Sequence[float] = (1.01, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0),
     *,
@@ -228,12 +159,15 @@ def heterogeneity_sweep(
     s_elements: int = 80_000,
     parallel=None,
     cache=None,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> HeterogeneitySweep:
     """Run every algorithm over fully heterogeneous platforms whose
-    large/small parameter ratio sweeps over ``ratios``."""
+    large/small parameter ratio sweeps over ``ratios``.
+
+    ``parallel``, ``cache``, ``kernel`` and ``objective`` mean what they
+    mean for :func:`~repro.experiments.harness.run_experiment`; each
+    point's makespans equal the reference engine's bit for bit."""
     sweep = HeterogeneitySweep(algorithms=list(algorithms))
     grid = scale_grid(BlockGrid.paper_instance(s_elements), scale)
     labelled = []
@@ -244,7 +178,7 @@ def heterogeneity_sweep(
         labelled.append((ratio, plat))
     sweep.points.extend(
         _measure_points(
-            labelled, grid, algorithms, parallel, cache, engine,
+            labelled, grid, algorithms, parallel, cache,
             kernel=kernel, objective=objective,
         )
     )
@@ -301,7 +235,6 @@ def straggler_sweep(
     s_elements: int = 80_000,
     parallel=None,
     cache=None,
-    engine: str = "fast",
     kernel=None,
     objective=None,
 ) -> HeterogeneitySweep:
@@ -328,7 +261,7 @@ def straggler_sweep(
         )
     sweep.points.extend(
         _measure_points(
-            labelled, grid, algorithms, parallel, cache, engine,
+            labelled, grid, algorithms, parallel, cache,
             kernel=kernel, objective=objective,
         )
     )

@@ -29,7 +29,6 @@ from .policies import (
     StrictOrderPolicy,
     demand_priority,
     key_spec_of,
-    resolve_key_spec,
     selection_order_priority,
 )
 from .trace import compute_records, gantt_ascii, port_records, worker_utilization
@@ -72,7 +71,6 @@ __all__ = [
     "StrictOrderPolicy",
     "demand_priority",
     "key_spec_of",
-    "resolve_key_spec",
     "selection_order_priority",
     "compute_records",
     "gantt_ascii",

@@ -27,8 +27,6 @@ run them (the others fall back to it).
 
 from __future__ import annotations
 
-import sys
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,7 +40,6 @@ __all__ = [
     "PolicyKeySpec",
     "POLICY_KEY_FIELDS",
     "key_spec_of",
-    "resolve_key_spec",
     "selection_order_priority",
     "demand_priority",
 ]
@@ -152,77 +149,15 @@ demand_priority = PolicyKeySpec(("legal_start", "worker_index"))
 #: (Legacy form -- prefer a :class:`PolicyKeySpec`.)
 PriorityFn = Callable[[Engine, int], tuple]
 
-#: Legacy ``fast_key`` marker values and their spec equivalents.  Before
-#: PolicyKeySpec existed, the fast path recognized the two registry
-#: priorities by a ``fast_key`` attribute ("cid" / "legal") monkey-patched
-#: onto the functions; third-party priorities carrying that marker are
-#: still honoured, with a deprecation warning.
-_LEGACY_FAST_KEYS: dict[str, PolicyKeySpec] = {
-    "cid": selection_order_priority,
-    "legal": demand_priority,
-}
-
-
-def _legacy_spec(priority) -> PolicyKeySpec | None:
-    """Spec equivalent of a legacy ``fast_key``-marked priority (no warning)."""
-    return _LEGACY_FAST_KEYS.get(getattr(priority, "fast_key", None))
-
-
-#: Call sites (filename, lineno) that already received the fast_key
-#: deprecation warning.  Plan replays re-resolve priorities on every run,
-#: so warning unconditionally would spam hot loops with one warning per
-#: simulation; instead each *source location* warns exactly once per
-#: process.  Tests may clear this set to re-arm the warning.
-_warned_sites: set[tuple[str, int]] = set()
-
-
-def _warn_legacy_marker() -> None:
-    # frame 0 = this helper, 1 = resolve_key_spec / ReadyPolicy.__init__,
-    # 2 = the caller being warned about.
-    caller = sys._getframe(2)
-    site = (caller.f_code.co_filename, caller.f_lineno)
-    if site in _warned_sites:
-        return
-    _warned_sites.add(site)
-    warnings.warn(
-        "the fast_key marker-pair convention is deprecated; declare the "
-        "priority as a PolicyKeySpec (e.g. PolicyKeySpec(('head_cid', "
-        "'worker_index'))) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
 
 def key_spec_of(priority) -> PolicyKeySpec | None:
     """The :class:`PolicyKeySpec` a ready priority *is*, or ``None``.
 
     This is what the engines (fast path, batch, dynamic) consult: a
-    priority is interpretable iff it is a spec.  Legacy ``fast_key``-marked
-    functions are converted to specs once, at :class:`ReadyPolicy`
-    construction (with a :class:`DeprecationWarning`), so by the time an
-    engine looks, only specs and opaque functions remain.
+    priority is interpretable iff it is a spec.  ``None`` means an opaque
+    function that only the reference engine can evaluate.
     """
     return priority if isinstance(priority, PolicyKeySpec) else None
-
-
-def resolve_key_spec(priority) -> PolicyKeySpec | None:
-    """Deprecated shim: spec of a priority, resolving legacy markers.
-
-    ``None`` means the priority is an opaque function that only the
-    reference engine can evaluate.  Legacy ``fast_key``-marked functions
-    resolve to the equivalent spec with a :class:`DeprecationWarning`.
-    In-tree code uses :func:`key_spec_of` (engines) or relies on the
-    :class:`ReadyPolicy` constructor conversion; this entry point remains
-    for third-party callers mid-migration.
-    """
-    spec = key_spec_of(priority)
-    if spec is not None:
-        return spec
-    spec = _legacy_spec(priority)
-    if spec is not None:
-        _warn_legacy_marker()
-        return spec
-    return None
 
 
 class ReadyPolicy(PortPolicy):
@@ -233,17 +168,10 @@ class ReadyPolicy(PortPolicy):
     when nothing is receivable now, the port jumps to the earliest legal
     start.  ``priority`` is a :class:`PolicyKeySpec` (interpretable by all
     engines) or a legacy ``(engine, widx) -> tuple`` function (reference
-    engine only).  Legacy ``fast_key``-marked functions are converted to
-    the equivalent spec here, with a deprecation warning, so they keep
-    their fast-path eligibility.
+    engine only).
     """
 
     def __init__(self, priority: "PolicyKeySpec | PriorityFn") -> None:
-        if not isinstance(priority, PolicyKeySpec):
-            spec = _legacy_spec(priority)
-            if spec is not None:
-                _warn_legacy_marker()
-                priority = spec
         self.priority = priority
 
     def next_choice(self, engine: Engine) -> int | None:

@@ -94,24 +94,22 @@ class TestNewCommands:
 
 class TestEngineFlag:
     def test_engine_choices_parse(self):
-        for cmd in (["figure", "fig4"], ["summary"], ["sweep"], ["run"]):
-            for engine in ("reference", "fast", "batch"):
-                args = build_parser().parse_args(cmd + ["--engine", engine])
-                assert args.engine == engine
-
-    def test_engine_default_is_fast_for_experiments(self):
-        assert build_parser().parse_args(["figure", "fig4"]).engine == "fast"
         assert build_parser().parse_args(["run"]).engine == "reference"
+        for engine in ("reference", "fast"):
+            args = build_parser().parse_args(["run", "--engine", engine])
+            assert args.engine == engine
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig4", "--engine", "warp"])
+        # run keeps only the trace switch; the experiment subcommands have
+        # one simulation path and no --engine at all
+        for engine in ("batch", "warp"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "--engine", engine])
+        for cmd in (["figure", "fig4"], ["summary"], ["sweep"], ["profile"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(cmd + ["--engine", "fast"])
 
-    def test_figure_batch_engine_runs(self, capsys):
-        assert main(["figure", "fig4", "--scale", "0.05", "--engine", "batch"]) == 0
-        assert "relative cost" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    @pytest.mark.parametrize("engine", ["fast"])
     def test_run_without_traces(self, engine, capsys):
         assert main(["run", "--algorithm", "Hom", "--scale", "0.1", "--engine", engine]) == 0
         out = capsys.readouterr().out
@@ -121,10 +119,6 @@ class TestEngineFlag:
         assert main(["run", "--algorithm", "Hom", "--scale", "0.1",
                      "--engine", "fast", "--gantt"]) == 0
         assert "--engine reference" in capsys.readouterr().out
-
-    def test_sweep_batch_engine_runs(self, capsys):
-        assert main(["sweep", "--scale", "0.1", "--ratios", "2", "--engine", "batch"]) == 0
-        assert "ratio" in capsys.readouterr().out
 
 
 class TestProfileAndTrace:
@@ -162,7 +156,7 @@ class TestProfileAndTrace:
     def test_profile_defaults_to_fig7(self):
         args = build_parser().parse_args(["profile"])
         assert args.figure is None and args.dynamic is None
-        assert args.scale == 0.3 and args.engine == "fast"
+        assert args.scale == 0.3
 
     def test_profile_figure_dynamic_exclusive(self):
         with pytest.raises(SystemExit):
@@ -216,7 +210,7 @@ class TestServeAndExecute:
     def test_run_execute_needs_reference_engine(self, capsys):
         rc = main(
             ["run", "--algorithm", "Hom", "--platform", "memory-het",
-             "--scale", "0.05", "--engine", "batch", "--execute"]
+             "--scale", "0.05", "--engine", "fast", "--execute"]
         )
         assert rc == 2
         assert "reference" in capsys.readouterr().err

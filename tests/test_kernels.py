@@ -218,10 +218,6 @@ def _strict_runs(het_platform, small_grid, ragged_grid):
     return runs
 
 
-def compiled_names():
-    return [n for n in available_backends() if n != "numpy"]
-
-
 @pytest.mark.parametrize("scheduler", ["Hom", "ORROML"], ids=["strict", "ready"])
 def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid, ragged_grid):
     """run(max_steps=) must stop exactly at the window edge under every
@@ -308,7 +304,10 @@ def test_engine_records_backend(het_platform, small_grid):
 # harness integration
 # ----------------------------------------------------------------------
 def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
-    from repro.experiments.harness import evaluate_runs
+    """Per-run outcomes of pre-compiled ``(platform, plan)`` runs agree
+    under every backend, whether each run is simulated on its own
+    (``fast_simulate``) or the runs are batched (``batch_outcomes``)."""
+    from repro.sim.batch import batch_outcomes
 
     def jobs():
         out = []
@@ -319,27 +318,31 @@ def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
                 out.append((het_platform, plan))
         return out
 
-    base = evaluate_runs(jobs(), "fast")
-    for engine in ("fast", "batch"):
-        for kernel in available_backends():
-            got = evaluate_runs(jobs(), engine, kernel=kernel)
-            assert [m for m, _n, _meta in got] == [m for m, _n, _meta in base], (
-                engine,
-                kernel,
-            )
+    def outcomes(results):
+        return [(r.makespan, r.n_enrolled, r.blocks_through_port) for r in results]
+
+    base = outcomes(fast_simulate(p, plan) for p, plan in jobs())
+    for kernel in available_backends():
+        per_run = outcomes(fast_simulate(p, plan, kernel=kernel) for p, plan in jobs())
+        assert per_run == base, ("fast", kernel)
+        batched = outcomes(batch_outcomes(jobs(), force=True, kernel=kernel))
+        assert batched == base, ("batch", kernel)
 
 
-def test_run_experiment_kernel_parity(het_platform, small_grid):
+def test_run_experiment_kernel_parity(het_platform, small_grid, ragged_grid):
     from repro.experiments.harness import Instance, run_experiment
 
-    instances = [Instance("inst", het_platform, small_grid)]
-    base = run_experiment("kernels", instances, engine="fast")
+    instances = [
+        Instance("small", het_platform, small_grid),
+        Instance("ragged", het_platform, ragged_grid),
+    ]
+    base = run_experiment("kernels", instances, collect_events=True)
     ref = {(m.algorithm, m.instance): m.makespan for m in base.measurements}
-    for engine in ("fast", "batch"):
-        for kernel in compiled_names():
-            res = run_experiment("kernels", instances, engine=engine, kernel=kernel)
-            got = {(m.algorithm, m.instance): m.makespan for m in res.measurements}
-            assert got == ref, (engine, kernel)
+    assert len(ref) == len(base.algorithms) * len(instances)
+    for kernel in available_backends():
+        res = run_experiment("kernels", instances, kernel=kernel)
+        got = {(m.algorithm, m.instance): m.makespan for m in res.measurements}
+        assert got == ref, kernel
 
 
 # ----------------------------------------------------------------------

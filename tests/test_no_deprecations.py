@@ -1,13 +1,11 @@
 """The suite's own code paths emit no internal DeprecationWarning.
 
-The ``fast_key`` → :class:`PolicyKeySpec` migration is finished in-tree:
-engines consult :func:`repro.sim.policies.key_spec_of` (no legacy
-resolution), registry priorities are specs, and only the explicitly
-deprecated shims (``resolve_key_spec`` on a marked function, a marked
-priority passed to ``ReadyPolicy``) warn.  This wall runs a representative
-workload — every registry scheduler through the reference, fast, batch and
-dynamic engines plus the experiment harness — and asserts nothing under
-``repro`` raises a DeprecationWarning.
+The ``fast_key`` → :class:`PolicyKeySpec` migration is finished: engines
+consult :func:`repro.sim.policies.key_spec_of` and registry priorities
+are specs.  This wall runs a representative workload — every registry
+scheduler through the reference, fast, batch and dynamic engines plus the
+experiment harness — and asserts nothing under ``repro`` raises a
+DeprecationWarning.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ def _representative_workload():
             grid,
         )
     batch_outcomes(runs, force=True)
-    run_experiment("w", [Instance("i", platform, grid)], engine="batch")
+    run_experiment("w", [Instance("i", platform, grid)])
     AdaptiveScheduler(make_scheduler("ODDOML"), "adaptive").run_dynamic(
         platform, grid, PlatformTimeline().straggle(1.0, 0, 4.0)
     )
@@ -62,30 +60,3 @@ def test_suite_emits_no_internal_deprecation_warning():
         if issubclass(w.category, DeprecationWarning) and "repro" in (w.filename or "")
     ]
     assert internal == [], [str(w.message) for w in internal]
-
-
-def test_legacy_marker_hot_loop_warns_once():
-    """A third-party legacy priority replayed through a hot loop (one
-    ReadyPolicy construction per simulation, same call site) produces one
-    DeprecationWarning for the whole loop — not one per replay."""
-    import dataclasses
-
-    from repro.sim.engine import simulate
-    from repro.sim.policies import ReadyPolicy, _warned_sites
-
-    platform = Platform([Worker(0, c=1.0, w=1.0, m=21)])
-    grid = BlockGrid(r=4, t=4, s=6, q=2)
-    plan = make_scheduler("MaxReuse1").plan(platform, grid)
-
-    def legacy(engine, widx):
-        return (engine.head(widx).chunk.cid, widx)
-
-    legacy.fast_key = "cid"
-    _warned_sites.clear()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for _ in range(10):
-            legacy_plan = dataclasses.replace(plan, policy=ReadyPolicy(legacy))
-            simulate(platform, legacy_plan, grid)
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, [str(w.message) for w in dep]

@@ -231,17 +231,20 @@ def _instances():
 
 
 class TestInstrumentedMatrix:
-    @pytest.mark.parametrize("engine", ["fast", "reference", "batch"])
+    @pytest.mark.parametrize(
+        "collect_events", [False, True], ids=["fast", "reference"]
+    )
     @pytest.mark.parametrize("algorithm", ["Hom", "Het"])
-    def test_experiment_span_trees(self, engine, algorithm):
+    def test_experiment_span_trees(self, collect_events, algorithm):
         scheds = [make_scheduler(algorithm)]
         with tracing() as tr:
-            res = run_experiment("obs", _instances(), scheds, engine=engine)
+            res = run_experiment(
+                "obs", _instances(), scheds, collect_events=collect_events
+            )
         assert res.measurements
         _assert_well_formed(tr)
         names = {s.name for s in tr.walk()}
-        assert "experiment" in names
-        assert "plan" in names or engine == "batch"
+        assert {"experiment", "plan", "simulate"} <= names
 
     @pytest.mark.parametrize("mode", DYNAMIC_MODES)
     def test_dynamic_span_trees(self, mode):

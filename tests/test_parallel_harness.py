@@ -26,6 +26,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.sweeps import heterogeneity_sweep, straggler_sweep
 from repro.platform.model import Platform, Worker
+from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import make_scheduler
 
 
@@ -163,6 +164,8 @@ class TestRunner:
             for m in fanned.measurements
         ]
         assert serial.failures == fanned.failures
+        for res in (serial, fanned):
+            assert all("planning_seconds" in m.meta for m in res.measurements)
 
     def test_failures_cross_processes(self, small_grid):
         # one worker without enough memory for any layout
@@ -352,140 +355,69 @@ class TestCacheEviction:
 
 
 # ----------------------------------------------------------------------
-# engine selection in the harness and the sweeps
+# the one simulation path against its oracle: collect_events forces the
+# reference engine, which must agree bit for bit
 # ----------------------------------------------------------------------
+def _reference_makespans(platform, grid, algorithms) -> dict[str, float]:
+    out = {}
+    for name in algorithms:
+        try:
+            sim = make_scheduler(name).run(platform, grid, collect_events=True)
+        except SchedulingError:
+            continue
+        out[name] = sim.makespan
+    return out
+
+
 class TestEngineSelection:
-    def test_three_engines_identical_measurements(self, tiny_instances):
-        results = {
-            engine: run_experiment("x", tiny_instances, engine=engine)
-            for engine in ("fast", "reference", "batch")
-        }
-        fast = results["fast"]
-        for engine, res in results.items():
-            assert [
-                (m.algorithm, m.instance, m.makespan, m.n_enrolled)
-                for m in res.measurements
-            ] == [
-                (m.algorithm, m.instance, m.makespan, m.n_enrolled)
-                for m in fast.measurements
-            ], engine
-            assert res.failures == fast.failures
+    def test_three_engines_identical_measurements(self, tiny_instances, small_grid):
+        starved = Instance("starved", Platform([Worker(0, 1.0, 1.0, 2)]), small_grid)
+        instances = [*tiny_instances, starved]
+        default = run_experiment("x", instances)
+        oracle = run_experiment("x", instances, collect_events=True)
+        assert [
+            (m.algorithm, m.instance, m.makespan, m.n_enrolled, m.bound)
+            for m in oracle.measurements
+        ] == [
+            (m.algorithm, m.instance, m.makespan, m.n_enrolled, m.bound)
+            for m in default.measurements
+        ]
+        assert default.failures and oracle.failures == default.failures
 
     def test_unknown_engine_rejected(self, tiny_instances):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_experiment("x", tiny_instances, engine="warp")
+        import inspect
 
-    def test_batch_engine_records_planning_time(self, tiny_instances):
-        res = run_experiment("x", tiny_instances, engine="batch")
-        assert all("planning_seconds" in m.meta for m in res.measurements)
+        from repro.experiments.figures import run_figure, run_summary
 
-    def test_parallel_plans_across_processes_for_batch_engine(self, tiny_instances):
-        # parallel + explicit engine fans the *planning* out over worker
-        # processes while scoring stays central — results identical, no
-        # warning
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = run_experiment("x", tiny_instances, engine="batch", parallel=2)
-        ref = run_experiment("x", tiny_instances)
-        assert [(m.algorithm, m.makespan) for m in res.measurements] == [
-            (m.algorithm, m.makespan) for m in ref.measurements
-        ]
-        assert all("planning_seconds" in m.meta for m in res.measurements)
-
-    def test_cache_ignored_for_reference_engine(self, tiny_instances, tmp_path):
-        with pytest.warns(UserWarning, match="ignored"):
-            res = run_experiment(
-                "x", tiny_instances, engine="reference", cache=tmp_path / "c"
-            )
-        ref = run_experiment("x", tiny_instances)
-        assert [(m.algorithm, m.makespan) for m in res.measurements] == [
-            (m.algorithm, m.makespan) for m in ref.measurements
-        ]
-
-    def test_batch_engine_cache_roundtrip(self, tiny_instances, tmp_path):
-        # cache= is honored with engine=batch: the cold run stores, the warm
-        # run hits for every (algorithm, instance) — measurements exact
-        cache = ResultCache(tmp_path)
-        cold = run_experiment("x", tiny_instances, engine="batch", cache=cache)
-        stored = len(cache)
-        warm = run_experiment("x", tiny_instances, engine="batch", cache=cache)
-        assert stored > 0
-        assert cache.hits >= stored
-        assert [
-            (m.algorithm, m.instance, m.makespan, m.n_enrolled)
-            for m in cold.measurements
-        ] == [
-            (m.algorithm, m.instance, m.makespan, m.n_enrolled)
-            for m in warm.measurements
-        ]
-        assert cold.failures == warm.failures
-        # hits replay the original planning time (documented behavior)
-        assert all("planning_seconds" in m.meta for m in warm.measurements)
-        # and the cached results equal an uncached batch run exactly
-        ref = run_experiment("x", tiny_instances, engine="batch")
-        assert [(m.algorithm, m.makespan) for m in warm.measurements] == [
-            (m.algorithm, m.makespan) for m in ref.measurements
-        ]
-
-    def test_batch_cache_failures_roundtrip(self, small_grid, tmp_path):
-        starved = Platform([Worker(0, 1.0, 1.0, 2)])
-        inst = [Instance("starved", starved, small_grid)]
-        cache = ResultCache(tmp_path)
-        r1 = run_experiment("x", inst, engine="batch", cache=cache)
-        r2 = run_experiment("x", inst, engine="batch", cache=cache)
-        assert r1.failures and r1.failures == r2.failures
-        assert cache.hits > 0
-
-    def test_batch_key_distinct_from_fast_key(self, het_platform, small_grid):
-        s = make_scheduler("Het")
-        assert task_key(s, het_platform, small_grid, engine="batch") != task_key(
-            s, het_platform, small_grid
-        )
-        assert task_key(s, het_platform, small_grid, engine="batch") == task_key(
-            make_scheduler("Het"), het_platform, small_grid, engine="batch"
-        )
-        with pytest.raises(ValueError, match="no cache key scheme"):
-            task_key(s, het_platform, small_grid, engine="reference")
-
-    def test_batch_key_tracks_batch_engine_version(self, het_platform, small_grid, monkeypatch):
-        from repro.sim import batch as batch_mod
-
-        s = make_scheduler("Het")
-        before = task_key(s, het_platform, small_grid, engine="batch")
-        monkeypatch.setattr(batch_mod, "BATCH_ENGINE_VERSION", "batch-v999")
-        after = task_key(s, het_platform, small_grid, engine="batch")
-        assert before != after
-        # the scalar key scheme is untouched by a batch version bump
-        assert task_key(s, het_platform, small_grid) == task_key(
-            s, het_platform, small_grid
-        )
-
-    def test_sweep_batch_cache_identical(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        a = heterogeneity_sweep((2.0, 4.0), scale=0.1, engine="batch", cache=cache)
-        b = heterogeneity_sweep((2.0, 4.0), scale=0.1, engine="batch", cache=cache)
-        fast = heterogeneity_sweep((2.0, 4.0), scale=0.1)
-        assert cache.hits > 0
-        assert [(p.ratio, p.makespans, p.enrollment) for p in a.points] == [
-            (p.ratio, p.makespans, p.enrollment) for p in b.points
-        ]
-        assert [(p.ratio, p.makespans) for p in a.points] == [
-            (p.ratio, p.makespans) for p in fast.points
-        ]
+        for fn in (
+            run_experiment,
+            run_figure,
+            run_summary,
+            heterogeneity_sweep,
+            straggler_sweep,
+            task_key,
+        ):
+            assert "engine" not in inspect.signature(fn).parameters, fn.__name__
+        with pytest.raises(TypeError, match="engine"):
+            run_experiment("x", tiny_instances, engine="batch")
 
     def test_sweep_engines_identical(self):
-        fast = heterogeneity_sweep((2.0, 4.0), scale=0.1)
-        for engine in ("batch", "reference"):
-            other = heterogeneity_sweep((2.0, 4.0), scale=0.1, engine=engine)
-            assert [(p.ratio, p.makespans, p.enrollment, p.bound) for p in fast.points] == [
-                (p.ratio, p.makespans, p.enrollment, p.bound) for p in other.points
-            ], engine
+        from repro.experiments.sweeps import straggler_scenario
+        from repro.platform.generators import (
+            fully_heterogeneous,
+            scale_grid,
+            scale_platform,
+        )
 
-    def test_straggler_sweep_batch_identical(self):
-        fast = straggler_sweep((1.0, 4.0), scale=0.1)
-        batch = straggler_sweep((1.0, 4.0), scale=0.1, engine="batch")
-        assert [(p.ratio, p.makespans) for p in fast.points] == [
-            (p.ratio, p.makespans) for p in batch.points
-        ]
+        grid = scale_grid(BlockGrid.paper_instance(80_000), 0.1)
+        het = heterogeneity_sweep((2.0, 4.0), scale=0.1)
+        for point in het.points:
+            plat = scale_platform(fully_heterogeneous(point.ratio), 0.1)
+            ref = _reference_makespans(plat, grid, het.algorithms)
+            assert ref and point.makespans == ref, point.ratio
+        strag = straggler_sweep((1.0, 4.0), scale=0.1)
+        for point in strag.points:
+            base, sgrid, timeline = straggler_scenario(point.ratio, scale=0.1)
+            plat = timeline.final_platform(base)
+            ref = _reference_makespans(plat, sgrid, strag.algorithms)
+            assert ref and point.makespans == ref, point.ratio

@@ -11,7 +11,7 @@ from repro.sim.policies import (
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
-    resolve_key_spec,
+    key_spec_of,
     selection_order_priority,
 )
 
@@ -103,41 +103,39 @@ class TestPolicyKeySpec:
     def test_vocabulary_is_closed(self):
         assert set(POLICY_KEY_FIELDS) == {"head_cid", "legal_start", "worker_index"}
 
-    def test_resolve_spec_passthrough(self):
-        spec = PolicyKeySpec(("legal_start",))
-        assert resolve_key_spec(spec) is spec
-        assert resolve_key_spec(lambda e, w: (w,)) is None
+    def test_unknown_marker_is_opaque(self, het_platform, small_grid):
+        """A ``fast_key``-marked function is just an opaque priority: no
+        spec, no warning, and fast_simulate falls back to the reference
+        engine with the same makespan."""
+        import dataclasses
+        import warnings
 
-    def test_legacy_fast_key_marker_resolves_with_deprecation(self):
-        from repro.sim.policies import _warned_sites
+        from repro.schedulers.registry import make_scheduler
+        from repro.sim.engine import simulate
+        from repro.sim.fastpath import fast_simulate, supports_fast_path
 
-        _warned_sites.clear()  # re-arm the once-per-call-site dedupe
+        for marker in ("cid", "legal", "???"):
 
-        def legacy(engine, widx):
-            return (engine.head(widx).chunk.cid, widx)
+            def marked(engine, widx):
+                return (engine.head(widx).chunk.cid, widx)
 
-        legacy.fast_key = "cid"
-        with pytest.warns(DeprecationWarning, match="fast_key"):
-            assert resolve_key_spec(legacy) == selection_order_priority
-
-        def legacy_legal(engine, widx):
-            return (engine.legal_start(widx), widx)
-
-        legacy_legal.fast_key = "legal"
-        with pytest.warns(DeprecationWarning):
-            assert resolve_key_spec(legacy_legal) == demand_priority
-
-    def test_unknown_marker_is_opaque(self):
-        def odd(engine, widx):
-            return (widx,)
-
-        odd.fast_key = "???"
-        assert resolve_key_spec(odd) is None
+            marked.fast_key = marker
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                policy = ReadyPolicy(marked)
+            assert policy.priority is marked
+            assert key_spec_of(marked) is None
+            plan = make_scheduler("Het").plan(het_platform, small_grid)
+            opaque = dataclasses.replace(plan, policy=policy)
+            assert not supports_fast_path(opaque)
+            assert (
+                fast_simulate(het_platform, opaque, small_grid).makespan
+                == simulate(het_platform, opaque, small_grid).makespan
+                == simulate(het_platform, plan, small_grid).makespan
+            ), marker
 
     def test_key_spec_of_never_warns_and_ignores_markers(self):
         import warnings
-
-        from repro.sim.policies import key_spec_of
 
         def legacy(engine, widx):
             return (widx,)
@@ -149,50 +147,9 @@ class TestPolicyKeySpec:
             assert key_spec_of(legacy) is None
             assert key_spec_of(lambda e, w: (w,)) is None
 
-    def test_ready_policy_converts_legacy_marker_with_warning(self):
-        """Legacy fast_key priorities are converted at the policy boundary,
-        so the engines only ever see specs (and keep the fast path)."""
-        from repro.sim.policies import _warned_sites
-
-        _warned_sites.clear()  # re-arm the once-per-call-site dedupe
-
-        def legacy(engine, widx):
-            return (engine.head(widx).chunk.cid, widx)
-
-        legacy.fast_key = "cid"
-        with pytest.warns(DeprecationWarning, match="fast_key"):
-            policy = ReadyPolicy(legacy)
-        assert policy.priority == selection_order_priority
-
     def test_ready_policy_with_spec_does_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ReadyPolicy(demand_priority)
-
-    def test_legacy_warning_fires_once_per_call_site(self):
-        """Replaying a plan re-resolves its priority on every run; the
-        deprecation must not spam hot loops — one warning per source
-        location, however many times that line executes."""
-        import warnings
-
-        from repro.sim.policies import _warned_sites
-
-        _warned_sites.clear()
-
-        def legacy(engine, widx):
-            return (engine.head(widx).chunk.cid, widx)
-
-        legacy.fast_key = "cid"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                assert resolve_key_spec(legacy) == selection_order_priority
-        assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
-
-        # a *different* call site still gets its own warning
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_key_spec(legacy)
-        assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
