@@ -83,10 +83,11 @@ def test_service_throughput(bench_scale, emit):
         f"sharded-concurrency speedup: {speedup:.2f}x "
         f"(max |err| vs C + A @ B: {max(err_c, err_s):.2e})",
     ]
-    if cores < 2:
+    if cores < POOL_SIZE:
         lines.append(
-            "note: single-core host -- concurrent shards time-slice one "
-            "CPU, so the speedup column measures overhead, not parallelism"
+            f"note: {cores} host cores for {POOL_SIZE} worker processes -- "
+            "concurrent shards time-slice the CPUs, so the speedup measures "
+            "overhead, not parallelism"
         )
     emit(
         "service_throughput",
@@ -95,6 +96,7 @@ def test_service_throughput(bench_scale, emit):
             "jobs": jobs,
             "grid": {"r": grid.r, "t": grid.t, "s": grid.s, "q": grid.q},
             "pool_size": POOL_SIZE,
+            "cpu_count": cores,
             "algorithm": "HomI",
             "speedup": speedup,
             "concurrent": {

@@ -1,21 +1,20 @@
 """Threaded local runtime: actually execute a schedule, in parallel.
 
 The simulator predicts timings; this runtime *performs* a schedule with
-real numpy arithmetic on worker threads, the master thread replaying the
-simulated port order:
+real numpy arithmetic on worker threads.  The master loop and the worker
+body are the shared ones of :mod:`repro.runtime.loop`; this module is
+their thread transport:
 
 * the master is the only thread touching the matrices A, B, C (centralized
   data, as in the paper);
 * sends are master-sequential (the master loop is the one port); a worker
-  blocks on its queue until data arrives and computes concurrently with
+  blocks on its inbox until data arrives and computes concurrently with
   later sends to other workers -- communication/computation overlap;
-* ``C_RETURN`` blocks the master until the worker hands the chunk back
-  (one-port receive).
+* ``C_RETURN`` blocks the master until the worker hands the chunk back on
+  its outbox (one-port receive).
 
-With ``delay_scale > 0`` the master also sleeps ``nblocks * c_i * scale``
-per message, turning the runtime into a wall-clock scale model of the
-platform; with the default 0 it runs at full speed and serves as an
-end-to-end correctness harness (its output must equal ``C + A @ B``).
+It runs at full speed and serves as an end-to-end correctness harness:
+its output must equal ``C + A @ B``.
 
 Each execution also measures where the time went: workers record how long
 they sat blocked on their inbox (queue wait) and the interval of every
@@ -35,10 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.blocks import BlockGrid
-from ..core.ops import MsgKind
 from ..obs import gauge, timer, trace
 from ..sim.engine import SimResult
-from .messages import CChunkMsg, ReturnRequest, RoundMsg, Shutdown
+from .loop import WorkerLog, run_master, run_worker
+from .messages import Shutdown
 
 __all__ = ["RuntimeStats", "ThreadedRuntime"]
 
@@ -108,40 +107,52 @@ class RuntimeStats:
 
 
 class _WorkerThread(threading.Thread):
-    """One worker: owns chunk buffers, applies round updates."""
+    """One worker: the shared worker body on a thread, errors kept in ``error``."""
 
     def __init__(self, widx: int) -> None:
         super().__init__(name=f"worker-{widx}", daemon=True)
         self.widx = widx
         self.inbox: queue.Queue = queue.Queue()
-        self.buffers: dict[int, np.ndarray] = {}
-        self.updates = 0
-        self.queue_wait = 0.0
-        self.compute_intervals: list[tuple[float, float]] = []
+        self.outbox: queue.Queue = queue.Queue()
+        self.log = WorkerLog()
         self.error: BaseException | None = None
 
     def run(self) -> None:  # pragma: no cover - exercised via ThreadedRuntime
         try:
-            while True:
-                w0 = time.perf_counter()
-                msg = self.inbox.get()
-                self.queue_wait += time.perf_counter() - w0
-                if isinstance(msg, Shutdown):
-                    return
-                if isinstance(msg, CChunkMsg):
-                    self.buffers[msg.cid] = msg.data
-                elif isinstance(msg, RoundMsg):
-                    buf = self.buffers[msg.cid]
-                    t0 = time.perf_counter()
-                    buf += msg.a_data @ msg.b_data
-                    self.compute_intervals.append((t0, time.perf_counter()))
-                    self.updates += msg.updates
-                elif isinstance(msg, ReturnRequest):
-                    msg.reply.put((msg.cid, self.buffers.pop(msg.cid)))
-                else:
-                    raise TypeError(f"unknown message {msg!r}")
+            run_worker(self.inbox.get, self.outbox.put, self.log)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the master
             self.error = exc
+
+
+class _Threads:
+    """Thread transport: ``queue.Queue`` inbox/outbox pairs and error slots."""
+
+    def __init__(self, workers: list[_WorkerThread]) -> None:
+        self.workers = workers
+
+    def post(self, worker: int, msg: object) -> None:
+        self.workers[worker].inbox.put(msg)
+
+    def receive(self, worker: int, timeout: float) -> tuple[int, np.ndarray] | None:
+        wt = self.workers[worker]
+        try:
+            _tag, cid, data = wt.outbox.get(timeout=timeout)
+            return cid, data
+        except queue.Empty:
+            pass
+        if wt.error is not None:
+            raise self.error(worker, "failed while returning a chunk") from wt.error
+        if not wt.is_alive():
+            raise self.error(worker, "exited without replying to a return request")
+        return None
+
+    def check_health(self) -> None:
+        for wt in self.workers:
+            if wt.error is not None:
+                raise self.error(wt.widx, "failed") from wt.error
+
+    def error(self, worker: int, summary: str) -> Exception:
+        return RuntimeError(f"worker {worker} {summary}")
 
 
 class ThreadedRuntime:
@@ -161,22 +172,9 @@ class ThreadedRuntime:
     within a known wall-clock instead of a hang.
     """
 
-    #: How often the master re-checks worker liveness while waiting on a
-    #: C_RETURN reply (seconds).
-    _POLL_INTERVAL = 0.05
-
-    def __init__(
-        self,
-        delay_scale: float = 0.0,
-        *,
-        reply_timeout: float = 60.0,
-        join_timeout: float = 30.0,
-    ) -> None:
-        if delay_scale < 0:
-            raise ValueError("delay_scale must be >= 0")
+    def __init__(self, *, reply_timeout: float = 60.0, join_timeout: float = 30.0) -> None:
         if reply_timeout <= 0 or join_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        self.delay_scale = delay_scale
         self.reply_timeout = reply_timeout
         self.join_timeout = join_timeout
 
@@ -189,110 +187,20 @@ class ThreadedRuntime:
         c: np.ndarray,
     ) -> tuple[np.ndarray, RuntimeStats]:
         """Replay ``result``'s port order; returns (final C, stats)."""
-        if not result.port_events:
-            raise ValueError("result has no events (collect_events was disabled?)")
-        with trace(
-            "runtime.execute",
-            workers=result.platform.p,
-            events=len(result.port_events),
-        ):
-            return self._execute(result, grid, a, b, c)
-
-    def _await_reply(
-        self, wt: _WorkerThread, reply: queue.Queue
-    ) -> tuple[int, np.ndarray]:
-        """Wait for a ``C_RETURN`` reply, re-checking worker health.
-
-        A bare ``reply.get()`` deadlocks the master forever when the
-        worker dies after the ``ReturnRequest`` was enqueued; polling
-        with a short timeout lets the master notice the error slot (or a
-        silently-exited thread) and raise instead.
-        """
-        deadline = time.perf_counter() + self.reply_timeout
-        while True:
-            try:
-                return reply.get(timeout=self._POLL_INTERVAL)
-            except queue.Empty:
-                if wt.error is not None:
-                    raise RuntimeError(
-                        f"worker {wt.widx} failed while returning a chunk"
-                    ) from wt.error
-                if not wt.is_alive():
-                    raise RuntimeError(
-                        f"worker {wt.widx} exited without replying to a "
-                        "return request"
-                    ) from None
-                if time.perf_counter() > deadline:
-                    raise RuntimeError(
-                        f"worker {wt.widx} did not return its chunk within "
-                        f"{self.reply_timeout:g}s"
-                    ) from None
-
-    def _execute(
-        self,
-        result: SimResult,
-        grid: BlockGrid,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-    ) -> tuple[np.ndarray, RuntimeStats]:
-        q = grid.q
-        chunk_by_id = {ch.cid: ch for ch in result.chunks}
-        master_c = c.copy()
         workers = [_WorkerThread(i) for i in range(result.platform.p)]
-        for wt in workers:
-            wt.start()
-        reply: queue.Queue = queue.Queue()
-        t0 = time.perf_counter()
-        n_msgs = 0
-        send_intervals: list[tuple[float, float]] = []
-        try:
-            for evt in result.port_events:
-                # a worker that died must fail the run *now*, not when the
-                # schedule next addresses it -- otherwise the master keeps
-                # filling a dead worker's inbox (and, on C_RETURN, hangs)
-                for other in workers:
-                    if other.error is not None:
-                        raise RuntimeError(
-                            f"worker {other.widx} failed"
-                        ) from other.error
-                wt = workers[evt.worker]
-                ch = chunk_by_id[evt.cid]
-                rows = slice(ch.i0 * q, (ch.i0 + ch.h) * q)
-                cols = slice(ch.j0 * q, (ch.j0 + ch.w) * q)
-                s0 = time.perf_counter()
-                if self.delay_scale > 0:
-                    time.sleep(evt.nblocks * result.platform[evt.worker].c * self.delay_scale)
-                if evt.kind is MsgKind.C_SEND:
-                    wt.inbox.put(CChunkMsg(evt.cid, rows, cols, master_c[rows, cols].copy()))
-                elif evt.kind is MsgKind.ROUND:
-                    rd = ch.rounds[evt.round_idx]
-                    ks = slice(rd.k_lo * q, rd.k_hi * q)
-                    wt.inbox.put(
-                        RoundMsg(
-                            evt.cid,
-                            evt.round_idx,
-                            a[rows, ks].copy(),
-                            b[ks, cols].copy(),
-                            updates=rd.updates,
-                        )
-                    )
-                else:  # C_RETURN: one-port receive, master blocks
-                    wt.inbox.put(ReturnRequest(evt.cid, reply))
-                    cid, data = self._await_reply(wt, reply)
-                    if cid != evt.cid:  # pragma: no cover - defensive
-                        raise RuntimeError(f"expected chunk {evt.cid}, got {cid}")
-                    master_c[rows, cols] = data
-                send_intervals.append((s0, time.perf_counter()))
-                n_msgs += 1
-        finally:
+        transport = _Threads(workers)
+        with trace("runtime.execute", workers=result.platform.p, events=len(result.port_events)):
             for wt in workers:
-                wt.inbox.put(Shutdown())
-            for wt in workers:
-                wt.join(timeout=self.join_timeout)
-        for wt in workers:
-            if wt.error is not None:
-                raise RuntimeError(f"worker {wt.widx} failed") from wt.error
+                wt.start()
+            t0 = time.perf_counter()
+            try:
+                master_c, log = run_master(result, grid, a, b, c, transport, self.reply_timeout)
+            finally:
+                for wt in workers:
+                    wt.inbox.put(Shutdown())
+                for wt in workers:
+                    wt.join(timeout=self.join_timeout)
+        transport.check_health()
         stuck = [wt.widx for wt in workers if wt.is_alive()]
         if stuck:
             # a thread that outlived its join has the pool in an unknown
@@ -302,17 +210,14 @@ class ThreadedRuntime:
                 f"{self.join_timeout:g}s after shutdown; refusing to "
                 "report stats for a half-dead pool"
             )
-        compute = _union([iv for wt in workers for iv in wt.compute_intervals])
-        port_busy = _union(send_intervals)
+        compute = _union([iv for wt in workers for iv in wt.log.compute])
+        port_busy = log.port_busy  # one master: already disjoint and sorted
         stats = RuntimeStats(
             wall_seconds=time.perf_counter() - t0,
-            messages=n_msgs,
-            updates_per_worker={wt.widx: wt.updates for wt in workers},
-            queue_wait_per_worker={wt.widx: wt.queue_wait for wt in workers},
-            compute_seconds_per_worker={
-                wt.widx: sum(hi - lo for lo, hi in wt.compute_intervals)
-                for wt in workers
-            },
+            messages=log.messages,
+            updates_per_worker={wt.widx: wt.log.updates for wt in workers},
+            queue_wait_per_worker={wt.widx: wt.log.queue_wait for wt in workers},
+            compute_seconds_per_worker={wt.widx: wt.log.compute_seconds for wt in workers},
             send_seconds=sum(hi - lo for lo, hi in port_busy),
             overlap_seconds=_intersection_seconds(compute, port_busy),
         )

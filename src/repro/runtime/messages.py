@@ -1,4 +1,4 @@
-"""Message vocabulary of the threaded local runtime.
+"""Message vocabulary the master posts to its workers, threads or processes.
 
 Mirrors the MPI message kinds of the paper's implementation: a C chunk
 going out, one round of A/B data, a request to return the finished C chunk,
@@ -7,9 +7,7 @@ and a shutdown marker.
 
 from __future__ import annotations
 
-import queue
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +37,9 @@ class RoundMsg:
 
 @dataclass
 class ReturnRequest:
-    """Master asks for the finished chunk back on ``reply``."""
+    """Master asks for the finished chunk back on the worker's outbox."""
 
     cid: int
-    reply: "queue.Queue[tuple[int, np.ndarray]]"
 
 
 @dataclass

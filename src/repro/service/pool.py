@@ -4,11 +4,10 @@ Each platform worker becomes one OS process with two ``multiprocessing``
 queues: an *inbox* the master sends :class:`~repro.runtime.messages.CChunkMsg`
 / :class:`~repro.runtime.messages.RoundMsg` /
 :class:`~repro.runtime.messages.ReturnRequest` / ``Shutdown`` into, and an
-*outbox* the worker answers on.  The worker body is the same loop as the
-threaded runtime's ``_WorkerThread`` — own the chunk buffers, apply round
-updates with real numpy arithmetic, hand finished chunks back — but with
-true OS-level parallelism and isolation: a crashing worker takes down one
-process, not the master.
+*outbox* the worker answers on.  The worker body is the same function the
+threaded runtime's workers run, :func:`repro.runtime.loop.run_worker`;
+this module only wraps it in a process: true OS-level parallelism and
+isolation, so a crashing worker takes down one process, not the master.
 
 Outbox protocol (plain tuples, because exceptions and queues do not
 pickle reliably across processes):
@@ -18,10 +17,6 @@ pickle reliably across processes):
   raised; the process exits right after posting this;
 * ``("stats", widx, updates, compute_seconds)`` — posted once, in
   response to ``Shutdown``, then the process exits cleanly.
-
-Because a ``multiprocessing.Queue`` cannot itself be pickled through
-another queue, ``ReturnRequest`` is sent with ``reply=None`` here: a
-worker process always answers on its own outbox.
 """
 
 from __future__ import annotations
@@ -32,7 +27,8 @@ import traceback
 from typing import Iterator
 
 from ..obs import counter
-from ..runtime.messages import CChunkMsg, ReturnRequest, RoundMsg, Shutdown
+from ..runtime.loop import WorkerLog, run_worker
+from ..runtime.messages import Shutdown
 
 __all__ = ["WorkerProcessError", "WorkerHandle", "WorkerPool"]
 
@@ -41,7 +37,7 @@ class WorkerProcessError(RuntimeError):
     """A worker process failed (raised, or died without a word).
 
     Carries the worker's pool index and, when the worker managed to post
-    one, the remote traceback text.
+    one, the remote traceback text, which is also chained as the cause.
     """
 
     def __init__(self, widx: int, summary: str, remote_traceback: str = "") -> None:
@@ -49,34 +45,21 @@ class WorkerProcessError(RuntimeError):
         self.widx = widx
         self.summary = summary
         self.remote_traceback = remote_traceback
+        if remote_traceback:
+            self.__cause__ = RuntimeError(f"remote traceback:\n{remote_traceback}")
 
 
 def _worker_main(widx: int, inbox: mp.Queue, outbox: mp.Queue) -> None:
-    """One worker process: own chunk buffers, apply round updates."""
-    buffers: dict = {}
-    updates = 0
-    compute_seconds = 0.0
+    """One worker process: the shared worker body, reporting on the outbox."""
+    log = WorkerLog()
     try:
-        while True:
-            msg = inbox.get()
-            if isinstance(msg, Shutdown):
-                outbox.put(("stats", widx, updates, compute_seconds))
-                return
-            if isinstance(msg, CChunkMsg):
-                buffers[msg.cid] = msg.data
-            elif isinstance(msg, RoundMsg):
-                t0 = time.perf_counter()
-                buffers[msg.cid] += msg.a_data @ msg.b_data
-                compute_seconds += time.perf_counter() - t0
-                updates += msg.updates
-            elif isinstance(msg, ReturnRequest):
-                outbox.put(("chunk", msg.cid, buffers.pop(msg.cid)))
-            else:
-                raise TypeError(f"unknown message {msg!r}")
+        run_worker(inbox.get, outbox.put, log)
     except BaseException as exc:  # noqa: BLE001 - shipped to the master
         outbox.put(
             ("error", widx, f"{type(exc).__name__}: {exc}", traceback.format_exc())
         )
+    else:
+        outbox.put(("stats", widx, log.updates, log.compute_seconds))
 
 
 class WorkerHandle:
@@ -170,6 +153,10 @@ class WorkerPool:
                 counter("service.workers_terminated").inc()
                 handle.process.terminate()
                 handle.process.join(timeout=5.0)
+            # nobody reads this inbox any more; without this, interpreter
+            # exit joins its feeder thread, which blocks forever writing
+            # unread messages into a dead worker's pipe
+            handle.inbox.cancel_join_thread()
 
     def _drain(self, handle: WorkerHandle) -> None:
         import queue as _q

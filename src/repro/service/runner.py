@@ -1,18 +1,16 @@
 """Replay one job's simulated port order against worker processes.
 
-The multi-process twin of :class:`repro.runtime.local.ThreadedRuntime`:
-the master (one service thread per running job) is the only owner of the
-job's matrices, sends are master-sequential in the simulated port order,
-and ``C_RETURN`` blocks on the addressed worker's outbox — the one-port
-model, per shard.
+The process transport of the shared master loop
+(:func:`repro.runtime.loop.run_master`): the master (one service thread
+per running job) is the only owner of the job's matrices, sends are
+master-sequential in the simulated port order, and ``C_RETURN`` blocks
+on the addressed worker's outbox — the one-port model, per shard.
 
 A job's schedule is planned on a *subplatform* (workers reindexed
 ``0..k-1``), so the runner takes a ``worker_map`` translating simulated
-worker indices to real pool indices.  The failure discipline mirrors the
-hardened threaded runtime: every worker of the shard is health-checked
-each port event, return replies are polled with a timeout, and any
-failure raises :class:`~repro.service.pool.WorkerProcessError` naming
-the real pool worker.
+worker indices to real pool indices.  Any failure raises
+:class:`~repro.service.pool.WorkerProcessError` naming the real pool
+worker.
 """
 
 from __future__ import annotations
@@ -25,11 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from ..core.blocks import BlockGrid
-from ..core.ops import MsgKind
 from ..obs import trace
+from ..runtime.loop import run_master
 from ..sim.engine import SimResult
 from .pool import WorkerHandle, WorkerPool, WorkerProcessError
-from ..runtime.messages import CChunkMsg, ReturnRequest, RoundMsg
 
 __all__ = ["ShardStats", "ShardRunner"]
 
@@ -44,10 +41,62 @@ class ShardStats:
     shard: tuple[int, ...]  # real pool worker indices, sim order
 
 
+def _reported(handle: WorkerHandle, item: tuple) -> WorkerProcessError:
+    """The failure a worker posted on its outbox (or a payload with no
+    business there, put into the error channel rather than dropped)."""
+    if item[0] == "error":
+        _tag, widx, summary, tb = item
+        return WorkerProcessError(widx, summary, tb)
+    return WorkerProcessError(handle.widx, f"unexpected outbox payload {item[0]!r}")
+
+
+class _Processes:
+    """Process transport: the ``mp.Queue`` pairs of a shard of pool workers."""
+
+    def __init__(self, shard: Sequence[WorkerHandle], active: Sequence[int]) -> None:
+        self.shard = shard
+        # only workers the schedule actually addresses are health-swept:
+        # the rest of the shard may be serving other jobs
+        self.active = [shard[i] for i in active]
+
+    def post(self, worker: int, msg: object) -> None:
+        self.shard[worker].inbox.put(msg)
+
+    def receive(self, worker: int, timeout: float) -> tuple[int, np.ndarray] | None:
+        handle = self.shard[worker]
+        try:
+            item = handle.outbox.get(timeout=timeout)
+        except _q.Empty:
+            if handle.is_alive():
+                return None
+            raise self.error(
+                worker, "process exited without replying to a return request"
+            ) from None
+        if item[0] == "chunk":
+            return item[1], item[2]
+        raise _reported(handle, item)
+
+    def check_health(self) -> None:
+        # outside the C_RETURN window an outbox can only hold errors (chunk
+        # replies are consumed synchronously, stats only follow Shutdown),
+        # so this opportunistic read never eats a payload
+        for handle in self.active:
+            try:
+                item = handle.outbox.get_nowait()
+            except _q.Empty:
+                if handle.is_alive():
+                    continue
+                raise WorkerProcessError(
+                    handle.widx, "process died without a word"
+                ) from None
+            raise _reported(handle, item)
+
+    def error(self, worker: int, summary: str) -> Exception:
+        return WorkerProcessError(self.shard[worker].widx, summary)
+
+
 class ShardRunner:
     """Drive one schedule through a shard of a :class:`WorkerPool`."""
-
-    _POLL_INTERVAL = 0.05
 
     def __init__(self, pool: WorkerPool, *, reply_timeout: float = 60.0) -> None:
         if reply_timeout <= 0:
@@ -69,119 +118,18 @@ class ShardRunner:
         ``worker_map[i]`` is the real pool index serving simulated worker
         ``i`` of ``result.platform``.
         """
-        if not result.port_events:
-            raise ValueError("result has no events (collect_events was disabled?)")
         if len(worker_map) != result.platform.p:
             raise ValueError(
                 f"worker_map covers {len(worker_map)} workers, "
                 f"schedule uses {result.platform.p}"
             )
         shard = [self.pool[real] for real in worker_map]
-        # only workers the schedule actually addresses are health-swept:
-        # the rest of worker_map may be serving other jobs' shards
         active = sorted({evt.worker for evt in result.port_events})
-        active_handles = [shard[i] for i in active]
-        q = grid.q
-        chunk_by_id = {ch.cid: ch for ch in result.chunks}
-        master_c = c.copy()
-        t0 = time.perf_counter()
-        n_msgs = 0
-        updates = 0
         real_shard = tuple(worker_map[i] for i in active)
+        t0 = time.perf_counter()
         with trace("service.execute", shard=list(real_shard), events=len(result.port_events)):
-            for evt in result.port_events:
-                self._check_health(active_handles)
-                handle = shard[evt.worker]
-                ch = chunk_by_id[evt.cid]
-                rows = slice(ch.i0 * q, (ch.i0 + ch.h) * q)
-                cols = slice(ch.j0 * q, (ch.j0 + ch.w) * q)
-                if evt.kind is MsgKind.C_SEND:
-                    handle.inbox.put(
-                        CChunkMsg(evt.cid, rows, cols, master_c[rows, cols].copy())
-                    )
-                elif evt.kind is MsgKind.ROUND:
-                    rd = ch.rounds[evt.round_idx]
-                    ks = slice(rd.k_lo * q, rd.k_hi * q)
-                    handle.inbox.put(
-                        RoundMsg(
-                            evt.cid,
-                            evt.round_idx,
-                            a[rows, ks].copy(),
-                            b[ks, cols].copy(),
-                            updates=rd.updates,
-                        )
-                    )
-                    updates += rd.updates
-                else:  # C_RETURN: one-port receive, the job thread blocks
-                    handle.inbox.put(ReturnRequest(evt.cid, reply=None))
-                    cid, data = self._await_chunk(handle)
-                    if cid != evt.cid:  # pragma: no cover - defensive
-                        raise WorkerProcessError(
-                            handle.widx, f"expected chunk {evt.cid}, got {cid}"
-                        )
-                    master_c[rows, cols] = data
-                n_msgs += 1
-        stats = ShardStats(
-            wall_seconds=time.perf_counter() - t0,
-            messages=n_msgs,
-            updates=updates,
-            shard=real_shard,
-        )
-        return master_c, stats
-
-    def _check_health(self, shard: Sequence[WorkerHandle]) -> None:
-        """Fail fast on any dead shard member before posting the next
-        message (the multi-process version of the threaded runtime's
-        every-iteration error-slot sweep)."""
-        for handle in shard:
-            err = self._poll_error(handle)
-            if err is not None:
-                raise err
-            if not handle.is_alive():
-                raise WorkerProcessError(handle.widx, "process died without a word")
-
-    @staticmethod
-    def _poll_error(handle: WorkerHandle) -> WorkerProcessError | None:
-        """Non-blocking check of ``handle``'s outbox for an error tuple.
-
-        Outside the ``C_RETURN`` window the outbox can only hold errors
-        (chunk replies are consumed synchronously, stats only follow
-        ``Shutdown``), so an opportunistic drain never eats a payload.
-        """
-        try:
-            item = handle.outbox.get_nowait()
-        except _q.Empty:
-            return None
-        if item[0] == "error":
-            _tag, widx, summary, tb = item
-            return WorkerProcessError(widx, summary, tb)
-        # pragma: no cover - defensive: put unexpected payloads into the
-        # error channel rather than silently dropping them
-        return WorkerProcessError(handle.widx, f"unexpected outbox payload {item[0]!r}")
-
-    def _await_chunk(self, handle: WorkerHandle) -> tuple[int, np.ndarray]:
-        """Wait for a chunk reply, polling so a mid-return death cannot
-        hang the job thread."""
-        deadline = time.perf_counter() + self.reply_timeout
-        while True:
-            try:
-                item = handle.outbox.get(timeout=self._POLL_INTERVAL)
-            except _q.Empty:
-                if not handle.is_alive():
-                    raise WorkerProcessError(
-                        handle.widx, "process exited without replying to a return request"
-                    ) from None
-                if time.perf_counter() > deadline:
-                    raise WorkerProcessError(
-                        handle.widx,
-                        f"no chunk reply within {self.reply_timeout:g}s",
-                    ) from None
-                continue
-            if item[0] == "chunk":
-                return item[1], item[2]
-            if item[0] == "error":
-                _tag, widx, summary, tb = item
-                raise WorkerProcessError(widx, summary, tb)
-            raise WorkerProcessError(  # pragma: no cover - defensive
-                handle.widx, f"unexpected outbox payload {item[0]!r}"
+            master_c, log = run_master(
+                result, grid, a, b, c, _Processes(shard, active), self.reply_timeout
             )
+        wall = time.perf_counter() - t0
+        return master_c, ShardStats(wall, log.messages, log.updates, real_shard)

@@ -1,20 +1,28 @@
 """Threaded local runtime: real parallel execution must match C + A@B,
 and every worker-failure path must surface as a bounded, chained error
-instead of a hang."""
+instead of a hang.  The conformance and unknown-message cases also run the
+same master loop over pool processes (``ShardRunner``)."""
 
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.blocks import BlockGrid
 from repro.execution.executor import random_instance, reference_product
 from repro.platform.model import Platform, Worker
 from repro.runtime import local
 from repro.runtime.local import ThreadedRuntime
-from repro.runtime.messages import CChunkMsg, ReturnRequest, RoundMsg, Shutdown
+from repro.runtime.loop import run_worker
+from repro.runtime.messages import ReturnRequest, RoundMsg, Shutdown
 from repro.schedulers.registry import make_scheduler
+from repro.service import ShardRunner, WorkerPool
 
 
 def _setup(name="ODDOML", grid=None, plat=None):
@@ -26,14 +34,39 @@ def _setup(name="ODDOML", grid=None, plat=None):
     return res, grid
 
 
+def _execute(transport, res, grid, a, b, c):
+    """Run ``res`` on worker threads or on a pool of worker processes;
+    returns (final C, messages, total updates)."""
+    if transport == "thread":
+        got, stats = ThreadedRuntime().execute(res, grid, a, b, c)
+        return got, stats.messages, stats.total_updates
+    p = res.platform.p
+    with WorkerPool(p) as pool:
+        got, stats = ShardRunner(pool).execute(res, grid, a, b, c, worker_map=range(p))
+    return got, stats.messages, stats.updates
+
+
+#: Thread cases are ``[Hom]`` ..., process cases ``[Hom-process]`` ...
+CONFORMANCE = [
+    pytest.param(transport, name, id=name if transport == "thread" else f"{name}-process")
+    for transport in ("thread", "process")
+    for name in ("Hom", "Het", "ODDOML", "BMM")
+]
+
+
 class TestThreadedRuntime:
-    @pytest.mark.parametrize("name", ["Hom", "Het", "ODDOML", "BMM"])
-    def test_matches_reference(self, name):
+    @pytest.mark.parametrize("transport, name", CONFORMANCE)
+    def test_matches_reference(self, transport, name):
         res, grid = _setup(name)
         a, b, c = random_instance(grid, rng=5)
-        got, stats = ThreadedRuntime().execute(res, grid, a, b, c)
+        a0, b0, c0 = a.copy(), b.copy(), c.copy()
+        got, messages, updates = _execute(transport, res, grid, a, b, c)
         np.testing.assert_allclose(got, reference_product(a, b, c), atol=1e-9)
-        assert stats.total_updates == grid.total_updates
+        assert messages == len(res.port_events)
+        assert updates == grid.total_updates
+        np.testing.assert_array_equal(a, a0)
+        np.testing.assert_array_equal(b, b0)
+        np.testing.assert_array_equal(c, c0)
 
     def test_updates_distribution_matches_sim(self):
         res, grid = _setup("ODDOML")
@@ -51,13 +84,6 @@ class TestThreadedRuntime:
         np.testing.assert_array_equal(b, b0)
         np.testing.assert_array_equal(c, c0)
 
-    def test_delay_scale_slows_execution(self):
-        res, grid = _setup("Hom", grid=BlockGrid(r=2, t=2, s=2, q=2))
-        a, b, c = random_instance(grid, rng=8)
-        _, fast = ThreadedRuntime(delay_scale=0.0).execute(res, grid, a, b, c)
-        _, slow = ThreadedRuntime(delay_scale=1e-4).execute(res, grid, a, b, c)
-        assert slow.wall_seconds > fast.wall_seconds
-
     def test_message_count_matches_trace(self):
         res, grid = _setup()
         a, b, c = random_instance(grid, rng=9)
@@ -73,10 +99,6 @@ class TestThreadedRuntime:
         with pytest.raises(ValueError):
             ThreadedRuntime().execute(bad, grid, a, b, c)
 
-    def test_invalid_delay(self):
-        with pytest.raises(ValueError):
-            ThreadedRuntime(delay_scale=-1)
-
     def test_invalid_timeouts(self):
         with pytest.raises(ValueError):
             ThreadedRuntime(reply_timeout=0)
@@ -87,10 +109,10 @@ class TestThreadedRuntime:
 class _FaultyWorker(local._WorkerThread):
     """Fault-injection stand-in for ``_WorkerThread``.
 
-    Handles the message vocabulary like the real worker but can be
-    scripted (via class attributes, reset per test) to die at startup,
-    raise after N round updates, raise on a return request, or ignore
-    the shutdown message until ``release`` is set.
+    Runs the shared worker body like the real worker, but its inbox reads
+    can be scripted (via class attributes, reset per test) to die at
+    startup, raise on the round update after N, raise on a return
+    request, or hold the shutdown message until ``release`` is set.
     """
 
     die_at_startup: frozenset = frozenset()
@@ -101,33 +123,24 @@ class _FaultyWorker(local._WorkerThread):
 
     def run(self) -> None:
         rounds = 0
+
+        def receive():
+            nonlocal rounds
+            msg = self.inbox.get()
+            if isinstance(msg, RoundMsg):
+                rounds += 1
+                if rounds > self.fail_after_rounds.get(self.widx, float("inf")):
+                    raise RuntimeError(f"worker {self.widx} poisoned mid-schedule")
+            elif isinstance(msg, ReturnRequest) and self.widx in self.fail_on_return:
+                raise RuntimeError(f"worker {self.widx} lost the chunk")
+            elif isinstance(msg, Shutdown) and self.widx in self.hang_on_shutdown:
+                self.release.wait()
+            return msg
+
         try:
             if self.widx in self.die_at_startup:
                 raise RuntimeError(f"worker {self.widx} died at startup")
-            while True:
-                w0 = time.perf_counter()
-                msg = self.inbox.get()
-                self.queue_wait += time.perf_counter() - w0
-                if isinstance(msg, Shutdown):
-                    if self.widx in self.hang_on_shutdown:
-                        self.release.wait()
-                    return
-                if isinstance(msg, CChunkMsg):
-                    self.buffers[msg.cid] = msg.data
-                elif isinstance(msg, RoundMsg):
-                    rounds += 1
-                    if rounds > self.fail_after_rounds.get(self.widx, float("inf")):
-                        raise RuntimeError(f"worker {self.widx} poisoned mid-schedule")
-                    t0 = time.perf_counter()
-                    self.buffers[msg.cid] += msg.a_data @ msg.b_data
-                    self.compute_intervals.append((t0, time.perf_counter()))
-                    self.updates += msg.updates
-                elif isinstance(msg, ReturnRequest):
-                    if self.widx in self.fail_on_return:
-                        raise RuntimeError(f"worker {self.widx} lost the chunk")
-                    msg.reply.put((msg.cid, self.buffers.pop(msg.cid)))
-                else:
-                    raise TypeError(f"unknown message {msg!r}")
+            run_worker(receive, self.outbox.put, self.log)
         except BaseException as exc:  # noqa: BLE001 - mirrors the real worker
             self.error = exc
 
@@ -204,6 +217,65 @@ class TestRuntimeFailurePaths:
         )
         np.testing.assert_allclose(got, reference_product(a, b, c), atol=1e-9)
         assert stats.total_updates == grid.total_updates
+
+
+class _PoisonedWorker(local._WorkerThread):
+    """A worker thread whose inbox starts with a message outside the vocabulary."""
+
+    def __init__(self, widx: int) -> None:
+        super().__init__(widx)
+        if widx == 0:
+            self.inbox.put(object())
+
+
+class TestUnknownMessage:
+    @pytest.mark.parametrize("transport", ["thread", "process"])
+    def test_unknown_message_fails_run(self, transport, monkeypatch):
+        """Either transport: a worker handed an unknown message fails the
+        run, bounded, with the worker's ``TypeError`` in the chained cause."""
+        res, grid = _setup("ODDOML")
+        a, b, c = random_instance(grid, rng=43)
+        if transport == "thread":
+            monkeypatch.setattr(local, "_WorkerThread", _PoisonedWorker)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError) as excinfo:
+            if transport == "thread":
+                ThreadedRuntime(reply_timeout=10.0).execute(res, grid, a, b, c)
+            else:
+                with WorkerPool(res.platform.p) as pool:
+                    pool[0].inject(object())
+                    ShardRunner(pool, reply_timeout=10.0).execute(
+                        res, grid, a, b, c, worker_map=range(res.platform.p)
+                    )
+        assert time.perf_counter() - t0 < BOUND_SECONDS
+        assert "unknown message" in str(excinfo.value.__cause__)
+
+
+#: Kill a pool worker, leave more data on its inbox than a pipe buffers,
+#: close the pool: the interpreter must still exit.
+_EXIT_AFTER_DEAD_WORKER = """
+import os, signal
+import numpy as np
+from repro.service import WorkerPool
+
+pool = WorkerPool(1).start()
+os.kill(pool[0].process.pid, signal.SIGKILL)
+pool[0].process.join(timeout=10)
+pool[0].inbox.put(np.zeros(200_000))
+pool.close()
+"""
+
+
+class TestProcessPoolExit:
+    def test_interpreter_exits_after_worker_killed_with_unread_inbox(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXIT_AFTER_DEAD_WORKER],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestRuntimeObservability:
