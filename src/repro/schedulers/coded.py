@@ -58,7 +58,7 @@ from ..core.blocks import BlockGrid
 from ..core.chunks import Chunk, make_chunk
 from ..platform.model import Platform
 from ..sim.dynamic import PlatformTimeline, simulate_dynamic
-from ..sim.engine import Engine, SimResult
+from ..sim.engine import SimResult
 from ..sim.plan import Plan
 from ..sim.policies import ReadyPolicy, demand_priority
 from .base import Scheduler, SchedulingError
@@ -167,9 +167,9 @@ class CodedDemandAllocator:
     """Stream coded shares to drained workers (the rateless variant).
 
     Duck-types :class:`~repro.sim.allocator.PanelDemandAllocator`'s
-    engine-facing surface (``refill`` / ``refill_via`` / ``clone`` /
-    ``next_cid`` / ``rebase_cids`` / ``sides`` / ``toledo``), so both
-    engines and the dynamic driver drive it unchanged.  Issuance targets
+    engine-facing surface (``refill_via`` / ``clone`` / ``next_cid`` /
+    ``rebase_cids`` / ``sides`` / ``toledo``), so every engine and the
+    dynamic driver drive it unchanged.  Issuance targets
     the undecoded stripe with the fewest issued shares (ties to the lowest
     stripe index).  Without an attached :class:`DecodeTracker` issuance is
     capped at ``k + redundancy`` shares per stripe, making plain static
@@ -177,10 +177,6 @@ class CodedDemandAllocator:
     stripes stop attracting shares and streaming continues until every
     stripe decodes.
     """
-
-    #: duck-typed fast-path capability flag consumed by
-    #: :func:`repro.sim.fastpath.supports_fast_path`
-    fast_path_ok = True
 
     def __init__(
         self,
@@ -220,9 +216,6 @@ class CodedDemandAllocator:
             if best < 0 or count < best_issued:
                 best, best_issued = sid, count
         return None if best < 0 else best
-
-    def refill(self, engine: Engine) -> None:
-        self.refill_via(engine.has_pending, engine.assign_chunk)
 
     def refill_via(self, has_pending, assign_chunk) -> None:
         """Engine-agnostic refill: one share per drained enrolled worker

@@ -1,6 +1,6 @@
 """One-port discrete-event simulation of star master-worker platforms."""
 
-from .allocator import Allocator, PanelDemandAllocator
+from .allocator import PanelDemandAllocator
 from .batch import (
     BatchCompileCache,
     BatchEngine,
@@ -20,15 +20,13 @@ from .dynamic import (
     simulate_dynamic,
 )
 from .engine import Engine, SimResult, WorkerStats, simulate
-from .fastpath import FastEngine, fast_simulate, supports_fast_path
+from .fastpath import FastEngine, fast_simulate
 from .plan import Plan
 from .policies import (
     PolicyKeySpec,
-    PortPolicy,
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
-    key_spec_of,
     selection_order_priority,
 )
 from .trace import compute_records, gantt_ascii, port_records, worker_utilization
@@ -41,7 +39,6 @@ from .validate import (
 from .worker_state import CMode, HeadMsg, WorkerSim
 
 __all__ = [
-    "Allocator",
     "PanelDemandAllocator",
     "Engine",
     "SimResult",
@@ -49,7 +46,6 @@ __all__ = [
     "simulate",
     "FastEngine",
     "fast_simulate",
-    "supports_fast_path",
     "BatchCompileCache",
     "BatchEngine",
     "BatchOutcome",
@@ -66,11 +62,9 @@ __all__ = [
     "simulate_dynamic",
     "Plan",
     "PolicyKeySpec",
-    "PortPolicy",
     "ReadyPolicy",
     "StrictOrderPolicy",
     "demand_priority",
-    "key_spec_of",
     "selection_order_priority",
     "compute_records",
     "gantt_ascii",

@@ -6,29 +6,24 @@ the next free column panel (its own chunk-side wide), which it then walks
 top to bottom.  The allocator materializes exactly one chunk per drained
 worker per engine iteration, so panel hand-out order follows the demand
 order of the simulation.
+
+Every engine drives an allocator through the same engine-agnostic
+:meth:`PanelDemandAllocator.refill_via` call before each port decision;
+:class:`repro.schedulers.coded.CodedDemandAllocator` duck-types that
+surface.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Sequence
 
 from ..core.blocks import BlockGrid
 from ..core.chunks import PanelAllocator, PanelCursor
-from .engine import Engine
 
-__all__ = ["Allocator", "PanelDemandAllocator"]
-
-
-class Allocator(ABC):
-    """Hook the engine consults before every policy decision."""
-
-    @abstractmethod
-    def refill(self, engine: Engine) -> None:
-        """Assign new chunks to drained workers (may be a no-op)."""
+__all__ = ["PanelDemandAllocator"]
 
 
-class PanelDemandAllocator(Allocator):
+class PanelDemandAllocator:
     """Hand out column panels on demand.
 
     Parameters
@@ -57,15 +52,12 @@ class PanelDemandAllocator(Allocator):
         """True when every C column has been granted."""
         return self.panels.exhausted
 
-    def refill(self, engine: Engine) -> None:
-        self.refill_via(engine.has_pending, engine.assign_chunk)
-
     def refill_via(self, has_pending, assign_chunk) -> None:
-        """Engine-agnostic refill: ``has_pending(widx)`` reports whether a
-        worker still has messages queued, ``assign_chunk(widx, chunk)``
-        installs a new chunk.  Both the reference engine and the fast path
-        (:mod:`repro.sim.fastpath`) drive the same grant logic through this,
-        so panel hand-out order is identical in both engines."""
+        """Assign one chunk to each drained worker: ``has_pending(widx)``
+        reports whether a worker still has messages queued,
+        ``assign_chunk(widx, chunk)`` installs a new chunk.  Every engine
+        drives the same grant logic through this, so panel hand-out order
+        is identical in all of them."""
         for widx, cursor in enumerate(self.cursors):
             if cursor is None:
                 continue

@@ -43,10 +43,9 @@ Two replay modes cover the batchable plans:
   cached in ``(B, P)`` arrays and each step performs one vectorized
   lexicographic argmin across the worker axis of every instance at once.
 
-Plans with dynamic allocators or opaque priority functions are not
-batchable; :func:`batch_simulate` runs them through ``fast_simulate``
-individually (which itself falls back to the reference engine when
-needed), so the API accepts *any* plan list.  Small compatible groups are
+Plans with dynamic allocators are not batchable (their chunks depend on
+the timing); :func:`batch_simulate` runs them through ``fast_simulate``
+individually, so the API accepts *any* plan list.  Small compatible groups are
 also routed through the scalar fast path -- below
 :data:`MIN_VECTOR_BATCH` instances the per-step numpy dispatch overhead
 beats the vectorization win -- and instances are bucketed by message
@@ -82,7 +81,7 @@ from .engine import WorkerStats
 from .fastpath import fast_simulate
 from .kernels import FIELD_CODES, resolve_kernel
 from .plan import Plan
-from .policies import ReadyPolicy, StrictOrderPolicy, key_spec_of
+from .policies import StrictOrderPolicy
 from .worker_state import CMode, c_message_count
 
 __all__ = [
@@ -139,11 +138,7 @@ def _batch_mode(plan: Plan):
     policy = plan.policy
     if isinstance(policy, StrictOrderPolicy):
         return "strict"
-    if isinstance(policy, ReadyPolicy):
-        spec = key_spec_of(policy.priority)
-        if spec is not None:
-            return ("ready", spec.fields)
-    return None
+    return ("ready", policy.priority.fields)
 
 
 def _plan_steps(plan: Plan) -> int:
@@ -363,9 +358,8 @@ class BatchEngine:
         modes = {_batch_mode(plan) for _platform, plan in runs}
         if None in modes:
             raise TypeError(
-                "BatchEngine cannot interpret some plans (dynamic allocator "
-                "or opaque ready priority); use batch_simulate, which falls "
-                "back to the scalar fast path for them"
+                "BatchEngine cannot replay plans with a dynamic allocator; "
+                "use batch_simulate, which falls back to the scalar fast path"
             )
         if len(modes) > 1:
             raise TypeError(
@@ -949,11 +943,11 @@ def batch_outcomes(
     bucketed by message count; each group large enough to amortize the
     numpy per-step dispatch (>= ``min_batch``, or any size with
     ``force=True``) runs on :class:`BatchEngine` instances, the rest --
-    including plans the batch layer cannot interpret at all -- go through
-    the scalar fast path.  Results are bit-identical either way.  All
-    buckets share one :class:`BatchCompileCache` (``compile_cache`` or a
-    fresh one), so candidates that share plan objects — e.g. HomI's scoring
-    plans per ``(n, mu)`` — compile their message streams once per call.
+    including allocator-driven plans -- go through the scalar fast path.
+    Results are bit-identical either way.  All buckets share one
+    :class:`BatchCompileCache` (``compile_cache`` or a fresh one), so
+    candidates that share plan objects — e.g. HomI's scoring plans per
+    ``(n, mu)`` — compile their message streams once per call.
 
     ``_makespans=True`` is :func:`batch_simulate`'s path through the same
     grouping: bare makespans (read per bucket from

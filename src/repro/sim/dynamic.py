@@ -5,8 +5,8 @@ are fixed for the whole run.  This module opens the *non-stationary*
 scenario family: a :class:`PlatformTimeline` is a declarative list of
 piecewise-constant :class:`TimelineEvent`\\ s — bandwidth and speed changes,
 straggler onset and recovery, worker crash and (re)join — and
-:func:`simulate_dynamic` is a segmented driver that replays any plan the
-existing engines understand, cutting the run at each event boundary,
+:func:`simulate_dynamic` is a segmented driver that replays any
+:class:`~repro.sim.plan.Plan`, cutting the run at each event boundary,
 rescaling the affected worker's pre-multiplied port/compute costs, and
 resuming.
 
@@ -31,10 +31,9 @@ the first message that would start at or after the next event.  The
 driver then applies the due events, fires the controller and opens the
 next window.  The per-message interpretation of the same rules stays
 where it is needed: the reference engine (the oracle), runs with
-``record_events`` (trace synthesis), ``completion`` criteria (the coded
-family's per-return decode check), opaque policies, and strict orders
-under a demand allocator; it also raises the stall and strict-order
-errors where a window stops short of them.
+``record_events`` (trace synthesis) and ``completion`` criteria (the coded
+family's per-return decode check); it also raises the stall and
+strict-order errors where a window stops short of them.
 
 **Bit-identity.**  With an empty timeline the driver posts exactly the
 message sequence of :func:`~repro.sim.fastpath.fast_simulate`, through the
@@ -89,9 +88,9 @@ from ..obs import counter, trace
 from ..platform.model import Platform, Worker
 from .allocator import PanelDemandAllocator
 from .engine import Engine, SimResult
-from .fastpath import FastEngine, supports_fast_path
+from .fastpath import FastEngine
 from .plan import Plan
-from .policies import PolicyKeySpec, ReadyPolicy, StrictOrderPolicy, key_spec_of
+from .policies import PolicyKeySpec, StrictOrderPolicy
 from .worker_state import CMode, c_message_count
 
 __all__ = [
@@ -352,9 +351,6 @@ class _FastAdapter:
     def set_params(self, i: int, c: float, w: float) -> None:
         self.engine.set_worker_params(i, c, w)
 
-    def refill(self, allocator: PanelDemandAllocator) -> None:
-        allocator.refill_via(self.engine.has_pending, self.engine.assign_chunk)
-
     @property
     def pending_workers(self) -> list[int]:
         return self.engine.pending_workers
@@ -413,9 +409,6 @@ class _ReferenceAdapter:
     def set_params(self, i: int, c: float, w: float) -> None:
         ws = self.engine.workers[i]
         ws.worker = replace(ws.worker, c=c, w=w)
-
-    def refill(self, allocator: PanelDemandAllocator) -> None:
-        allocator.refill(self.engine)
 
     @property
     def pending_workers(self) -> list[int]:
@@ -488,25 +481,10 @@ class DynamicRun:
         # contract of the boundary re-selection).
         self._executed: list[int] = []
         self._spec: PolicyKeySpec | None = None
-        self._opaque = None
         if isinstance(policy, StrictOrderPolicy):
             self._order = list(policy.order)
         else:
-            spec = key_spec_of(policy.priority) if isinstance(policy, ReadyPolicy) else None
-            if spec is not None:
-                self._spec = spec
-            else:
-                if not isinstance(adapter, _ReferenceAdapter):
-                    raise TypeError(
-                        "opaque policies need the reference engine "
-                        "(simulate_dynamic falls back automatically)"
-                    )
-                self._opaque = policy.fresh()
-        if completion is not None and self._opaque is not None:
-            raise TypeError(
-                "completion criteria require an engine-interpretable policy "
-                "(StrictOrderPolicy or a PolicyKeySpec ReadyPolicy)"
-            )
+            self._spec = policy.priority
 
     # ------------------------------------------------------------------
     # event application
@@ -621,14 +599,11 @@ class DynamicRun:
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> "DynamicRun":
-        if self._opaque is not None:
-            self._run_opaque()
-            return self
         ad = self.adapter
         events = self.events
         while True:
             if self.allocator is not None:
-                ad.refill(self.allocator)
+                self.allocator.refill_via(ad.engine.has_pending, ad.engine.assign_chunk)
             if self._native:
                 self._advance_window()
             # one interpreted step: at a native window's end this applies
@@ -676,15 +651,14 @@ class DynamicRun:
         :meth:`_floor` as its start floor.  Returns at the event boundary,
         when the run drains, or before any message the per-message step
         must handle (a worker that never rejoins, a strict order naming a
-        drained worker raises there too).  Strict orders under a demand
-        allocator stay on the per-message step."""
+        drained worker raises there too)."""
         eng = self.adapter.engine
         until = self.events[self.eidx].time if self.eidx < len(self.events) else _INF
         floors = [self._floor(i) for i in range(eng._p)]
         order = self._order
         if order is None:
             eng._run_ready(self.allocator, self._spec, floors, until)
-        elif self.allocator is None:
+        else:
             pos = eng._run_strict(order, floors, until, self._pos)
             self._executed.extend(order[self._pos : pos])
             self._pos = pos
@@ -757,34 +731,6 @@ class DynamicRun:
             mkind, ridx = MsgKind.C_RETURN, -1
         log.append(PortEvent(start, end, widx, mkind, cid, ridx, nblocks))
         self.adapter.post(widx, floor)
-
-    def _run_opaque(self) -> None:
-        # Opaque policies choose statefully, so the driver cannot re-choose
-        # after an event boundary; parameter events do not alter a choice
-        # already made (legal starts are fixed by past posts), crash masking
-        # would — hence the guard.
-        if any(ev.kind in ("crash", "join") for ev in self.events):
-            raise TypeError(
-                "crash/join events require an engine-interpretable policy "
-                "(StrictOrderPolicy or a PolicyKeySpec ReadyPolicy)"
-            )
-        eng = self.adapter.engine
-        policy = self._opaque
-        while True:
-            if self.allocator is not None:
-                self.adapter.refill(self.allocator)
-            widx = policy.next_choice(eng)
-            if widx is None:
-                break
-            start = eng.effective_start(widx)
-            if self.eidx < len(self.events) and self.events[self.eidx].time <= start:
-                self._apply_due(start)
-            self.adapter.post(widx, 0.0)
-        leftover = self.adapter.pending_workers
-        if leftover:
-            raise RuntimeError(
-                f"policy stopped with pending messages on workers {leftover}"
-            )
 
     # ------------------------------------------------------------------
     # controller helpers (fast adapter only)
@@ -923,8 +869,11 @@ class DynamicRun:
         self._engine().assign_chunk(widx, chunk)
 
     def set_allocator(self, allocator: PanelDemandAllocator | None) -> None:
-        """Swap the demand allocator driving dynamic refills."""
+        """Swap the demand allocator driving dynamic refills (ready-policy
+        runs only, as in a :class:`~repro.sim.plan.Plan`)."""
         self._engine()
+        if allocator is not None and self._order is not None:
+            raise TypeError("a strict order cannot be driven by a demand allocator")
         self.allocator = allocator
 
     def rebuild_strict_order(self, new_tail: Sequence[int]) -> None:
@@ -992,7 +941,6 @@ class DynamicRun:
         other._executed = []
         other._pos = self._pos
         other._spec = self._spec
-        other._opaque = None
         return other
 
     def finish(self) -> float:
@@ -1022,8 +970,7 @@ def simulate_dynamic(
     event-free window runs on ``FastEngine``'s own drain loops (see the
     module docstring); ``record_events`` and ``completion`` runs walk the
     per-message loop instead, with bit-identical results.  ``engine``
-    selects the underlying simulator: ``"fast"`` (default; falls back to
-    the reference engine for plans the fast path cannot interpret) or
+    selects the underlying simulator: ``"fast"`` (default) or
     ``"reference"`` (honours ``plan.collect_events`` for full traces — the
     equivalence wall's second interpretation; like ``fast_simulate``, the
     fast engine never records traces regardless of the flag).
@@ -1052,7 +999,7 @@ def simulate_dynamic(
     timeline.validate_for(platform)
     if engine not in ("fast", "reference"):
         raise ValueError(f"unknown engine {engine!r}; known: ('fast', 'reference')")
-    if engine == "fast" and supports_fast_path(plan):
+    if engine == "fast":
         adapter = _FastAdapter(platform, plan)
     else:
         collect = plan.collect_events
@@ -1063,10 +1010,7 @@ def simulate_dynamic(
         finally:
             plan.collect_events = collect
     if controller is not None and not adapter.supports_control:
-        raise TypeError(
-            "controller callbacks require the fast engine and a fast-path "
-            "interpretable plan"
-        )
+        raise TypeError("controller callbacks require the fast engine")
     run = DynamicRun(
         adapter,
         plan,

@@ -5,9 +5,9 @@ to, or receiving from, at most one worker (Bhat-Raghavendra-Prasanna's
 one-port model, which the paper's MPI experiments obey).  Worker timelines
 are deterministic recurrences of the port schedule (see
 :mod:`repro.sim.worker_state`), so the engine is a simple sequential loop:
-a :class:`~repro.sim.policies.PortPolicy` picks which worker's next pipeline
-message to post, the engine computes its legal start time (buffer rules),
-occupies the port, and updates the worker's compute timeline.
+the plan's port policy picks which worker's next pipeline message to post,
+the engine computes its legal start time (buffer rules), occupies the port,
+and updates the worker's compute timeline.
 
 The engine doubles as the *what-if* evaluator of the incremental resource
 selection heuristics of Section 5: :meth:`Engine.clone` produces a cheap
@@ -292,7 +292,7 @@ def simulate(platform: Platform, plan: "Plan", grid: BlockGrid | None = None) ->
     allocator = plan.allocator
     while True:
         if allocator is not None:
-            allocator.refill(engine)
+            allocator.refill_via(engine.has_pending, engine.assign_chunk)
         widx = policy.next_choice(engine)
         if widx is None:
             break

@@ -16,10 +16,10 @@ scalar arrays:
 * each worker's head message (legal start, size, cid) is cached and
   refreshed only when that worker posts or receives a chunk -- a port
   decision is a tight scan over ``p`` floats;
-* the known policies (:class:`StrictOrderPolicy`, :class:`ReadyPolicy`
-  with a declarative :class:`~repro.sim.policies.PolicyKeySpec` priority)
-  and the :class:`PanelDemandAllocator` are interpreted directly; anything
-  else falls back to the reference engine.
+* both plan policies (:class:`StrictOrderPolicy`, :class:`ReadyPolicy`
+  with its declarative :class:`~repro.sim.policies.PolicyKeySpec`
+  priority) and the demand allocators are interpreted directly, so every
+  plan runs here.
 
 Every floating-point operation is performed in exactly the order of the
 reference engine, so makespans, per-worker statistics and port busy time
@@ -48,18 +48,11 @@ from ..obs import counter, stopwatch
 from ..platform.model import Platform
 from .allocator import PanelDemandAllocator
 from .engine import SimResult, WorkerStats
-from .engine import simulate as _reference_simulate
 from .plan import Plan
-from .policies import (
-    PolicyKeySpec,
-    PortPolicy,
-    ReadyPolicy,
-    StrictOrderPolicy,
-    key_spec_of,
-)
+from .policies import PolicyKeySpec, StrictOrderPolicy
 from .worker_state import CMode
 
-__all__ = ["FastEngine", "fast_simulate", "supports_fast_path"]
+__all__ = ["FastEngine", "fast_simulate"]
 
 #: Pre-digested chunk record: (chunk, cid, c_blocks, nblocks per round,
 #: updates per round, number of rounds).
@@ -495,28 +488,12 @@ class FastEngine:
         for widx, chunks in enumerate(plan.assignments):
             for ch in chunks:
                 self.assign_chunk(widx, ch)
-        allocator = plan.allocator
         policy = plan.policy
         floors = [0.0] * self._p
         if isinstance(policy, StrictOrderPolicy):
-            if allocator is None:
-                self._run_strict(policy.order, floors, _INF)
-            else:
-                self._run_strict_alloc(policy.order, allocator)
-        elif isinstance(policy, ReadyPolicy):
-            spec = key_spec_of(policy.priority)
-            if spec is None:
-                raise TypeError(
-                    "FastEngine cannot interpret this ReadyPolicy priority "
-                    "(no PolicyKeySpec); use fast_simulate, which falls "
-                    "back to the reference engine"
-                )
-            self._run_ready(allocator, spec, floors, _INF)
+            self._run_strict(policy.order, floors, _INF)
         else:
-            raise TypeError(
-                f"FastEngine cannot interpret policy {type(policy).__name__}; "
-                "use fast_simulate, which falls back to the reference engine"
-            )
+            self._run_ready(plan.allocator, policy.priority, floors, _INF)
         if not self.all_done:
             leftover = self.pending_workers
             raise RuntimeError(f"policy stopped with pending messages on workers {leftover}")
@@ -648,17 +625,6 @@ class FastEngine:
                 self._refresh_head(i)
         return stop
 
-    def _run_strict_alloc(self, order: Sequence[int], allocator: PanelDemandAllocator) -> None:
-        for pos, widx in enumerate(order):
-            self._refill(allocator)
-            if self._head_stage_kind[widx] == self._K_NONE:
-                raise RuntimeError(
-                    f"strict order names worker {widx} at position {pos} "
-                    "but it has no pending message"
-                )
-            self.post_next(widx)
-        self._refill(allocator)
-
     def _run_ready(
         self,
         allocator: PanelDemandAllocator | None,
@@ -776,28 +742,6 @@ def _floored(heads: list[float], floors: Sequence[float]) -> list[float]:
     return [h if h > f else f for h, f in zip(heads, floors)]
 
 
-def supports_fast_path(plan: Plan) -> bool:
-    """Whether :func:`fast_simulate` can replay ``plan`` natively (else it
-    falls back to the reference engine)."""
-    policy = plan.policy
-    if isinstance(policy, StrictOrderPolicy):
-        policy_ok = True
-    elif isinstance(policy, ReadyPolicy):
-        policy_ok = key_spec_of(policy.priority) is not None
-    else:
-        policy_ok = False
-    # engine-agnostic allocators declare themselves via ``fast_path_ok``
-    # (their ``refill_via`` drives both engines identically); the exact
-    # type check keeps legacy PanelDemandAllocator subclasses opted out
-    # unless they set the flag
-    allocator_ok = (
-        plan.allocator is None
-        or type(plan.allocator) is PanelDemandAllocator
-        or bool(getattr(type(plan.allocator), "fast_path_ok", False))
-    )
-    return policy_ok and allocator_ok
-
-
 def fast_simulate(
     platform: Platform,
     plan: Plan,
@@ -810,26 +754,17 @@ def fast_simulate(
     Drop-in replacement for :func:`repro.sim.engine.simulate` when event
     traces are not needed: makespan, per-worker statistics, port busy time
     and the chunk list are bit-identical to the reference engine; the
-    ``port_events`` / ``compute_events`` tuples are always empty.  Plans
-    with custom policies or allocators fall back to the reference engine
-    transparently (with event collection off).
+    ``port_events`` / ``compute_events`` tuples are always empty.
 
     ``kernel`` selects a compiled backend (see :mod:`repro.sim.kernels`).
     Under a whole-run backend, batch-replayable plans route through a
     single-instance :class:`~repro.sim.batch.BatchEngine` so the step loop
-    runs compiled; allocator-driven and opaque plans stay on the Python
-    engines.  Results are bit-identical either way.
+    runs compiled; allocator-driven plans stay on :class:`FastEngine`.
+    Results are bit-identical either way.
     """
     if not isinstance(plan, Plan):
         raise TypeError(f"expected a Plan, got {type(plan)!r}")
     counter("sim.fast_runs").inc()
-    if not supports_fast_path(plan):
-        collect = plan.collect_events
-        plan.collect_events = False
-        try:
-            return _reference_simulate(platform, plan, grid)
-        finally:
-            plan.collect_events = collect
     # late imports: batch.py imports fast_simulate for its scalar fallback
     from .kernels import resolve_kernel
 

@@ -4,6 +4,12 @@ A scheduler (see :mod:`repro.schedulers`) compiles a platform + block grid
 into a :class:`Plan`: static per-worker chunk assignments and/or a dynamic
 allocator, a port policy, and per-worker prefetch depths.  ``simulate``
 executes plans; schedulers stay free of simulation mechanics.
+
+A plan is the single gate for what the engines interpret: its policy is a
+:class:`StrictOrderPolicy` naming workers of the plan, or a
+:class:`ReadyPolicy` (whose priority is a declarative key spec), and only
+a ready policy may be driven by a demand allocator.  Every engine runs
+every plan the constructor accepts.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..core.chunks import Chunk
-from .allocator import Allocator
-from .policies import PortPolicy
+from .allocator import PanelDemandAllocator
+from .policies import ReadyPolicy, StrictOrderPolicy
 from .worker_state import CMode
 
 __all__ = ["Plan"]
@@ -29,12 +35,14 @@ class Plan:
         ``assignments[w]`` is the ordered chunk list pre-assigned to worker
         ``w`` (empty for dynamic algorithms).
     policy:
-        Port service policy.
+        Port service policy: a strict order or a ready policy.
     depths:
         Per-worker prefetch depth (2 = double-buffered rounds, 1 = no
         overlap).
     allocator:
-        Optional on-demand chunk source (ODDOML / BMM).
+        Optional on-demand chunk source (ODDOML / BMM / CodedRL) driving a
+        ready policy; anything with the :class:`PanelDemandAllocator`
+        ``refill_via`` surface.
     c_mode:
         Which C messages to simulate; real executions use ``CMode.BOTH``.
     collect_events:
@@ -44,9 +52,9 @@ class Plan:
     """
 
     assignments: list[list[Chunk]]
-    policy: PortPolicy
+    policy: StrictOrderPolicy | ReadyPolicy
     depths: list[int]
-    allocator: Allocator | None = None
+    allocator: PanelDemandAllocator | None = None
     c_mode: CMode = CMode.BOTH
     collect_events: bool = True
     meta: dict[str, Any] = field(default_factory=dict)
@@ -60,6 +68,23 @@ class Plan:
                     raise ValueError(
                         f"chunk {ch.cid} owned by worker {ch.worker} listed under {widx}"
                     )
+        policy = self.policy
+        if isinstance(policy, StrictOrderPolicy):
+            if self.allocator is not None:
+                raise TypeError("a strict order cannot be driven by a demand allocator")
+            order = policy.order
+            p = len(self.assignments)
+            if order and (min(order) < 0 or max(order) >= p):
+                pos = next(i for i, w in enumerate(order) if not 0 <= w < p)
+                raise ValueError(
+                    f"strict order names worker {order[pos]} at position {pos}, "
+                    f"outside the plan's workers [0, {p})"
+                )
+        elif not isinstance(policy, ReadyPolicy):
+            raise TypeError(
+                "a plan's policy must be a StrictOrderPolicy or a ReadyPolicy, "
+                f"got {type(policy).__name__}"
+            )
 
     @property
     def static_chunks(self) -> list[Chunk]:

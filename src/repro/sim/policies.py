@@ -20,46 +20,29 @@ a small vocabulary (:data:`POLICY_KEY_FIELDS`).  Because the spec is data,
 every engine -- the reference event engine, the flat-array fast path
 (:mod:`repro.sim.fastpath`) and the vectorized batch engine
 (:mod:`repro.sim.batch`) -- interprets it directly over its own state
-layout instead of calling back into Python per candidate.  Arbitrary
-priority *functions* are still accepted, but only the reference engine can
-run them (the others fall back to it).
+layout instead of calling back into Python per candidate.  These two
+policies, with a spec as the ready priority, are the only ones a
+:class:`~repro.sim.plan.Plan` accepts, so every engine runs every plan.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .engine import Engine
 
 __all__ = [
-    "PortPolicy",
     "StrictOrderPolicy",
     "ReadyPolicy",
     "PolicyKeySpec",
     "POLICY_KEY_FIELDS",
-    "key_spec_of",
     "selection_order_priority",
     "demand_priority",
 ]
 
 
-class PortPolicy(ABC):
-    """Chooses which worker the master serves next."""
-
-    @abstractmethod
-    def next_choice(self, engine: Engine) -> int | None:
-        """Index of the worker whose head message to post, or ``None`` when
-        the schedule is complete."""
-
-    def fresh(self) -> "PortPolicy":
-        """Return a reset copy safe to drive a new simulation (stateful
-        policies override)."""
-        return self
-
-
-class StrictOrderPolicy(PortPolicy):
+class StrictOrderPolicy:
     """Post messages in a fixed global order of worker indices.
 
     Each occurrence of a worker index consumes that worker's next pipeline
@@ -73,6 +56,8 @@ class StrictOrderPolicy(PortPolicy):
         self._pos = 0
 
     def next_choice(self, engine: Engine) -> int | None:
+        """Index of the worker whose head message to post, or ``None`` when
+        the schedule is complete."""
         if self._pos >= len(self.order):
             return None
         widx = self.order[self._pos]
@@ -85,6 +70,7 @@ class StrictOrderPolicy(PortPolicy):
         return widx
 
     def fresh(self) -> "StrictOrderPolicy":
+        """A copy with its cursor reset, safe to drive a new simulation."""
         return StrictOrderPolicy(self.order)
 
 
@@ -113,10 +99,8 @@ class PolicyKeySpec:
     fields; *lower* keys are served first.
 
     The spec is plain data, so every engine interprets it natively (no
-    Python callback per candidate).  It is also callable with the legacy
-    ``(engine, widx) -> tuple`` priority-function signature, so existing
-    code holding :data:`selection_order_priority` / :data:`demand_priority`
-    keeps working unchanged.
+    Python callback per candidate); calling it as ``spec(engine, widx)``
+    evaluates the key on the reference engine.
     """
 
     fields: tuple[str, ...]
@@ -131,8 +115,7 @@ class PolicyKeySpec:
             )
 
     def __call__(self, engine: Engine, widx: int) -> tuple:
-        """Evaluate the key on the reference engine (legacy PriorityFn
-        signature)."""
+        """Evaluate the key on the reference engine."""
         return tuple(POLICY_KEY_FIELDS[f](engine, widx) for f in self.fields)
 
 
@@ -145,36 +128,25 @@ selection_order_priority = PolicyKeySpec(("head_cid", "worker_index"))
 demand_priority = PolicyKeySpec(("legal_start", "worker_index"))
 
 
-#: Priority functions return a sortable key; *lower* is served first.
-#: (Legacy form -- prefer a :class:`PolicyKeySpec`.)
-PriorityFn = Callable[[Engine, int], tuple]
-
-
-def key_spec_of(priority) -> PolicyKeySpec | None:
-    """The :class:`PolicyKeySpec` a ready priority *is*, or ``None``.
-
-    This is what the engines (fast path, batch, dynamic) consult: a
-    priority is interpretable iff it is a spec.  ``None`` means an opaque
-    function that only the reference engine can evaluate.
-    """
-    return priority if isinstance(priority, PolicyKeySpec) else None
-
-
-class ReadyPolicy(PortPolicy):
+class ReadyPolicy:
     """Serve pending workers ordered by ``(effective start, priority)``.
 
     The effective start is ``max(port_free, legal_start)``: among messages
     receivable at the earliest possible moment, the priority breaks ties;
     when nothing is receivable now, the port jumps to the earliest legal
-    start.  ``priority`` is a :class:`PolicyKeySpec` (interpretable by all
-    engines) or a legacy ``(engine, widx) -> tuple`` function (reference
-    engine only).
+    start.  ``priority`` must be a :class:`PolicyKeySpec`.
     """
 
-    def __init__(self, priority: "PolicyKeySpec | PriorityFn") -> None:
+    def __init__(self, priority: PolicyKeySpec) -> None:
+        if not isinstance(priority, PolicyKeySpec):
+            raise TypeError(
+                f"ReadyPolicy needs a PolicyKeySpec priority, got {type(priority).__name__}"
+            )
         self.priority = priority
 
     def next_choice(self, engine: Engine) -> int | None:
+        """Index of the pending worker ranked first, or ``None`` when every
+        worker has drained."""
         best: tuple | None = None
         best_widx: int | None = None
         for widx in range(engine.platform.p):
@@ -185,3 +157,7 @@ class ReadyPolicy(PortPolicy):
                 best = key
                 best_widx = widx
         return best_widx
+
+    def fresh(self) -> "ReadyPolicy":
+        """Stateless: the policy itself drives any number of simulations."""
+        return self

@@ -17,11 +17,11 @@ class TestPanelDemandAllocator:
         plat = Platform.homogeneous(2, 1.0, 1.0, 50)
         eng = Engine(plat)
         alloc = PanelDemandAllocator(grid, sides=[2, 2])
-        alloc.refill(eng)
+        alloc.refill_via(eng.has_pending, eng.assign_chunk)
         assert len(eng.workers[0].chunks) == 1
         assert len(eng.workers[1].chunks) == 1
         # no double assignment while the pipeline is pending
-        alloc.refill(eng)
+        alloc.refill_via(eng.has_pending, eng.assign_chunk)
         assert len(eng.workers[0].chunks) == 1
 
     def test_excluded_worker_gets_nothing(self):
@@ -29,7 +29,7 @@ class TestPanelDemandAllocator:
         plat = Platform.homogeneous(2, 1.0, 1.0, 50)
         eng = Engine(plat)
         alloc = PanelDemandAllocator(grid, sides=[2, 0])
-        alloc.refill(eng)
+        alloc.refill_via(eng.has_pending, eng.assign_chunk)
         assert len(eng.workers[0].chunks) == 1
         assert len(eng.workers[1].chunks) == 0
 

@@ -324,15 +324,6 @@ def test_unsupported_plans_fall_back(het_platform, small_grid):
     assert outcome.makespan == fast.makespan
 
 
-def test_custom_priority_function_not_batchable(het_platform):
-    plan = Plan(
-        assignments=[[] for _ in range(het_platform.p)],
-        policy=ReadyPolicy(lambda engine, widx: (-widx,)),
-        depths=[2] * het_platform.p,
-    )
-    assert not supports_batch(plan)
-
-
 def test_mixed_modes_rejected_by_engine(het_platform, small_grid):
     strict = make_scheduler("Hom").plan(het_platform, small_grid)
     ready = make_scheduler("ORROML").plan(het_platform, small_grid)

@@ -27,7 +27,7 @@ from repro.schedulers.coded import (
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.dynamic import DynamicStall, PlatformTimeline
 from repro.sim.engine import simulate
-from repro.sim.fastpath import fast_simulate, supports_fast_path
+from repro.sim.fastpath import FastEngine, fast_simulate
 from repro.sim.validate import validate_dynamic, validate_result
 
 
@@ -102,7 +102,7 @@ class TestStaticPlans:
         platform = _platform()
         sched = make_scheduler(name)
         plan = sched.plan(platform, GRID)
-        assert supports_fast_path(plan)
+        FastEngine(platform, depths=plan.depths, c_mode=plan.c_mode).run_plan(plan)
         traced = sched.plan(platform, GRID)
         traced.collect_events = True
         validate_result(simulate(platform, traced, GRID))

@@ -1,6 +1,8 @@
 """Documentation consistency: what the docs promise, the code provides."""
 
+import importlib
 import pathlib
+import pkgutil
 import re
 
 import pytest
@@ -9,6 +11,18 @@ import repro
 from repro.schedulers.registry import SCHEDULERS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _submodules_with_all() -> list[str]:
+    """Every ``repro`` subpackage and module (bar ``__main__``) that
+    declares ``__all__``."""
+    names = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        if hasattr(importlib.import_module(info.name), "__all__"):
+            names.append(info.name)
+    return names
 
 
 class TestReadme:
@@ -61,6 +75,12 @@ class TestPublicAPI:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), f"repro.__all__ lists missing {name!r}"
+
+    @pytest.mark.parametrize("module", _submodules_with_all())
+    def test_submodule_exports_resolve(self, module):
+        mod = importlib.import_module(module)
+        missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+        assert not missing, f"{module}.__all__ lists missing {missing}"
 
     def test_registry_matches_docs(self):
         assert set(SCHEDULERS) == {

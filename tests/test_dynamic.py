@@ -43,7 +43,6 @@ from repro.sim.dynamic import (
     TimelineEvent,
     simulate_dynamic,
 )
-from repro.sim.engine import simulate
 from repro.sim.fastpath import fast_simulate
 from repro.sim.plan import Plan
 from repro.sim.policies import (
@@ -235,33 +234,6 @@ def test_empty_timeline_mode_matrix(c_mode, depth, policy_factory, het_platform,
     ref = fast_simulate(het_platform, build(), small_grid)
     dyn = simulate_dynamic(het_platform, build(), PlatformTimeline(), small_grid)
     assert_equivalent(ref, dyn)
-
-
-def test_opaque_policy_falls_back_to_reference(het_platform, small_grid):
-    assignments = _chunk_assignments(het_platform, small_grid, [3, 4, 2, 5], random.Random(5))
-
-    def build(policy):
-        return Plan(
-            assignments=[list(chs) for chs in assignments],
-            policy=policy,
-            depths=[2] * het_platform.p,
-            collect_events=False,
-        )
-
-    def my_priority(engine, widx):
-        return (-widx,)
-
-    ref = simulate(het_platform, build(ReadyPolicy(my_priority)), small_grid)
-    dyn = simulate_dynamic(het_platform, build(ReadyPolicy(my_priority)), None, small_grid)
-    assert_equivalent(ref, dyn)
-    # ... but crash events need an interpretable policy
-    with pytest.raises(TypeError, match="crash"):
-        simulate_dynamic(
-            het_platform,
-            build(ReadyPolicy(my_priority)),
-            PlatformTimeline().crash(1.0, 0).join(2.0, 0),
-            small_grid,
-        )
 
 
 # ----------------------------------------------------------------------

@@ -461,9 +461,8 @@ def test_fuzz_engines_agree_and_validate(offset):
     for sim in (fast, ref):
         validate_dynamic(sim, timeline, grid=grid)
     # the synthesized fast-path trace is the reference engine's trace
-    if fast.port_events:  # fast adapter may fall back for opaque plans
-        assert fast.port_events == ref.port_events, f"replay seed {seed}"
-        assert fast.compute_events == ref.compute_events, f"replay seed {seed}"
+    assert fast.port_events == ref.port_events, f"replay seed {seed}"
+    assert fast.compute_events == ref.compute_events, f"replay seed {seed}"
 
 
 # ----------------------------------------------------------------------

@@ -28,10 +28,9 @@ from repro.platform.model import Platform, Worker
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.engine import Engine, simulate
-from repro.sim.fastpath import FastEngine, fast_simulate, supports_fast_path
+from repro.sim.fastpath import FastEngine, fast_simulate
 from repro.sim.plan import Plan
 from repro.sim.policies import (
-    PortPolicy,
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
@@ -81,7 +80,7 @@ def test_registry_equivalence_ragged(name, het_platform, ragged_grid):
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_registry_plans_take_fast_path(name, het_platform, small_grid):
     plan = make_scheduler(name).plan(het_platform, small_grid)
-    assert supports_fast_path(plan)
+    FastEngine(het_platform, depths=plan.depths, c_mode=plan.c_mode).run_plan(plan)
 
 
 # ----------------------------------------------------------------------
@@ -200,77 +199,9 @@ def test_ready_policy_equivalence_modes(priority, c_mode, seed, het_platform, ra
     assert_equivalent(ref, fast)
 
 
-# ----------------------------------------------------------------------
-# fallback: unknown policies still work (through the reference engine)
-# ----------------------------------------------------------------------
-class _ReversePolicy(PortPolicy):
-    """Serves the highest-index pending worker first (not fast-path-able)."""
-
-    def next_choice(self, engine):
-        for widx in reversed(range(engine.platform.p)):
-            if engine.head(widx) is not None:
-                return widx
-        return None
-
-
-def test_unknown_policy_falls_back(het_platform, small_grid):
-    sides = [3, 4, 2, 5]
-    assignments = _chunk_assignments(het_platform, small_grid, sides, random.Random(5))
-
-    def build(policy):
-        return Plan(
-            assignments=[list(chs) for chs in assignments],
-            policy=policy,
-            depths=[2] * het_platform.p,
-            collect_events=False,
-        )
-
-    plan = build(_ReversePolicy())
-    assert not supports_fast_path(plan)
-    fast = fast_simulate(het_platform, plan, small_grid)
-    ref = simulate(het_platform, build(_ReversePolicy()), small_grid)
-    assert_equivalent(ref, fast)
-
-
-def test_custom_ready_priority_falls_back(het_platform, small_grid):
-    def my_priority(engine, widx):
-        return (-widx,)
-
-    plan = Plan(
-        assignments=[[] for _ in range(het_platform.p)],
-        policy=ReadyPolicy(my_priority),
-        depths=[2] * het_platform.p,
-    )
-    assert not supports_fast_path(plan)
-
-
 def test_fast_simulate_rejects_non_plan(het_platform):
     with pytest.raises(TypeError):
         fast_simulate(het_platform, object())
-
-
-def test_fast_engine_rejects_uninterpretable_policy(het_platform):
-    """Direct FastEngine users get a loud error, never a silently wrong
-    priority interpretation (fast_simulate falls back instead)."""
-
-    def my_priority(engine, widx):
-        return (-widx,)
-
-    plan = Plan(
-        assignments=[[] for _ in range(het_platform.p)],
-        policy=ReadyPolicy(my_priority),
-        depths=[2] * het_platform.p,
-    )
-    with pytest.raises(TypeError, match="fall"):
-        FastEngine(het_platform).run_plan(plan)
-    with pytest.raises(TypeError, match="fall"):
-        FastEngine(het_platform).run_plan(
-            Plan(
-                assignments=[[] for _ in range(het_platform.p)],
-                policy=_ReversePolicy(),
-                depths=[2] * het_platform.p,
-            )
-        )
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,7 @@ from repro.sim.kernels import (
     get_backend,
     resolve_kernel,
 )
-from repro.sim.plan import Plan
-from repro.sim.policies import POLICY_KEY_FIELDS, ReadyPolicy
+from repro.sim.policies import POLICY_KEY_FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +282,6 @@ def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_
         kernel="python",
     )
     assert routed.makespan == scalar.makespan
-
-
-def test_fast_simulate_opaque_priority_still_reference(het_platform):
-    plan = Plan(
-        assignments=[[] for _ in range(het_platform.p)],
-        policy=ReadyPolicy(lambda engine, widx: (-widx,)),
-        depths=[2] * het_platform.p,
-    )
-    res = fast_simulate(het_platform, plan, kernel="python")
-    assert res.makespan == 0.0
 
 
 def test_engine_records_backend(het_platform, small_grid):

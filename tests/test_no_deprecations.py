@@ -1,8 +1,8 @@
 """The suite's own code paths emit no internal DeprecationWarning.
 
-The ``fast_key`` → :class:`PolicyKeySpec` migration is finished: engines
-consult :func:`repro.sim.policies.key_spec_of` and registry priorities
-are specs.  This wall runs a representative workload — every registry
+The ``fast_key`` → :class:`PolicyKeySpec` migration is finished: a
+:class:`~repro.sim.policies.ReadyPolicy` takes only a spec, and engines
+read it straight from ``policy.priority``.  This wall runs a representative workload — every registry
 scheduler through the reference, fast, batch and dynamic engines plus the
 experiment harness — and asserts nothing under ``repro`` raises a
 DeprecationWarning.

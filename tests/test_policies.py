@@ -1,17 +1,23 @@
-"""Unit tests for port service policies."""
+"""Unit tests for port service policies and the plan gate on them."""
+
+import dataclasses
 
 import pytest
 
+from repro.core.blocks import BlockGrid
 from repro.core.chunks import make_chunk
-from repro.platform.model import Platform
+from repro.platform.model import Platform, Worker
+from repro.schedulers.registry import make_scheduler
+from repro.sim.allocator import PanelDemandAllocator
+from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
 from repro.sim.engine import Engine
+from repro.sim.plan import Plan
 from repro.sim.policies import (
     POLICY_KEY_FIELDS,
     PolicyKeySpec,
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
-    key_spec_of,
     selection_order_priority,
 )
 
@@ -103,53 +109,83 @@ class TestPolicyKeySpec:
     def test_vocabulary_is_closed(self):
         assert set(POLICY_KEY_FIELDS) == {"head_cid", "legal_start", "worker_index"}
 
-    def test_unknown_marker_is_opaque(self, het_platform, small_grid):
-        """A ``fast_key``-marked function is just an opaque priority: no
-        spec, no warning, and fast_simulate falls back to the reference
-        engine with the same makespan."""
-        import dataclasses
-        import warnings
-
-        from repro.schedulers.registry import make_scheduler
-        from repro.sim.engine import simulate
-        from repro.sim.fastpath import fast_simulate, supports_fast_path
-
-        for marker in ("cid", "legal", "???"):
-
-            def marked(engine, widx):
-                return (engine.head(widx).chunk.cid, widx)
-
-            marked.fast_key = marker
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                policy = ReadyPolicy(marked)
-            assert policy.priority is marked
-            assert key_spec_of(marked) is None
-            plan = make_scheduler("Het").plan(het_platform, small_grid)
-            opaque = dataclasses.replace(plan, policy=policy)
-            assert not supports_fast_path(opaque)
-            assert (
-                fast_simulate(het_platform, opaque, small_grid).makespan
-                == simulate(het_platform, opaque, small_grid).makespan
-                == simulate(het_platform, plan, small_grid).makespan
-            ), marker
-
-    def test_key_spec_of_never_warns_and_ignores_markers(self):
-        import warnings
-
-        def legacy(engine, widx):
-            return (widx,)
-
-        legacy.fast_key = "cid"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert key_spec_of(selection_order_priority) is selection_order_priority
-            assert key_spec_of(legacy) is None
-            assert key_spec_of(lambda e, w: (w,)) is None
-
     def test_ready_policy_with_spec_does_not_warn(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ReadyPolicy(demand_priority)
+
+
+# ----------------------------------------------------------------------
+# the plan gate: every accepted plan is interpretable by every engine
+# ----------------------------------------------------------------------
+class _ReverseOrder:
+    """A policy-shaped object outside the two plan policies."""
+
+    def next_choice(self, engine):
+        for widx in reversed(range(engine.platform.p)):
+            if engine.head(widx) is not None:
+                return widx
+        return None
+
+    def fresh(self):
+        return self
+
+
+def _custom_policy(platform, grid):
+    Plan(
+        assignments=[[] for _ in range(platform.p)],
+        policy=_ReverseOrder(),
+        depths=[2] * platform.p,
+    )
+
+
+def _priority_function(platform, grid):
+    ReadyPolicy(lambda engine, widx: (widx,))
+
+
+def _strict_order_with_allocator(platform, grid):
+    Plan(
+        assignments=[[] for _ in range(platform.p)],
+        policy=StrictOrderPolicy([]),
+        depths=[2] * platform.p,
+        allocator=PanelDemandAllocator(grid, [2] * platform.p),
+    )
+
+
+def _allocator_on_strict_run(platform, grid):
+    def controller(run, _applied):
+        run.set_allocator(PanelDemandAllocator(grid, [2] * platform.p))
+
+    simulate_dynamic(
+        platform,
+        make_scheduler("Hom").plan(platform, grid),
+        PlatformTimeline().set_speed(1.0, 0, 2.0),
+        grid,
+        controller=controller,
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_custom_policy, _priority_function, _strict_order_with_allocator, _allocator_on_strict_run],
+    ids=["custom-policy", "priority-function", "strict-plus-allocator", "set-allocator-on-strict"],
+)
+def test_uninterpretable_plans_rejected(build, het_platform, small_grid):
+    with pytest.raises(TypeError):
+        build(het_platform, small_grid)
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 3])
+def test_strict_order_outside_platform_rejected(bad):
+    """An out-of-range worker index is an error, never wrapped: Python list
+    indexing would silently turn -3 into worker 0 on this 3-worker
+    platform."""
+    platform = Platform([Worker(0, 1, 1, 21), Worker(1, 0.5, 2, 32), Worker(2, 2, 0.5, 12)])
+    plan = make_scheduler("Hom").plan(platform, BlockGrid(r=5, t=4, s=9, q=2))
+    order = list(plan.policy.order)
+    pos = order.index(0)
+    order[pos] = bad
+    with pytest.raises(ValueError, match=f"worker {bad} at position {pos}"):
+        dataclasses.replace(plan, policy=StrictOrderPolicy(order))
