@@ -310,7 +310,7 @@ class AdaptiveScheduler:
         extra traffic costs more than the time it saves."""
         return getattr(self.base, "objective", None)
 
-    def _candidate_score(self, makespan: float, chunks_by_worker) -> float:
+    def _continuation_score(self, makespan: float, chunks_by_worker) -> float:
         """Objective score of one candidate continuation: ``makespan`` as
         simulated, priced over the candidate's full chunk layout.  The
         default makespan objective returns ``makespan`` unchanged (the
@@ -535,7 +535,7 @@ class AdaptiveScheduler:
             except (DynamicStall, RuntimeError, SchedulingError):
                 continue
             if rescore:
-                score = self._candidate_score(
+                score = self._continuation_score(
                     score, [probe.chunk_history(w) for w in range(p)]
                 )
             if score < best_score:
@@ -948,7 +948,7 @@ class AdaptiveScheduler:
             best = min(range(len(runs)), key=lambda i: (scores[i], i))
         else:
             rescored = [
-                self._candidate_score(float(scores[i]), runs[i][1].assignments)
+                self._continuation_score(float(scores[i]), runs[i][1].assignments)
                 for i in range(len(runs))
             ]
             best = min(range(len(runs)), key=lambda i: (rescored[i], i))

@@ -6,10 +6,12 @@ resulting plans are scored in one :func:`~repro.sim.batch.batch_simulate`
 submission and the best variant is executed -- exactly the paper's
 procedure ("in a first step we simulate the eight versions, and then we
 pick and run the best one").  Eight ready-policy plans are below the batch
-layer's vectorization threshold, so the submission typically dispatches to
-the scalar fast path internally (bit-identical; the numpy per-step cost
-only amortizes over larger populations) -- the win here is the uniform
-bulk-scoring API, not wall clock.
+layer's vectorization threshold, so the submission runs each candidate on
+its own through :func:`~repro.sim.fastpath.fast_simulate`: a
+single-instance :class:`~repro.sim.batch.BatchEngine` under a whole-run
+kernel (the default C kernel), :class:`~repro.sim.fastpath.FastEngine`
+otherwise (bit-identical either way).  The winning candidate plan is
+returned as built; only its trace switch and metadata change.
 """
 
 from __future__ import annotations
@@ -102,11 +104,9 @@ class HetScheduler(Scheduler):
 
     def plan(self, platform: Platform, grid: BlockGrid) -> Plan:
         pgrid = self.geometry.plan_grid(grid)
-        outcomes = [
-            incremental_selection(platform, pgrid, variant) for variant in self.variants
-        ]
         candidates = []
-        for outcome in outcomes:
+        for variant in self.variants:
+            outcome = incremental_selection(platform, pgrid, variant)
             candidate = build_plan_from_sequence(platform, pgrid, outcome)
             candidate.collect_events = False
             candidates.append((platform, candidate))
@@ -118,8 +118,8 @@ class HetScheduler(Scheduler):
             makespans, [cand for _plat, cand in candidates], pgrid
         )
         best_makespan = float(makespans[best_idx])
-        best_plan = build_plan_from_sequence(platform, pgrid, outcomes[best_idx])
-        best_plan.meta["variant"] = self.variants[best_idx].label
+        best_plan = candidates[best_idx][1]
+        best_plan.collect_events = True
         best_plan.meta.update(
             {
                 "algorithm": self.name,

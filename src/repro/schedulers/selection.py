@@ -127,11 +127,13 @@ class SelectionOutcome:
 class SelectionState:
     """O(p) analytic state of the selection-time model (see module doc).
 
-    Candidate scoring uses :meth:`speculate` / :meth:`rollback`: one
-    assignment only touches three scalars (``port_free``, ``ready[widx]``,
-    ``total_work``), so a what-if is a delta-update plus an O(1) undo token
-    instead of an O(p) :meth:`copy` per candidate.  Tokens must be rolled
-    back in LIFO order when nested (look-ahead pairs).
+    Min-min and the adaptive band placement score candidates with
+    :meth:`speculate` / :meth:`rollback`: one assignment only touches three
+    scalars (``port_free``, ``ready[widx]``, ``total_work``), so a what-if
+    is a delta-update plus an O(1) undo token instead of an O(p)
+    :meth:`copy` per candidate.  Tokens must be rolled back in LIFO order
+    when nested.  :func:`incremental_selection` inlines :meth:`assign`'s
+    arithmetic into its own flat loop.
     """
 
     __slots__ = ("platform", "grid", "mus", "count_c", "port_free", "ready", "total_work")
@@ -197,62 +199,84 @@ class SelectionState:
         self.total_work = total_work
 
 
-def _score(state: SelectionState, widx: int, scope: str) -> tuple[float, tuple]:
-    """Score of selecting ``widx`` next on ``state`` (higher = better).
-
-    Leaves the speculative assignment applied; the caller must roll back
-    the returned token (after any nested look-ahead speculation).
-    """
-    before = state.port_free
-    token, comm_end, _ = state.speculate(widx)
-    if scope == "global":
-        score = state.total_work / comm_end if comm_end > 0 else float("inf")
-    else:
-        elapsed = comm_end - before
-        score = state.chunk_work(widx) / elapsed if elapsed > 0 else float("inf")
-    return score, token
-
-
 def incremental_selection(
     platform: Platform, grid: BlockGrid, variant: Variant
 ) -> SelectionOutcome:
-    """Run the paper's incremental selection under ``variant``."""
+    """Run the paper's incremental selection under ``variant``.
+
+    One flat loop over the selection-time model: each usable worker's
+    chunk constants are computed once, with the operands and operation
+    order of :meth:`SelectionState.assign`, so every score is
+    bit-identical to speculating the candidate on a :class:`SelectionState`
+    and rolling it back.  Ties go to the lowest worker index (a candidate
+    replaces the incumbent only on a strictly higher score).
+    """
     mus = usable_mus(platform)
     usable = [i for i, mu in enumerate(mus) if mu >= 1]
     if not usable:
         raise SchedulingError("no worker has enough memory for the overlapped layout")
 
-    state = SelectionState(platform, grid, mus, variant.count_c)
+    r, t = grid.r, grid.t
+    # (widx, c_cost, data, lead, per_round, t * per_round, work) per worker
+    consts = []
+    for i in usable:
+        wk = platform[i]
+        mu = mus[i]
+        h = min(mu, r)
+        c_cost = (h * mu * wk.c) if variant.count_c else 0.0
+        data = (h + mu) * t * wk.c
+        lead = c_cost + (h + mu) * wk.c
+        per_round = h * mu * wk.w
+        consts.append((i, c_cost, data, lead, per_round, t * per_round, h * mu * t))
+    pairs = [(j, c_cost, data, work) for j, c_cost, data, _, _, _, work in consts]
+    by_global = variant.scope == "global"
+    lookahead = variant.lookahead
+    inf = float("inf")
 
-    def candidate_score(widx: int) -> float:
-        before = state.port_free
-        before_work = state.total_work
-        first, token = _score(state, widx, variant.scope)
-        if not variant.lookahead:
-            state.rollback(token)
-            return first
-        best_pair = -float("inf")
-        for j in usable:
-            token2, comm_end2, _ = state.speculate(j)
-            if variant.scope == "global":
-                pair = state.total_work / comm_end2 if comm_end2 > 0 else float("inf")
-            else:
-                gained = state.total_work - before_work
-                elapsed = comm_end2 - before
-                pair = gained / elapsed if elapsed > 0 else float("inf")
-            state.rollback(token2)
-            best_pair = max(best_pair, pair)
-        state.rollback(token)
-        return best_pair
-
+    port_free = 0.0
+    ready = [0.0] * platform.p
+    total = 0
     sequence: list[int] = []
     panels = PanelAllocator(grid.s)
     since_grant = [0] * platform.p
-    need = [ceil_div(grid.r, mu) if mu >= 1 else 0 for mu in mus]
+    need = [ceil_div(r, mu) if mu >= 1 else 0 for mu in mus]
     while not panels.exhausted:
-        best_w = max(usable, key=lambda i: (candidate_score(i), -i))
+        best = None
+        best_score = best_start = best_comm_end = 0.0
+        for cand in consts:
+            i, c_cost, data, lead, per_round, t_round, work = cand
+            ready_i = ready[i]
+            start = ready_i if ready_i > port_free else port_free
+            comm_end = start + c_cost + data
+            if not lookahead:
+                if by_global:
+                    score = (total + work) / comm_end if comm_end > 0 else inf
+                else:
+                    elapsed = comm_end - port_free
+                    score = work / elapsed if elapsed > 0 else inf
+            else:
+                comp_end = max(max(ready_i, start + lead) + t_round, comm_end + per_round)
+                score = -inf
+                for j, c_cost2, data2, work2 in pairs:
+                    ready_j = comp_end if j == i else ready[j]
+                    start2 = ready_j if ready_j > comm_end else comm_end
+                    comm_end2 = start2 + c_cost2 + data2
+                    if by_global:
+                        pair = (total + work + work2) / comm_end2 if comm_end2 > 0 else inf
+                    else:
+                        elapsed = comm_end2 - port_free
+                        pair = (work + work2) / elapsed if elapsed > 0 else inf
+                    if pair > score:
+                        score = pair
+            if best is None or score > best_score:
+                best, best_score, best_start, best_comm_end = cand, score, start, comm_end
+        # commit the winner exactly as SelectionState.assign does
+        best_w, _, _, lead, per_round, t_round, work = best
+        comp_begin = max(ready[best_w], best_start + lead)
+        ready[best_w] = max(comp_begin + t_round, best_comm_end + per_round)
+        port_free = best_comm_end
+        total += work
         sequence.append(best_w)
-        state.assign(best_w)
         since_grant[best_w] += 1
         if since_grant[best_w] == need[best_w]:
             since_grant[best_w] = 0

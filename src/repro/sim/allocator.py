@@ -8,7 +8,10 @@ worker per engine iteration, so panel hand-out order follows the demand
 order of the simulation.
 
 Every engine drives an allocator through the same engine-agnostic
-:meth:`PanelDemandAllocator.refill_via` call before each port decision;
+:meth:`PanelDemandAllocator.refill_via` call: the reference engine and
+the dynamic driver before each port decision, the fast path's ready
+replay on entry and after each post that drains a worker (the only
+moments a refill can hand anything out).
 :class:`repro.schedulers.coded.CodedDemandAllocator` duck-types that
 surface.
 """

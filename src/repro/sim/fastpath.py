@@ -29,11 +29,11 @@ pin this.
 
 The module also provides an O(1) incremental what-if facility:
 :meth:`FastEngine.checkpoint` / :meth:`FastEngine.restore` snapshot the
-scalars touched by appending-and-posting work on a single worker, so
-selection-style heuristics can score a candidate by delta-update + rollback
-instead of cloning the whole engine per candidate (see also
-:class:`repro.schedulers.selection.SelectionState`, which applies the same
-idea at chunk granularity).
+scalars touched by appending-and-posting work on a single worker, so a
+caller can score a candidate by delta-update + rollback instead of cloning
+the whole engine per candidate (:class:`repro.schedulers.selection
+.SelectionState` applies the same idea at chunk granularity for min-min and
+the adaptive band placement).
 """
 
 from __future__ import annotations
@@ -643,6 +643,13 @@ class FastEngine:
         remain).  Ascending index scan with strict improvement reproduces
         the reference tuple-comparison tie-breaking exactly (including the
         implicit lowest-worker-index tie-break).
+
+        The allocator is refilled on entry and then once per drain, not
+        before every message as in the reference loop: after a refill each
+        allocator worker either has a pending message or can get no more
+        work (its cursor and the panel supply are empty, which stays so),
+        and a post only changes the posted worker, so a refill is a no-op
+        until a post leaves its worker without a head message.
         """
         fields = spec.fields
         single = (
@@ -668,20 +675,21 @@ class FastEngine:
         heads = self._head_legal
         cids = self._head_cid
         p = self._p
-        # all-zero floors (static replays) scan the head cache itself
-        floored = any(floors)
+        drained = self._K_NONE
+        if allocator is not None:
+            self._refill(allocator)
         while True:
-            if allocator is not None:
-                self._refill(allocator)
-            legals = _floored(heads, floors) if floored else heads
             best = -1
             best_eff = 0.0
             best_key: float | int = 0
             port_free = self.port_free
             for i in range(p):
-                if kinds[i] == self._K_NONE:
+                if kinds[i] == drained:
                     continue
-                legal = legals[i]
+                legal = heads[i]
+                f = floors[i]
+                if f > legal:
+                    legal = f
                 eff = port_free if port_free > legal else legal
                 key = cids[i] if by_cid else legal
                 if best < 0 or eff < best_eff or (eff == best_eff and key < best_key):
@@ -691,6 +699,8 @@ class FastEngine:
             if best < 0 or best_eff >= until:
                 break
             self.post_next(best, floors[best])
+            if allocator is not None and kinds[best] == drained:
+                self._refill(allocator)
 
     def _run_ready_generic(
         self,
@@ -703,43 +713,40 @@ class FastEngine:
         heads = self._head_legal
         cids = self._head_cid
         p = self._p
-        floored = any(floors)
-        legals = heads
+        drained = self._K_NONE
 
-        def key_of(i: int) -> tuple:
+        def key_of(i: int, legal: float) -> tuple:
             return tuple(
-                cids[i] if f == "head_cid" else legals[i] if f == "legal_start" else i
+                cids[i] if f == "head_cid" else legal if f == "legal_start" else i
                 for f in fields
             )
 
+        if allocator is not None:
+            self._refill(allocator)
         while True:
-            if allocator is not None:
-                self._refill(allocator)
-            if floored:
-                legals = _floored(heads, floors)
             best = -1
             best_eff = 0.0
             best_key: tuple = ()
             port_free = self.port_free
             for i in range(p):
-                if kinds[i] == self._K_NONE:
+                if kinds[i] == drained:
                     continue
-                legal = legals[i]
+                legal = heads[i]
+                f = floors[i]
+                if f > legal:
+                    legal = f
                 eff = port_free if port_free > legal else legal
                 if best < 0 or eff < best_eff:
-                    best, best_eff, best_key = i, eff, key_of(i)
+                    best, best_eff, best_key = i, eff, key_of(i, legal)
                 elif eff == best_eff:
-                    key = key_of(i)
+                    key = key_of(i, legal)
                     if key < best_key:
                         best, best_eff, best_key = i, eff, key
             if best < 0 or best_eff >= until:
                 break
             self.post_next(best, floors[best])
-
-
-def _floored(heads: list[float], floors: Sequence[float]) -> list[float]:
-    """Per-worker legal starts raised to their start floors."""
-    return [h if h > f else f for h, f in zip(heads, floors)]
+            if allocator is not None and kinds[best] == drained:
+                self._refill(allocator)
 
 
 def fast_simulate(

@@ -5,10 +5,13 @@ import pytest
 from repro.core.blocks import BlockGrid
 from repro.core.chunks import assert_partition
 from repro.platform.model import Platform
+from repro.schedulers.registry import make_scheduler
 from repro.sim.allocator import PanelDemandAllocator
+from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
 from repro.sim.engine import Engine, simulate
+from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
-from repro.sim.policies import ReadyPolicy, demand_priority
+from repro.sim.policies import PolicyKeySpec, ReadyPolicy, demand_priority
 
 
 class TestPanelDemandAllocator:
@@ -66,3 +69,82 @@ class TestPanelDemandAllocator:
         grid = BlockGrid(r=2, t=2, s=2)
         alloc = PanelDemandAllocator(grid, sides=[0])
         assert not alloc.exhausted
+
+
+# ----------------------------------------------------------------------
+# FastEngine's ready replay refills the allocator only when a worker drains
+# ----------------------------------------------------------------------
+def _count_refills(allocator) -> list[int]:
+    """Wrap ``allocator.refill_via`` in place; returns the live call count."""
+    calls = [0]
+    inner = allocator.refill_via
+
+    def counted(has_pending, assign_chunk):
+        calls[0] += 1
+        inner(has_pending, assign_chunk)
+
+    allocator.refill_via = counted
+    return calls
+
+
+def _assert_same_run(ref, fast):
+    assert fast.makespan == ref.makespan
+    assert fast.port_busy == ref.port_busy
+    assert fast.blocks_through_port == ref.blocks_through_port
+    assert fast.total_updates == ref.total_updates
+    assert fast.worker_stats == ref.worker_stats
+    assert [(c.cid, c.worker, c.i0, c.j0) for c in fast.chunks] == [
+        (c.cid, c.worker, c.i0, c.j0) for c in ref.chunks
+    ]
+
+
+@pytest.mark.parametrize("name", ["ODDOML", "BMM"])
+@pytest.mark.parametrize(
+    "spec",
+    [None, PolicyKeySpec(("legal_start", "head_cid", "worker_index"))],
+    ids=["registry-spec", "generic-spec"],
+)
+@pytest.mark.parametrize("grid", [BlockGrid(r=7, t=6, s=13, q=3), BlockGrid(r=12, t=5, s=31)])
+def test_fast_ready_replay_refills_once_per_drain(name, spec, grid, het_platform):
+    def build():
+        plan = make_scheduler(name).plan(het_platform, grid)  # allocators are single-use
+        if spec is not None:
+            plan.policy = ReadyPolicy(spec)
+        return plan
+
+    ref_plan = build()
+    ref_plan.collect_events = False
+    ref = simulate(het_platform, ref_plan, grid)
+    plan = build()
+    calls = _count_refills(plan.allocator)
+    eng = FastEngine(het_platform, depths=plan.depths, c_mode=plan.c_mode)
+    eng.run_plan(plan)
+    fast = eng.result(grid=grid, meta=dict(plan.meta))
+    _assert_same_run(ref, fast)
+    chunks_done = sum(ws.chunks for ws in fast.worker_stats)
+    assert chunks_done == len(fast.chunks) > 1
+    assert calls[0] <= 1 + chunks_done
+
+
+def test_dynamic_crash_window_floors_match_reference(het_platform, ragged_grid, monkeypatch):
+    """A crash window feeds non-zero start floors into the native ready
+    windows of an allocator-driven plan; the result stays exactly the
+    reference interpretation's."""
+    sched = make_scheduler("ODDOML")
+    nominal = simulate(het_platform, sched.plan(het_platform, ragged_grid), ragged_grid).makespan
+    tl = PlatformTimeline().crash(0.1 * nominal, 0).join(0.6 * nominal, 0)
+    seen_floors: list[float] = []
+    run_ready = FastEngine._run_ready
+
+    def spy(self, allocator, spec, floors, until):
+        seen_floors.extend(floors)
+        return run_ready(self, allocator, spec, floors, until)
+
+    monkeypatch.setattr(FastEngine, "_run_ready", spy)
+    fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
+    ref_plan = sched.plan(het_platform, ragged_grid)
+    ref_plan.collect_events = False
+    ref = simulate_dynamic(het_platform, ref_plan, tl, ragged_grid, engine="reference")
+    assert any(0.0 < f < float("inf") for f in seen_floors)
+    _assert_same_run(ref, fast)
+    assert fast.makespan > nominal

@@ -102,6 +102,41 @@ class TestAlgorithmCharacter:
         # the chosen variant realizes its predicted makespan
         assert res.makespan == pytest.approx(scores[res.meta["variant"]])
 
+    @pytest.mark.parametrize("name", ["Het", "HetL"])
+    def test_het_returns_winner_as_a_fresh_build(self, name, het_platform, ragged_grid):
+        """Het hands back the scored winning candidate; it must equal the
+        plan a fresh build of the winning variant's sequence gives."""
+        from repro.schedulers.selection import (
+            ALL_VARIANTS,
+            build_plan_from_sequence,
+            incremental_selection,
+        )
+
+        sched = make_scheduler(name)
+        plan = sched.plan(het_platform, ragged_grid)
+        variant = next(v for v in ALL_VARIANTS if v.label == plan.meta["variant"])
+        pgrid = sched.geometry.plan_grid(ragged_grid)
+        fresh = build_plan_from_sequence(
+            het_platform, pgrid, incremental_selection(het_platform, pgrid, variant)
+        )
+        fresh.meta.update(
+            {
+                "algorithm": name,
+                "variant_makespans": plan.meta["variant_makespans"],
+                "predicted_makespan": plan.meta["predicted_makespan"],
+            }
+        )
+        fresh = sched.geometry.finalize(fresh, ragged_grid)
+        assert plan.assignments == fresh.assignments
+        assert plan.depths == fresh.depths
+        assert type(plan.policy) is type(fresh.policy)
+        assert plan.policy.priority == fresh.policy.priority
+        assert plan.allocator is None and fresh.allocator is None
+        assert plan.c_mode == fresh.c_mode
+        assert plan.meta == fresh.meta
+        assert plan.collect_events and fresh.collect_events
+        assert plan.meta["predicted_makespan"] == min(plan.meta["variant_makespans"].values())
+
     def test_hom_and_homi_equal_on_homogeneous(self, hom_platform, small_grid):
         hom = make_scheduler("Hom").run(hom_platform, small_grid)
         homi = make_scheduler("HomI").run(hom_platform, small_grid)

@@ -6,6 +6,11 @@ would silently change selection sequences (and therefore every Het/OMMOML
 makespan).  These tests fuzz the delta evaluator against fresh copies over
 seeded random platforms and grids, and pin the scoring loops themselves to
 the copy-based semantics they replaced.
+
+``incremental_selection`` inlines the selection-time model into one flat
+loop; the speculate/score/rollback loop it replaced lives on here
+(:func:`_score`, :func:`_oracle_selection`) as the oracle its sequences
+must equal exactly.
 """
 
 from __future__ import annotations
@@ -14,17 +19,80 @@ import random
 
 import pytest
 
-from repro.core.blocks import BlockGrid
+from repro.core.blocks import BlockGrid, ceil_div
+from repro.core.chunks import PanelAllocator
 from repro.platform.model import Platform, Worker
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.selection import (
     ALL_VARIANTS,
     SelectionState,
+    Variant,
     incremental_selection,
     min_min_selection,
     usable_mus,
-    _score,
 )
+
+
+def _score(state: SelectionState, widx: int, scope: str) -> tuple[float, tuple]:
+    """Score of selecting ``widx`` next on ``state`` (higher = better).
+
+    Leaves the speculative assignment applied; the caller must roll back
+    the returned token (after any nested look-ahead speculation).
+    """
+    before = state.port_free
+    token, comm_end, _ = state.speculate(widx)
+    if scope == "global":
+        score = state.total_work / comm_end if comm_end > 0 else float("inf")
+    else:
+        elapsed = comm_end - before
+        score = state.chunk_work(widx) / elapsed if elapsed > 0 else float("inf")
+    return score, token
+
+
+def _oracle_selection(platform: Platform, grid: BlockGrid, variant: Variant) -> list[int]:
+    """The scalar speculate/score/rollback selection loop (oracle for the
+    flat loop in :func:`incremental_selection`)."""
+    mus = usable_mus(platform)
+    usable = [i for i, mu in enumerate(mus) if mu >= 1]
+    if not usable:
+        raise SchedulingError("no worker has enough memory for the overlapped layout")
+
+    state = SelectionState(platform, grid, mus, variant.count_c)
+
+    def candidate_score(widx: int) -> float:
+        before = state.port_free
+        before_work = state.total_work
+        first, token = _score(state, widx, variant.scope)
+        if not variant.lookahead:
+            state.rollback(token)
+            return first
+        best_pair = -float("inf")
+        for j in usable:
+            token2, comm_end2, _ = state.speculate(j)
+            if variant.scope == "global":
+                pair = state.total_work / comm_end2 if comm_end2 > 0 else float("inf")
+            else:
+                gained = state.total_work - before_work
+                elapsed = comm_end2 - before
+                pair = gained / elapsed if elapsed > 0 else float("inf")
+            state.rollback(token2)
+            best_pair = max(best_pair, pair)
+        state.rollback(token)
+        return best_pair
+
+    sequence: list[int] = []
+    panels = PanelAllocator(grid.s)
+    since_grant = [0] * platform.p
+    need = [ceil_div(grid.r, mu) if mu >= 1 else 0 for mu in mus]
+    while not panels.exhausted:
+        best_w = max(usable, key=lambda i: (candidate_score(i), -i))
+        sequence.append(best_w)
+        state.assign(best_w)
+        since_grant[best_w] += 1
+        if since_grant[best_w] == need[best_w]:
+            since_grant[best_w] = 0
+            panels.grant(mus[best_w])
+    return sequence
 
 
 def _state_tuple(state: SelectionState) -> tuple:
@@ -122,9 +190,6 @@ def test_selection_sequences_unchanged_by_delta_evaluator(seed):
     copy-per-candidate evaluator would (pinned via a reference
     reimplementation of the min-min loop, and via determinism of the
     variant selections)."""
-    from repro.core.blocks import ceil_div
-    from repro.core.chunks import PanelAllocator
-
     for platform, grid in _random_instances(seed, 4):
         # reference min-min with throwaway copies
         mus = usable_mus(platform)
@@ -176,3 +241,53 @@ def test_schedulingerror_on_memoryless_platform():
     grid = BlockGrid(r=2, t=2, s=2)
     with pytest.raises(SchedulingError):
         min_min_selection(platform, grid)
+
+
+def _wall_platform(rng: random.Random, p: int) -> Platform:
+    """Random platform; unrounded costs make most sums inexact, so an
+    operation-order slip changes scores.  Memories range from too small
+    to enrol (``mu = 0``) to large chunk sides."""
+    return Platform(
+        [
+            Worker(
+                i,
+                c=rng.choice([0.25, 0.5, 1.0, 2.0, rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)]),
+                w=rng.choice([0.25, 1.0, 4.0, rng.uniform(0.05, 5.0)]),
+                m=rng.choice([2, 4, rng.randrange(5, 40), rng.randrange(40, 200)]),
+            )
+            for i in range(p)
+        ]
+    )
+
+
+def _wall_cases():
+    rng = random.Random(2024)
+    cases = []
+    # identical workers: every score ties, so the lowest index must win
+    cases.append((Platform([Worker(i, 0.5, 1.0, 30) for i in range(4)]), BlockGrid(r=6, t=3, s=9)))
+    # r < mu clipping on every worker (mu = 3 and 6 against r = 2)
+    cases.append(
+        (Platform([Worker(0, 1.0, 2.0, 21), Worker(1, 0.25, 1.0, 60)]), BlockGrid(r=2, t=4, s=11))
+    )
+    # a worker excluded for memory (mu = 0) between two usable ones
+    plat = Platform([Worker(0, 1.0, 1.0, 30), Worker(1, 0.1, 0.1, 2), Worker(2, 0.5, 3.0, 21)])
+    assert usable_mus(plat)[1] == 0
+    cases.append((plat, BlockGrid(r=7, t=2, s=10)))
+    # p = 1
+    cases.append((Platform([Worker(0, 0.5, 2.0, 40)]), BlockGrid(r=5, t=3, s=13)))
+    while len(cases) < 100:
+        platform = _wall_platform(rng, rng.randrange(1, 8))
+        grid = BlockGrid(r=rng.randrange(1, 16), t=rng.randrange(1, 9), s=rng.randrange(1, 24))
+        if any(mu >= 1 for mu in usable_mus(platform)):
+            cases.append((platform, grid))
+    return cases
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.label)
+def test_flat_selection_matches_scalar_oracle(variant):
+    """Seeded wall: the flat selection loop gives exactly the oracle's
+    sequence on random platforms (plus identical workers, ``r < mu``
+    clipping, memory-excluded workers and ``p = 1``) under every variant."""
+    for platform, grid in _wall_cases():
+        got = incremental_selection(platform, grid, variant).sequence
+        assert got == _oracle_selection(platform, grid, variant), (platform, grid)
