@@ -32,13 +32,13 @@ def bench_runner() -> dict:
     * ``REPRO_BENCH_CACHE``: content-addressed result-cache directory
       (reruns become lookups);
     * ``REPRO_BENCH_KERNEL``: simulation kernel backend
-      (``numpy`` / ``numba`` / ``c`` / ``python``; unset = the program
-      default, ``c`` where it builds — see :mod:`repro.sim.kernels`;
-      unavailable backends fall back to numpy with a warning).
+      (``numpy`` / ``c`` / ``python``; unset = the program default,
+      ``c`` where it builds — see :mod:`repro.sim.kernels`; an
+      unavailable backend falls back to numpy with a warning).
 
     E.g. ``REPRO_BENCH_PARALLEL=auto pytest -m slow`` records multi-core
-    numbers on a multi-core machine, and ``REPRO_BENCH_KERNEL=numba``
-    records compiled-backend numbers.
+    numbers on a multi-core machine, and ``REPRO_BENCH_KERNEL=numpy``
+    records the per-step oracle's numbers.
     """
     raw = os.environ.get("REPRO_BENCH_PARALLEL", "").strip()
     if not raw:

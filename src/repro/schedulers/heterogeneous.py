@@ -5,13 +5,13 @@ cost, not}) are each run through the incremental selection simulation; the
 resulting plans are scored in one :func:`~repro.sim.batch.batch_simulate`
 submission and the best variant is executed -- exactly the paper's
 procedure ("in a first step we simulate the eight versions, and then we
-pick and run the best one").  Eight ready-policy plans are below the batch
-layer's vectorization threshold, so the submission runs each candidate on
-its own through :func:`~repro.sim.fastpath.fast_simulate`: a
-single-instance :class:`~repro.sim.batch.BatchEngine` under a whole-run
-kernel (the default C kernel), :class:`~repro.sim.fastpath.FastEngine`
-otherwise (bit-identical either way).  The winning candidate plan is
-returned as built; only its trace switch and metadata change.
+pick and run the best one").  Under a whole-run kernel (the default C
+kernel) the submission is one :class:`~repro.sim.batch.BatchEngine` per
+replay mode; under the per-step numpy backend eight plans are below the
+batch layer's vectorization threshold, so each candidate runs on its own
+through :class:`~repro.sim.fastpath.FastEngine` (bit-identical either
+way).  The winning candidate plan is returned as built; only its trace
+switch and metadata change.
 """
 
 from __future__ import annotations

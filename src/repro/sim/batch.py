@@ -45,11 +45,15 @@ Two replay modes cover the batchable plans:
 
 Plans with dynamic allocators are not batchable (their chunks depend on
 the timing); :func:`batch_simulate` runs them through ``fast_simulate``
-individually, so the API accepts *any* plan list.  Small compatible groups are
-also routed through the scalar fast path -- below
-:data:`MIN_VECTOR_BATCH` instances the per-step numpy dispatch overhead
-beats the vectorization win -- and instances are bucketed by message
-count so one long run cannot pin a mostly-drained batch.
+individually, so the API accepts *any* plan list.  How the batchable runs
+are split into engines follows from the resolved kernel backend.  Under a
+whole-run kernel (``c``, ``python``) each replay mode becomes one
+:class:`BatchEngine`: the kernels loop instance by instance, so neither
+batch width nor length spread adds steps.  The per-step ``numpy``
+backend buckets instances by message count, so one long run cannot pin a
+mostly-drained batch, and replays buckets below a fixed size through the
+scalar fast path, where the per-step numpy dispatch overhead would beat
+the vectorization win.
 
 For searches whose candidates share a leading message sequence,
 :meth:`BatchEngine.shared_prefix` simulates the common prefix once on a
@@ -93,7 +97,6 @@ __all__ = [
     "batch_simulate",
     "shared_prefix_makespans",
     "supports_batch",
-    "MIN_VECTOR_BATCH",
 ]
 
 #: Version tag of the vectorized replay semantics.  The result cache keys
@@ -103,12 +106,12 @@ __all__ = [
 #: -- that invalidates every payload stored under the batch engine at once.
 BATCH_ENGINE_VERSION = "batch-v1"
 
-#: Below this many compatible instances :func:`batch_simulate` replays the
-#: group through the scalar fast path instead of vectorizing (bit-identical
-#: either way; pass ``force=True`` to vectorize regardless).
-MIN_VECTOR_BATCH = 24
+#: Under the per-step numpy backend, a bucket of fewer compatible instances
+#: is replayed through the scalar fast path instead of vectorizing
+#: (bit-identical either way).
+_MIN_VECTOR_BATCH = 24
 
-#: Within one vectorized bucket, instances span at most this message-count
+#: Within one numpy bucket, instances span at most this message-count
 #: ratio; a new bucket starts below it.  Keeps the active set dense so the
 #: per-step cost is paid over many live instances.
 _BUCKET_RATIO = 2.0
@@ -234,8 +237,8 @@ class BatchCompileCache:
     candidates; a sweep resubmitting the same plan) therefore recompile
     nothing, and inside one engine every instance of a plan walks the
     same stream.  One cache instance is created per :func:`batch_outcomes`
-    call and shared across its length buckets; pass an explicit instance
-    to reuse compilations across calls.  Cached values keep their plan
+    call and shared across its engines; pass an explicit instance to reuse
+    compilations across calls.  Cached values keep their plan
     (and rounds tuple) alive, so the ``id()``-based keys cannot be
     recycled while the cache exists.
 
@@ -339,9 +342,10 @@ class BatchEngine:
     other engines (see :class:`BatchCompileCache`).
 
     ``kernel`` selects the stepping backend (see :mod:`repro.sim.kernels`):
-    the numpy backend advances one step per Python iteration, a compiled
-    backend (``"c"``, the default where it builds, or ``"numba"``)
-    advances whole ``run()`` windows in one kernel call.  Results are bit-identical either way.
+    the numpy backend advances one step per Python iteration, a whole-run
+    backend (``"c"``, the default where it builds, or its interpreted
+    oracle ``"python"``) advances whole ``run()`` windows in one kernel
+    call.  Results are bit-identical either way.
     """
 
     def __init__(
@@ -908,13 +912,17 @@ def _scalar_result(platform: Platform, plan: Plan, kernel, makespan_only: bool):
     )
 
 
-def _buckets(indices: list[int], steps: list[int]) -> list[list[int]]:
-    """Partition (already length-sorted, descending) run indices so one
+def _buckets(indices: list[int], runs: Sequence[tuple[Platform, Plan]]) -> list[list[int]]:
+    """Partition one replay mode's run indices, longest first, so one
     bucket spans at most a :data:`_BUCKET_RATIO` message-count range."""
+    # a message count is a function of the plan: count each distinct one once
+    plans = {id(runs[i][1]): runs[i][1] for i in indices}
+    counts = {key: _plan_steps(plan) for key, plan in plans.items()}
+    steps = {i: counts[id(runs[i][1])] for i in indices}
     out: list[list[int]] = []
     cur: list[int] = []
     head = 0
-    for i in indices:
+    for i in sorted(indices, key=lambda i: -steps[i]):
         if not cur or steps[i] * _BUCKET_RATIO >= head:
             if not cur:
                 head = steps[i]
@@ -930,8 +938,6 @@ def _buckets(indices: list[int], steps: list[int]) -> list[list[int]]:
 def batch_outcomes(
     runs: Sequence[tuple[Platform, Plan]],
     *,
-    force: bool = False,
-    min_batch: int = MIN_VECTOR_BATCH,
     compile_cache: BatchCompileCache | None = None,
     kernel=None,
     _makespans: bool = False,
@@ -939,51 +945,48 @@ def batch_outcomes(
     """Simulate every ``(platform, plan)`` run, vectorizing compatible
     groups, and return per-run outcomes in input order.
 
-    Runs are grouped by replay mode (strict order / ready key spec) and
-    bucketed by message count; each group large enough to amortize the
-    numpy per-step dispatch (>= ``min_batch``, or any size with
-    ``force=True``) runs on :class:`BatchEngine` instances, the rest --
-    including allocator-driven plans -- go through the scalar fast path.
-    Results are bit-identical either way.  All buckets share one
+    Runs are grouped by replay mode (strict order / ready key spec);
+    allocator-driven plans go through the scalar fast path.  Under a
+    whole-run kernel backend each group is one :class:`BatchEngine`.
+    Under the per-step numpy backend each group is bucketed by message
+    count, and only buckets large enough to amortize the per-step numpy
+    dispatch run on engines; the rest go through the scalar fast path.
+    Results are bit-identical either way.  All engines share one
     :class:`BatchCompileCache` (``compile_cache`` or a fresh one), so
     candidates that share plan objects — e.g. HomI's scoring plans per
     ``(n, mu)`` — compile their message streams once per call.
 
     ``_makespans=True`` is :func:`batch_simulate`'s path through the same
-    grouping: bare makespans (read per bucket from
+    grouping: bare makespans (read per engine from
     :meth:`BatchEngine.makespans`) instead of outcome records.
     """
     backend = resolve_kernel(kernel)
     cache = compile_cache if compile_cache is not None else BatchCompileCache()
     collect = BatchEngine.makespans if _makespans else BatchEngine.outcomes
-    # a message count is a function of the plan: count each distinct one once
-    plans = {id(plan): plan for _pf, plan in runs}
-    counts = {key: _plan_steps(plan) for key, plan in plans.items()}
-    steps = [counts[id(plan)] for _pf, plan in runs]
     groups: dict[Any, list[int]] = {}
     for i, (_platform, plan) in enumerate(runs):
         groups.setdefault(_batch_mode(plan), []).append(i)
-    out: list = [None] * len(runs)
-    for mode, indices in groups.items():
-        if mode is None:
-            for i in indices:
-                out[i] = _scalar_result(*runs[i], backend, _makespans)
+    scalar = groups.pop(None, [])
+    engines: list[list[int]] = []
+    for indices in groups.values():
+        if backend.whole_run:
+            engines.append(indices)
             continue
-        indices.sort(key=lambda i: -steps[i])
-        for bucket in _buckets(indices, steps):
-            # the gate applies per bucket: only groups that are both large
-            # enough and length-balanced amortize the per-step dispatch --
-            # a skewed group's tiny tail buckets stay on the scalar path
-            if not force and len(bucket) < min_batch:
-                for i in bucket:
-                    out[i] = _scalar_result(*runs[i], backend, _makespans)
-                continue
-            counter("batch.vectorized_runs").inc(len(bucket))
-            engine = BatchEngine(
-                [runs[i] for i in bucket], compile_cache=cache, kernel=backend
-            ).run()
-            for i, result in zip(bucket, collect(engine)):
-                out[i] = result
+        for bucket in _buckets(indices, runs):
+            if len(bucket) < _MIN_VECTOR_BATCH:
+                scalar.extend(bucket)
+            else:
+                engines.append(bucket)
+    out: list = [None] * len(runs)
+    for i in scalar:
+        out[i] = _scalar_result(*runs[i], backend, _makespans)
+    for indices in engines:
+        counter("batch.vectorized_runs").inc(len(indices))
+        engine = BatchEngine(
+            [runs[i] for i in indices], compile_cache=cache, kernel=backend
+        ).run()
+        for i, result in zip(indices, collect(engine)):
+            out[i] = result
     return out
 
 
@@ -1020,8 +1023,6 @@ def shared_prefix_makespans(
 def batch_simulate(
     runs: Sequence[tuple[Platform, Plan]],
     *,
-    force: bool = False,
-    min_batch: int = MIN_VECTOR_BATCH,
     compile_cache: BatchCompileCache | None = None,
     kernel=None,
 ) -> np.ndarray:
@@ -1036,7 +1037,6 @@ def batch_simulate(
     if not len(runs):
         return np.zeros(0, dtype=np.float64)
     makespans = batch_outcomes(
-        runs, force=force, min_batch=min_batch, compile_cache=compile_cache,
-        kernel=kernel, _makespans=True,
+        runs, compile_cache=compile_cache, kernel=kernel, _makespans=True
     )
     return np.array(makespans, dtype=np.float64)

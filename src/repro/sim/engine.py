@@ -9,13 +9,9 @@ the plan's port policy picks which worker's next pipeline message to post,
 the engine computes its legal start time (buffer rules), occupies the port,
 and updates the worker's compute timeline.
 
-The engine doubles as the *what-if* evaluator of the incremental resource
-selection heuristics of Section 5: :meth:`Engine.clone` produces a cheap
-copy on which candidate chunks can be appended and posted.  For bulk
-evaluation (the experiment layer, selection scoring) prefer
+For bulk evaluation (the experiment layer, selection scoring) prefer
 :mod:`repro.sim.fastpath`, which replays plans over flat arrays with
-bit-identical results and supports O(1) checkpoint/rollback what-ifs
-instead of per-candidate clones.
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -123,8 +119,7 @@ class Engine:
     c_mode:
         Which C messages to simulate (see :class:`CMode`).
     collect_events:
-        Keep full port/compute event traces (disable for cheap what-if
-        clones used by selection heuristics).
+        Keep full port/compute event traces.
     """
 
     def __init__(
@@ -220,23 +215,6 @@ class Engine:
     @property
     def all_done(self) -> bool:
         return not any(ws.has_pending for ws in self.workers)
-
-    # ------------------------------------------------------------------
-    def clone(self) -> "Engine":
-        """Cheap copy (no event collection) for what-if evaluation."""
-        other = Engine.__new__(Engine)
-        other.platform = self.platform
-        other.port_free = self.port_free
-        other.port_busy = self.port_busy
-        other.blocks_through_port = self.blocks_through_port
-        other.total_updates = self.total_updates
-        other.collect_events = False
-        other.workers = [ws.clone() for ws in self.workers]
-        other.port_events = []
-        other.compute_events = []
-        other.all_chunks = []  # clones only track new work implicitly
-        other.last_end = self.last_end
-        return other
 
     # ------------------------------------------------------------------
     def result(self, grid: BlockGrid | None = None, meta: dict | None = None) -> SimResult:

@@ -26,14 +26,6 @@ reference engine, so makespans, per-worker statistics and port busy time
 are **bit-identical** -- the equivalence and golden-regression test walls
 (``tests/test_fastpath_equivalence.py``, ``tests/test_regression_golden.py``)
 pin this.
-
-The module also provides an O(1) incremental what-if facility:
-:meth:`FastEngine.checkpoint` / :meth:`FastEngine.restore` snapshot the
-scalars touched by appending-and-posting work on a single worker, so a
-caller can score a candidate by delta-update + rollback instead of cloning
-the whole engine per candidate (:class:`repro.schedulers.selection
-.SelectionState` applies the same idea at chunk granularity for min-min and
-the adaptive band placement).
 """
 
 from __future__ import annotations
@@ -301,105 +293,15 @@ class FastEngine:
         self._chunks_done[widx] += 1
 
     # ------------------------------------------------------------------
-    # O(1) what-if checkpointing
-    # ------------------------------------------------------------------
-    def checkpoint(self, widx: int) -> tuple:
-        """Snapshot the state that posting work on ``widx`` can touch.
-
-        The token is O(depth) in size (depth <= 2 in practice), versus the
-        O(p + chunks) cost of ``Engine.clone``.  Restoring also truncates
-        chunks appended to ``widx`` after the checkpoint, so the idiom::
-
-            token = eng.checkpoint(w)
-            eng.assign_chunk(w, candidate)
-            while eng.has_pending(w):
-                eng.post_next(w)
-            score = eng.last_end
-            eng.restore(token)
-
-        scores a candidate without disturbing the engine.
-        """
-        return (
-            widx,
-            len(self._chunks[widx]),
-            len(self.all_chunks),
-            self._pos[widx],
-            self._stage[widx],
-            self._rounds_posted[widx],
-            tuple(self._ring[widx]),
-            self._ring_pos[widx],
-            self._comp_free[widx],
-            self._last_comp_end[widx],
-            self._c_return_end[widx],
-            self._blocks_in[widx],
-            self._blocks_out[widx],
-            self._updates_done[widx],
-            self._compute_busy[widx],
-            self._chunks_done[widx],
-            self.port_free,
-            self.port_busy,
-            self.blocks_through_port,
-            self.total_updates,
-            self.last_end,
-        )
-
-    def restore(self, token: tuple) -> None:
-        """Roll the engine back to a :meth:`checkpoint` token (LIFO order)."""
-        (
-            widx,
-            n_chunks,
-            n_all,
-            pos,
-            stage,
-            rounds_posted,
-            ring,
-            ring_pos,
-            comp_free,
-            last_comp_end,
-            c_return_end,
-            blocks_in,
-            blocks_out,
-            updates_done,
-            compute_busy,
-            chunks_done,
-            port_free,
-            port_busy,
-            blocks_through_port,
-            total_updates,
-            last_end,
-        ) = token
-        del self._chunks[widx][n_chunks:]
-        del self.all_chunks[n_all:]
-        self._pos[widx] = pos
-        self._stage[widx] = stage
-        self._rounds_posted[widx] = rounds_posted
-        self._ring[widx][:] = ring
-        self._ring_pos[widx] = ring_pos
-        self._comp_free[widx] = comp_free
-        self._last_comp_end[widx] = last_comp_end
-        self._c_return_end[widx] = c_return_end
-        self._blocks_in[widx] = blocks_in
-        self._blocks_out[widx] = blocks_out
-        self._updates_done[widx] = updates_done
-        self._compute_busy[widx] = compute_busy
-        self._chunks_done[widx] = chunks_done
-        self.port_free = port_free
-        self.port_busy = port_busy
-        self.blocks_through_port = blocks_through_port
-        self.total_updates = total_updates
-        self.last_end = last_end
-        self._refresh_head(widx)
-
-    # ------------------------------------------------------------------
     # full-state cloning and parameter rescaling (dynamic-platform layer)
     # ------------------------------------------------------------------
     def clone(self) -> "FastEngine":
         """Full copy for what-if continuation scoring (O(p + chunks)).
 
-        Unlike the per-worker :meth:`checkpoint`, the clone can diverge
-        arbitrarily — the adaptive rescheduler uses it to score candidate
-        replans by running each to completion.  Chunk records are shared
-        (immutable); per-worker scalar arrays are copied by value.
+        The clone can diverge arbitrarily — the adaptive rescheduler uses
+        it to score candidate replans by running each to completion.
+        Chunk records are shared (immutable); per-worker scalar arrays are
+        copied by value.
         """
         other = FastEngine.__new__(FastEngine)
         other.platform = self.platform

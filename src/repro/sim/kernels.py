@@ -1,16 +1,18 @@
 """Compiled simulation kernels behind a backend registry.
 
 The batch engine (:mod:`repro.sim.batch`) advances every instance of a
-bucket by one port message per Python loop iteration -- a few dozen tiny
+batch by one port message per Python loop iteration -- a few dozen tiny
 numpy calls over a flat state vector.  At paper scale the arrays are short
 enough that interpreter/dispatch overhead dominates, so this module
 compiles the two hot recurrences as **whole-run kernels**: one call
-advances *all* steps of a bucket inside compiled code.  Both kernels walk
+advances *all* steps of a batch inside compiled code.  Both kernels walk
 the engine's shared per-plan message streams through per-instance
 ``(B, P)`` stream pointers -- the strict kernel takes each step's worker
 from the plan's order, the ready kernel selects it lexicographically --
 and compute each message's ``nblocks * c`` / ``updates * w`` inline from
-the instance's worker costs.  The numpy per-step path remains the
+the instance's worker costs.  The kernels loop instance by instance, so
+one call over a batch of any size or length spread costs what the
+instances' own steps cost.  The numpy per-step path remains the
 bit-identical equivalence oracle (the kernels perform the same IEEE-754
 operations in the same per-instance order, so results match exactly --
 the equivalence walls pin this).
@@ -22,18 +24,16 @@ Backends
     No kernel at all: :class:`~repro.sim.batch.BatchEngine` keeps its
     per-step numpy loops.  Always available; the oracle, and the default
     wherever the C backend cannot be built.
-``numba``
-    The two kernels below, compiled with ``numba.njit(cache=True)``.
-    Needs the optional ``numba`` dependency (``pip install repro-mm[speed]``).
 ``c``
-    The same kernels as a small C file, built once with the system C
+    The two kernels below as a small C file, built once with the system C
     compiler (``-O2 -ffp-contract=off``) into a cached shared library and
     driven through :mod:`ctypes`.  Needs a working ``cc``/``gcc``/``clang``.
     The default backend whenever it builds.
 ``python``
-    The numba kernels interpreted by CPython (no compilation).  Slow --
-    it exists so the *kernel algorithm itself* is testable in
-    environments without numba, and as a debugging oracle.
+    The same two kernels interpreted by CPython (no compilation).  Slow --
+    it is the C kernels' oracle: the kernel algorithm itself stays
+    testable on hosts without a compiler, and it doubles as a debugging
+    aid.
 
 Selection: every ``kernel=`` parameter accepts a backend name, a
 :class:`KernelBackend` instance, or ``None`` -- which reads the
@@ -42,8 +42,8 @@ when the C kernels build here, ``"numpy"`` when they do not (the build
 is attempted once per process, before any simulation runs, and a failed
 build falls back silently).  Explicitly requesting an unavailable
 backend falls back to numpy with a single warning per process, so
-``REPRO_KERNEL=numba`` is safe to export on machines where numba is
-missing.
+``REPRO_KERNEL=c`` is safe to export on machines without a compiler.  A
+name outside :data:`KERNEL_NAMES` raises :class:`ValueError`.
 
 Kernels take an explicit ``t0``/``t1`` step window, so
 ``BatchEngine.run(max_steps=)``, ``checkpoint()/restore()`` and the
@@ -75,7 +75,7 @@ __all__ = [
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Registered backend names, in documentation order.
-KERNEL_NAMES = ("numpy", "numba", "c", "python")
+KERNEL_NAMES = ("numpy", "c", "python")
 
 #: ``PolicyKeySpec`` field name -> integer code interpreted by the ready
 #: kernels (the spec's field order is preserved; codes index the branch
@@ -91,8 +91,8 @@ class KernelUnavailable(RuntimeError):
 # the kernels, in Python
 #
 # These two functions are the *source of truth* for the compiled
-# backends: numba jits them as-is, and the C file below is a line-by-line
-# transcription.  Every floating-point op mirrors the numpy per-step
+# backend: the C file below is a line-by-line transcription, and the
+# ``python`` backend runs them as-is.  Every floating-point op mirrors the numpy per-step
 # paths (``BatchEngine._step_strict`` / ``_step_ready``) in per-instance
 # order, so all backends are bit-identical.
 # ----------------------------------------------------------------------
@@ -394,8 +394,8 @@ class KernelBackend:
     window in a single :meth:`strict_run` / :meth:`ready_run` call; the
     numpy backend sets it ``False`` and the engine keeps its per-step
     loops.  :meth:`ensure_ready` performs any one-time compile/load work
-    (numba JIT, C build) so benchmarks can time warm-up separately from
-    steady state.
+    (the C build) so benchmarks can time warm-up separately from steady
+    state.
     """
 
     #: registry name
@@ -424,7 +424,7 @@ class NumpyBackend(KernelBackend):
 
 
 class PythonBackend(KernelBackend):
-    """The numba kernels interpreted by CPython (testing/debugging only)."""
+    """The kernels interpreted by CPython: the C kernels' oracle."""
 
     name = "python"
 
@@ -433,63 +433,6 @@ class PythonBackend(KernelBackend):
 
     def ready_run(self, *args) -> None:
         _ready_run(*args)
-
-
-class NumbaBackend(KernelBackend):
-    """``numba.njit(cache=True)`` compilations of the two kernels."""
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        try:
-            import numba  # noqa: F401 -- availability probe
-        except ImportError as exc:  # pragma: no cover - exercised sans numba
-            raise KernelUnavailable(
-                "the numba kernel backend needs the optional numba "
-                "dependency (pip install repro-mm[speed])"
-            ) from exc
-        self._strict = None
-        self._ready = None
-
-    def _jit(self):
-        if self._strict is None:
-            from numba import njit
-
-            self._strict = njit(cache=True)(_strict_run)
-            self._ready = njit(cache=True)(_ready_run)
-        return self._strict, self._ready
-
-    def ensure_ready(self) -> None:
-        """Force JIT compilation of both kernels on representative dtypes
-        (so the first real run pays no compile time)."""
-        if self._strict is not None:
-            return
-        with trace("kernel.build", backend=self.name), stopwatch("kernel.build_seconds"):
-            self._warm()
-
-    def _warm(self) -> None:
-        strict, ready = self._jit()
-        i8 = np.zeros(1, np.int8)
-        i64 = np.zeros(1, np.int64)
-        f64 = np.zeros(1, np.float64)
-        bp = np.zeros((1, 1), np.int64)
-        bp_f = np.zeros((1, 1), np.float64)
-        strict(
-            0, 0, 0, 1, i64, i64, i64, bp, bp, bp_f, bp_f,
-            i8, f64, f64, i64, i64, f64, f64, f64,
-        )
-        ready(
-            0, 0, 0, 1, i64, bp, bp, bp, bp_f, bp_f, bp_f, bp_f,
-            i8, f64, f64, f64, i64, i64, i64, f64, f64, f64,
-        )
-
-    def strict_run(self, *args) -> None:
-        self._jit()
-        self._strict(*args)
-
-    def ready_run(self, *args) -> None:
-        self._jit()
-        self._ready(*args)
 
 
 class CBackend(KernelBackend):
@@ -663,7 +606,6 @@ class CBackend(KernelBackend):
 # ----------------------------------------------------------------------
 _FACTORIES = {
     "numpy": NumpyBackend,
-    "numba": NumbaBackend,
     "c": CBackend,
     "python": PythonBackend,
 }
@@ -676,8 +618,8 @@ def get_backend(name: str) -> KernelBackend:
     """The backend registered under ``name``.
 
     Raises :class:`ValueError` for unknown names and
-    :class:`KernelUnavailable` when the backend cannot run here (numba
-    missing, no C compiler).  Instances are cached per process; so are
+    :class:`KernelUnavailable` when the backend cannot run here (no C
+    compiler).  Instances are cached per process; so are
     unavailability verdicts.
     """
     if name not in _FACTORIES:
@@ -698,7 +640,7 @@ def get_backend(name: str) -> KernelBackend:
 
 def available_backends() -> tuple[str, ...]:
     """Names of the backends that can actually run in this environment
-    (probing compiles/loads nothing beyond an import / compiler lookup)."""
+    (probing compiles/loads nothing beyond a compiler lookup)."""
     out = []
     for name in KERNEL_NAMES:
         try:
@@ -731,10 +673,11 @@ def resolve_kernel(kernel=None) -> KernelBackend:
     when that is unset, defaults to ``"c"`` if the C kernels build here
     and to ``"numpy"`` otherwise (silently: a host without a compiler is a
     supported configuration, not a misconfiguration).  Named backends are
-    built on resolution, so a requested-but-unavailable one -- missing
-    dependency or failed build -- falls back to numpy with one clear
+    built on resolution, so a requested-but-unavailable one -- no
+    compiler or a failed build -- falls back to numpy with one clear
     warning per process, and environment-knob users never crash on a
-    machine without the optional dependency.
+    machine without a compiler.  An unknown name raises
+    :class:`ValueError` (from :func:`get_backend`).
     """
     if isinstance(kernel, KernelBackend):
         return kernel

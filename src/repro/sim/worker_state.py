@@ -64,12 +64,7 @@ class HeadMsg:
 
 
 class WorkerSim:
-    """Mutable simulation state of one worker.
-
-    Supports cheap cloning (used heavily by the incremental selection
-    heuristics): the assigned-chunk list is copied shallowly and the O(1)
-    timing scalars are copied by value.
-    """
+    """Mutable simulation state of one worker."""
 
     __slots__ = (
         "worker",
@@ -193,26 +188,3 @@ class WorkerSim:
         self.chunk_pos += 1
         self.stage = 0 if self.c_mode is not CMode.NONE else 1
         self.chunks_done += 1
-
-    # ------------------------------------------------------------------
-    def clone(self) -> "WorkerSim":
-        """Cheap copy for what-if evaluation (shares immutable chunks)."""
-        other = WorkerSim.__new__(WorkerSim)
-        other.worker = self.worker
-        other.depth = self.depth
-        other.c_mode = self.c_mode
-        other.chunks = list(self.chunks)
-        other.chunk_pos = self.chunk_pos
-        other.stage = self.stage
-        other.rounds_posted = self.rounds_posted
-        other.comp_ring = deque(self.comp_ring, maxlen=self.depth)
-        other.comp_free = self.comp_free
-        other.last_comp_end = self.last_comp_end
-        other.c_return_end = self.c_return_end
-        other.blocks_in = self.blocks_in
-        other.blocks_out = self.blocks_out
-        other.updates_done = self.updates_done
-        other.compute_busy = self.compute_busy
-        other.chunks_done = self.chunks_done
-        other.messages_posted = self.messages_posted
-        return other

@@ -12,7 +12,14 @@ makespan, same port busy time, same per-worker statistics -- across
 * hand-built plans covering every ``CMode``, prefetch depths 1..3, and the
   ``PolicyKeySpec`` interpretations of ``selection_order_priority`` and
   ``demand_priority`` (plus a generic multi-field spec),
-* the checkpoint/restore and shared-prefix batch APIs.
+* the checkpoint/restore and shared-prefix batch APIs,
+* ``batch_outcomes``'s routing: one engine per replay mode under a
+  whole-run kernel, length buckets and the scalar gate under numpy.
+
+The walls replay each replay mode on one engine through
+``tests/per_mode.py``, so the batch engine is exercised at any group size
+under every backend; ``batch_outcomes`` itself is checked by the routing
+tests.
 
 Equality is exact (``==`` on floats, not approx): the batch engine performs
 the same IEEE-754 operations in the same per-instance order, so any drift
@@ -53,6 +60,7 @@ from repro.sim.policies import (
     selection_order_priority,
 )
 from repro.sim.worker_state import CMode
+from tests.per_mode import per_mode_makespans, per_mode_outcomes
 
 
 def assert_outcome_equivalent(fast, outcome):
@@ -137,26 +145,32 @@ def test_registry_one_ragged_batch(het_platform, hom_platform, small_grid, ragge
             runs.append((platform, plan, name, grid))
     assert any(not supports_batch(plan) for _pf, plan, _n, _g in runs)  # fallbacks
     assert any(supports_batch(plan) for _pf, plan, _n, _g in runs)
-    outcomes = batch_outcomes([(p, pl) for p, pl, _n, _g in runs], force=True)
+    outcomes = per_mode_outcomes([(p, pl) for p, pl, _n, _g in runs])
     for fast, outcome in zip(fasts, outcomes):
         assert_outcome_equivalent(fast, outcome)
-    # batch_simulate agrees with batch_outcomes (fresh plans again)
+    # the routed batch_outcomes / batch_simulate agree (fresh plans again)
+    routed = batch_outcomes(
+        [(p, make_scheduler(n).plan(p, g)) for p, _pl, n, g in runs]
+    )
+    for fast, outcome in zip(fasts, routed):
+        assert_outcome_equivalent(fast, outcome)
     makespans = batch_simulate(
-        [(p, make_scheduler(n).plan(p, g)) for p, _pl, n, g in runs], force=True
+        [(p, make_scheduler(n).plan(p, g)) for p, _pl, n, g in runs]
     )
     for fast, ms in zip(fasts, makespans):
         assert ms == fast.makespan
 
 
 def test_small_groups_fall_back_identically(het_platform, small_grid):
-    """Below min_batch the scalar path is used -- results must not change."""
+    """Under numpy a group below the bucket gate takes the scalar path --
+    results must equal the same group replayed on one numpy engine."""
     sched = make_scheduler("Hom")
     runs = [(het_platform, sched.plan(het_platform, small_grid)) for _ in range(3)]
     for _pf, plan in runs:
         plan.collect_events = False
-    lazy = batch_simulate([(p, clone_plan(pl)) for p, pl in runs])  # falls back
-    forced = batch_simulate(runs, force=True)
-    assert np.array_equal(lazy, forced)
+    lazy = batch_simulate([(p, clone_plan(pl)) for p, pl in runs], kernel="numpy")
+    vectorized = per_mode_makespans(runs, kernel="numpy")
+    assert list(lazy) == vectorized
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +208,7 @@ def test_property_equivalence_all_schedulers(params, grid):
         ref_plan.collect_events = False
         refs.append(simulate(platform, ref_plan, grid))
         runs.append((platform, plan))
-    outcomes = batch_outcomes(runs, force=True)
+    outcomes = per_mode_outcomes(runs)
     for ref, outcome in zip(refs, outcomes):
         assert outcome.makespan == ref.makespan
         assert outcome.port_busy == ref.port_busy
@@ -209,10 +223,8 @@ def test_property_equivalence_all_schedulers(params, grid):
     for kernel in available_backends():
         if kernel == "numpy":
             continue
-        compiled = batch_outcomes(
-            [(p, clone_plan(pl)) for _ref, (p, pl) in replayable],
-            force=True,
-            kernel=kernel,
+        compiled = per_mode_outcomes(
+            [(p, clone_plan(pl)) for _ref, (p, pl) in replayable], kernel=kernel
         )
         for (ref, _run), outcome in zip(replayable, compiled):
             assert outcome.makespan == ref.makespan, kernel
@@ -259,7 +271,7 @@ def _strict_factory(assignments, c_mode, rng):
 
 
 #: Every kernel backend that can run here -- the numpy oracle plus any
-#: compiled ones (numba/c) and the interpreted kernel-algorithm oracle.
+#: compiled one (c) and the interpreted kernel-algorithm oracle.
 KERNELS = available_backends()
 
 
@@ -281,7 +293,7 @@ def test_mode_depth_policy_matrix(policy_factory, kernel, het_platform, small_gr
     fasts = [
         simulate(platform, clone_plan(plan), None) for platform, plan in runs
     ]
-    outcomes = batch_outcomes(runs, force=True, kernel=kernel)
+    outcomes = per_mode_outcomes(runs, kernel=kernel)
     for fast, outcome in zip(fasts, outcomes):
         assert_outcome_equivalent(fast, outcome)
 
@@ -303,7 +315,7 @@ def test_key_spec_interpretations_match_reference(het_platform, ragged_grid):
 
         ref = simulate(het_platform, build(), ragged_grid)
         fast = fast_simulate(het_platform, build(), ragged_grid)
-        (outcome,) = batch_outcomes([(het_platform, build())], force=True)
+        (outcome,) = per_mode_outcomes([(het_platform, build())])
         assert fast.makespan == ref.makespan
         assert fast.worker_stats == ref.worker_stats
         assert outcome.makespan == ref.makespan
@@ -320,7 +332,7 @@ def test_unsupported_plans_fall_back(het_platform, small_grid):
     with pytest.raises(TypeError, match="fall"):
         BatchEngine([(het_platform, bmm)])
     fast = fast_simulate(het_platform, make_scheduler("BMM").plan(het_platform, small_grid))
-    (outcome,) = batch_outcomes([(het_platform, bmm)], force=True)
+    (outcome,) = batch_outcomes([(het_platform, bmm)])
     assert outcome.makespan == fast.makespan
 
 
@@ -340,6 +352,106 @@ def test_strict_order_mismatch_rejected(het_platform, small_grid):
 
 def test_empty_batch():
     assert batch_simulate([]).size == 0
+
+
+# ----------------------------------------------------------------------
+# batch_outcomes routing: the split follows the resolved backend
+# ----------------------------------------------------------------------
+def _routing_runs(het_platform, small_grid, ragged_grid):
+    """A mixed run list: three strict runs sharing one plan object (under
+    cost variants), a ready group of two plans, one allocator plan."""
+    strict = make_scheduler("Hom").plan(het_platform, small_grid)
+    ready = [
+        make_scheduler("ORROML").plan(het_platform, grid)
+        for grid in (small_grid, ragged_grid)
+    ]
+    bmm = make_scheduler("BMM").plan(het_platform, small_grid)
+    for plan in (strict, *ready, bmm):
+        plan.collect_events = False
+    v0, v1, v2 = _cost_variants(het_platform, 3)
+    return [
+        (v0, strict),
+        (het_platform, ready[0]),
+        (v1, strict),
+        (het_platform, bmm),
+        (het_platform, ready[1]),
+        (v2, strict),
+    ]
+
+
+def _routed(monkeypatch, runs, **kwargs):
+    """``batch_outcomes(runs, **kwargs)``, the replay mode of every
+    ``BatchEngine`` it built, and the metric deltas it left."""
+    from repro.obs import snapshot, snapshot_delta
+
+    built = []
+    init = BatchEngine.__init__
+
+    def counting_init(self, runs, **kw):
+        init(self, runs, **kw)
+        built.append("strict" if self._strict else self._key_fields)
+
+    monkeypatch.setattr(BatchEngine, "__init__", counting_init)
+    before = snapshot()
+    outcomes = batch_outcomes(runs, **kwargs)
+    return outcomes, built, snapshot_delta(before)
+
+
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_whole_run_kernels_build_one_engine_per_mode(
+    kernel, monkeypatch, het_platform, small_grid, ragged_grid
+):
+    """Under a whole-run kernel each replay mode is one engine sharing the
+    call's compile cache, whatever the group sizes; only the allocator
+    plan takes the scalar path."""
+    from repro.sim.batch import BatchCompileCache
+    from repro.sim.kernels import KernelUnavailable, get_backend
+
+    try:
+        get_backend(kernel).ensure_ready()
+    except KernelUnavailable:
+        pytest.skip(f"the {kernel} kernels do not build here")
+    expected = [
+        fast_simulate(pf, plan, kernel="numpy")
+        for pf, plan in _routing_runs(het_platform, small_grid, ragged_grid)
+    ]
+    runs = _routing_runs(het_platform, small_grid, ragged_grid)
+    cache = BatchCompileCache()
+    outcomes, built, delta = _routed(
+        monkeypatch, runs, compile_cache=cache, kernel=kernel
+    )
+    ready_fields = runs[1][1].policy.priority.fields
+    assert sorted(built, key=str) == sorted(["strict", ready_fields], key=str)
+    pairs = {
+        (id(plan), w)
+        for _pf, plan in runs
+        if supports_batch(plan)
+        for w, chunks in enumerate(plan.assignments)
+        if chunks
+    }
+    assert cache.struct_misses == len(pairs)
+    assert delta["batch.vectorized_runs"] == 5
+    assert delta["batch.scalar_runs"] == 1
+    for ref, outcome in zip(expected, outcomes):
+        assert_outcome_equivalent(ref, outcome)
+
+
+def test_numpy_small_groups_take_the_scalar_path(
+    monkeypatch, het_platform, small_grid, ragged_grid
+):
+    """Under the per-step numpy backend, groups below the bucket gate build
+    no engine: every run goes through the scalar fast path."""
+    expected = [
+        fast_simulate(pf, plan, kernel="numpy")
+        for pf, plan in _routing_runs(het_platform, small_grid, ragged_grid)
+    ]
+    runs = _routing_runs(het_platform, small_grid, ragged_grid)
+    outcomes, built, delta = _routed(monkeypatch, runs, kernel="numpy")
+    assert built == []
+    assert delta["batch.scalar_runs"] == len(runs)
+    assert "batch.vectorized_runs" not in delta
+    for ref, outcome in zip(expected, outcomes):
+        assert_outcome_equivalent(ref, outcome)
 
 
 # ----------------------------------------------------------------------
@@ -634,22 +746,24 @@ def test_compile_cache_shared_across_engines(het_platform, small_grid):
 
 def test_compile_cache_hits_within_one_submission(het_platform, small_grid):
     """HomI-style populations — one plan object scored on many virtual
-    platforms — hit the struct cache inside a single batch_outcomes call."""
-    from repro.sim.batch import BatchCompileCache
+    platforms — hit the struct cache inside a single batch_outcomes call.
+    Pinned under numpy, where the population must clear the bucket gate
+    to reach an engine at all."""
+    from repro.sim.batch import _MIN_VECTOR_BATCH, BatchCompileCache
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
     plan.collect_events = False
     runs = [
         (Platform([Worker(w.index, w.c * f, w.w, w.m) for w in het_platform]), plan)
-        for f in (1.0, 1.25, 1.5, 1.75)
+        for f in np.linspace(1.0, 1.75, _MIN_VECTOR_BATCH)
     ]
     cache = BatchCompileCache()
-    outcomes = batch_outcomes(runs, force=True, compile_cache=cache)
-    singles = [fast_simulate(pf, clone_plan(plan), small_grid) for pf, _ in runs]
-    for outcome, single in zip(outcomes, singles):
-        assert outcome.makespan == single.makespan
+    outcomes = batch_outcomes(runs, compile_cache=cache, kernel="numpy")
+    for (pf, _plan), outcome in zip(runs, outcomes):
+        assert outcome.makespan == fast_simulate(pf, clone_plan(plan), small_grid).makespan
     enrolled = sum(1 for chunks in plan.assignments if chunks)
     assert len(cache.struct) == enrolled
+    assert cache.struct_misses == enrolled
 
 
 def test_compile_cache_cost_only_change_recompiles_two_multiplies(
@@ -686,12 +800,12 @@ def test_compile_cache_cost_only_change_recompiles_two_multiplies(
 
 
 def test_compile_cache_reuse_across_buckets(het_platform):
-    """One batch_outcomes call shares its compile cache across length
-    buckets: duplicate plan submissions share one stream, and
-    a short bucket's chunk shapes hit the tmpl tier compiled by the long
-    bucket (the plans' message counts differ 4x, so they cannot share a
-    bucket — :data:`_BUCKET_RATIO` is 2)."""
-    from repro.sim.batch import BatchCompileCache, _plan_steps
+    """One batch_outcomes call shares its compile cache across the numpy
+    backend's length buckets: duplicate plan submissions share one stream,
+    and a short bucket's chunk shapes hit the tmpl tier compiled by the
+    long bucket (the plans' message counts differ 4x, so they cannot share
+    a bucket — :data:`_BUCKET_RATIO` is 2)."""
+    from repro.sim.batch import _MIN_VECTOR_BATCH, BatchCompileCache, _plan_steps
 
     long_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=24, q=2))
     short_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=6, q=2))
@@ -699,16 +813,17 @@ def test_compile_cache_reuse_across_buckets(het_platform):
         plan.collect_events = False
     assert _plan_steps(long_plan) > 2 * _plan_steps(short_plan)
 
-    runs = [
-        (het_platform, long_plan),
-        (het_platform, long_plan),
-        (het_platform, short_plan),
-        (het_platform, short_plan),
-    ]
+    # each bucket just clears the gate, so both run on numpy engines
+    n = _MIN_VECTOR_BATCH
+    runs = [(het_platform, long_plan)] * n + [(het_platform, short_plan)] * n
     cache = BatchCompileCache()
-    outcomes = batch_outcomes(runs, force=True, compile_cache=cache)
-    for (pf, plan), outcome in zip(runs, outcomes):
-        assert outcome.makespan == fast_simulate(pf, clone_plan(plan)).makespan
+    outcomes = batch_outcomes(runs, compile_cache=cache, kernel="numpy")
+    expected = {
+        id(plan): fast_simulate(het_platform, clone_plan(plan)).makespan
+        for plan in (long_plan, short_plan)
+    }
+    for (_pf, plan), outcome in zip(runs, outcomes):
+        assert outcome.makespan == expected[id(plan)]
     enrolled_long = sum(1 for chunks in long_plan.assignments if chunks)
     enrolled_short = sum(1 for chunks in short_plan.assignments if chunks)
     # struct compiled once per (plan, worker); a duplicate submission in

@@ -110,17 +110,6 @@ class TestEngineMechanics:
         with pytest.raises(ValueError):
             Engine(plat, depths=[2])
 
-    def test_clone_isolation(self):
-        plat = Platform.homogeneous(1, 1.0, 1.0, 50)
-        eng = Engine(plat)
-        eng.assign_chunk(0, make_chunk(0, 0, 0, 1, 0, 1, 2))
-        clone = eng.clone()
-        while clone.workers[0].has_pending:
-            clone.post_next(0)
-        assert eng.port_free == 0.0
-        assert clone.port_free > 0.0
-        assert eng.workers[0].has_pending
-
     def test_result_without_grid(self):
         plat = Platform.homogeneous(1, 1.0, 1.0, 50)
         ch = make_chunk(0, 0, 0, 1, 0, 1, 1)

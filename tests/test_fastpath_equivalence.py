@@ -7,8 +7,7 @@ per-worker statistics, same port busy time, same chunk stream -- across
 * every scheduler in the registry on fixed and property-generated
   (platform, grid) instances,
 * hand-built plans covering every ``CMode``, prefetch depth 1 and 2,
-  strict-order and both ready policies, and the dynamic panel allocator,
-* the checkpoint/restore what-if API.
+  strict-order and both ready policies, and the dynamic panel allocator.
 
 Equality is exact (``==`` on floats, not approx): the fast path performs
 the same float operations in the same order, so any drift is a bug.
@@ -27,7 +26,7 @@ from repro.core.chunks import PanelAllocator, PanelCursor
 from repro.platform.model import Platform, Worker
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
-from repro.sim.engine import Engine, simulate
+from repro.sim.engine import simulate
 from repro.sim.fastpath import FastEngine, fast_simulate
 from repro.sim.plan import Plan
 from repro.sim.policies import (
@@ -202,62 +201,3 @@ def test_ready_policy_equivalence_modes(priority, c_mode, seed, het_platform, ra
 def test_fast_simulate_rejects_non_plan(het_platform):
     with pytest.raises(TypeError):
         fast_simulate(het_platform, object())
-
-
-# ----------------------------------------------------------------------
-# checkpoint / restore what-ifs
-# ----------------------------------------------------------------------
-def _drain_engine_pair(platform, assignments, upto):
-    """Reference Engine and FastEngine advanced through the same prefix."""
-    eng = Engine(platform, collect_events=False)
-    fast = FastEngine(platform)
-    for widx, chunks in enumerate(assignments):
-        for ch in chunks:
-            eng.assign_chunk(widx, ch)
-            fast.assign_chunk(widx, ch)
-    policy = ReadyPolicy(demand_priority)
-    for _ in range(upto):
-        widx = policy.next_choice(eng)
-        if widx is None:
-            break
-        eng.post_next(widx)
-        fast.post_next(widx)
-    return eng, fast
-
-
-def test_checkpoint_restore_roundtrip(het_platform, small_grid):
-    assignments = _chunk_assignments(het_platform, small_grid, [3, 4, 2, 5], random.Random(1))
-    eng, fast = _drain_engine_pair(het_platform, assignments, upto=25)
-    for widx in range(het_platform.p):
-        before = fast.result(small_grid)
-        token = fast.checkpoint(widx)
-        # post everything still pending on this worker, then roll back
-        while fast.has_pending(widx):
-            fast.post_next(widx)
-        fast.restore(token)
-        after = fast.result(small_grid)
-        assert after.makespan == before.makespan
-        assert after.port_busy == before.port_busy
-        assert after.worker_stats == before.worker_stats
-        assert after.blocks_through_port == before.blocks_through_port
-    # the rolled-back engine must still agree with the reference engine
-    while True:
-        widx = ReadyPolicy(demand_priority).next_choice(eng)
-        if widx is None:
-            break
-        eng.post_next(widx)
-        fast.post_next(widx)
-    assert_equivalent(eng.result(small_grid), fast.result(small_grid), expect_chunks=False)
-
-
-def test_checkpoint_truncates_speculative_chunks(het_platform, small_grid):
-    fast = FastEngine(het_platform)
-    cursorless = _chunk_assignments(het_platform, small_grid, [3, 4, 2, 5], random.Random(2))
-    extra = cursorless[0][0]
-    token = fast.checkpoint(0)
-    fast.assign_chunk(0, extra)
-    assert fast.has_pending(0)
-    assert len(fast.all_chunks) == 1
-    fast.restore(token)
-    assert not fast.has_pending(0)
-    assert fast.all_chunks == []

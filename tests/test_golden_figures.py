@@ -3,8 +3,8 @@
 ``tests/data/golden_figures.json`` freezes the makespan of every
 (algorithm, instance) pair of each paper figure at scale 0.1.  All three
 engines -- the reference event engine, the flat-array fast path and the
-vectorized batch engine (which simulates each figure's plans in one
-forced-vectorized submission) -- must reproduce every value exactly, so no
+vectorized batch engine (which simulates each figure's plans on one
+engine per replay mode) -- must reproduce every value exactly, so no
 engine can silently drift from the semantics that produced the paper's
 comparisons, or from the frozen history.
 
@@ -33,9 +33,9 @@ import pytest
 from repro.experiments.figures import FIGURES
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import default_suite
-from repro.sim.batch import batch_simulate
 from repro.sim.engine import simulate
 from repro.sim.fastpath import fast_simulate
+from tests.per_mode import per_mode_makespans
 
 SCALE = 0.1
 DATA = pathlib.Path(__file__).parent / "data" / "golden_figures.json"
@@ -58,8 +58,9 @@ def _iter_runs(fig: str):
 def _collect(engine: str, kernel=None) -> dict[str, dict[str, float]]:
     """``{fig: {"algorithm|instance": makespan}}`` under one engine.
 
-    ``"batch"`` simulates each figure's plans in one forced-vectorized
-    :func:`batch_simulate` call -- the bulk path the planning layer uses.
+    ``"batch"`` simulates each figure's plans on one
+    :class:`~repro.sim.batch.BatchEngine` per replay mode (allocator plans
+    through the fast path), whatever the group size and the backend.
     ``kernel`` selects a compiled simulation backend for the fast/batch
     engines (see :mod:`repro.sim.kernels`).
     """
@@ -83,10 +84,8 @@ def _collect(engine: str, kernel=None) -> dict[str, dict[str, float]]:
                 continue
             table[f"{sched.name}|{inst.label}"] = res.makespan
         if engine == "batch":
-            for key, makespan in zip(
-                keys, batch_simulate(runs, force=True, kernel=kernel)
-            ):
-                table[key] = float(makespan)
+            for key, makespan in zip(keys, per_mode_makespans(runs, kernel=kernel)):
+                table[key] = makespan
         out[fig] = table
     return out
 
@@ -119,7 +118,7 @@ def test_both_engines_reproduce_golden_figures(engine, golden):
 
 
 @pytest.mark.parametrize("engine", ["fast", "batch"])
-@pytest.mark.parametrize("kernel", ["numba", "c", "python"])
+@pytest.mark.parametrize("kernel", ["c", "python"])
 def test_compiled_backends_reproduce_golden_figures(engine, kernel, golden):
     """Every compiled kernel backend replays the full golden-figure set
     bit-identically (environments without a backend skip its rows)."""

@@ -3,8 +3,9 @@
 The equivalence walls (``test_batch_equivalence``, ``test_golden_figures``)
 pin that every backend computes bit-identical results; this file pins the
 *registry* contract around them: resolution order (instance > name > env >
-c when it builds > numpy), unknown-name errors, the single-warning numpy
-fallback for explicitly requested but unavailable backends, whole-run vs per-step dispatch, windowed stepping,
+c when it builds > numpy), unknown-name errors (``numba`` among them),
+the single-warning numpy fallback for explicitly requested but
+unavailable backends, whole-run vs per-step dispatch, windowed stepping,
 and the ``fast_simulate``/harness integration points.
 """
 
@@ -29,13 +30,15 @@ from repro.sim.kernels import (
     resolve_kernel,
 )
 from repro.sim.policies import POLICY_KEY_FIELDS
+from tests.per_mode import per_mode_outcomes
 
 
 # ----------------------------------------------------------------------
 # registry + resolution
 # ----------------------------------------------------------------------
 def test_registry_names_cover_all_factories():
-    assert set(KERNEL_NAMES) == {"numpy", "numba", "c", "python"}
+    assert KERNEL_NAMES == ("numpy", "c", "python")
+    assert set(kernels._FACTORIES) == set(KERNEL_NAMES)
     for name in available_backends():
         assert get_backend(name).name == name
 
@@ -60,6 +63,25 @@ def test_unknown_name_raises_value_error():
         get_backend("fortran")
     with pytest.raises(ValueError, match="unknown kernel backend"):
         resolve_kernel("fortran")
+
+
+def test_numba_is_an_unknown_name(monkeypatch, het_platform, small_grid):
+    """``numba`` names no backend: naming it, by argument or through the
+    environment, raises the unknown-backend error listing the known
+    names instead of falling back to numpy."""
+    from repro.sim.batch import batch_simulate
+
+    known = r"unknown kernel backend 'numba'; known: \('numpy', 'c', 'python'\)"
+    with pytest.raises(ValueError, match=known):
+        resolve_kernel("numba")
+    plan = make_and_strip("Hom", het_platform, small_grid)
+    with pytest.raises(ValueError, match=known):
+        fast_simulate(het_platform, plan, kernel="numba")
+    with pytest.raises(ValueError, match=known):
+        batch_simulate([(het_platform, plan)], kernel="numba")
+    monkeypatch.setenv(KERNEL_ENV, "numba")
+    with pytest.raises(ValueError, match=known):
+        resolve_kernel(None)
 
 
 def test_resolve_instance_passes_through():
@@ -93,17 +115,17 @@ def test_resolve_env_knob(monkeypatch):
 
 @pytest.fixture
 def broken_backend(monkeypatch):
-    """Temporarily make the ``numba`` backend unavailable (it may or may
-    not be installed here) and re-arm the one-warning-per-process latch."""
+    """Temporarily make the ``c`` backend unavailable (whether or not it
+    builds here) and re-arm the one-warning-per-process latch."""
 
     def unavailable():
-        raise KernelUnavailable("numba disabled for this test")
+        raise KernelUnavailable("c disabled for this test")
 
-    monkeypatch.setattr(kernels, "_FACTORIES", {**kernels._FACTORIES, "numba": unavailable})
+    monkeypatch.setattr(kernels, "_FACTORIES", {**kernels._FACTORIES, "c": unavailable})
     monkeypatch.setattr(kernels, "_instances", {})
     monkeypatch.setattr(kernels, "_failures", {})
     monkeypatch.setattr(kernels, "_warned", set())
-    return "numba"
+    return "c"
 
 
 def test_unavailable_backend_raises_on_direct_get(broken_backend):
@@ -247,7 +269,7 @@ def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid,
             assert np.array_equal(replay(name, chunk), reference), (name, chunk)
 
 
-@pytest.mark.parametrize("kernel", ["numba", "c", "python"])
+@pytest.mark.parametrize("kernel", ["c", "python"])
 def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
     """Under a whole-run backend, batch-replayable plans take the compiled
     B=1 batch route and stay bit-identical to the scalar fast path."""
@@ -295,8 +317,8 @@ def test_engine_records_backend(het_platform, small_grid):
 def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
     """Per-run outcomes of pre-compiled ``(platform, plan)`` runs agree
     under every backend, whether each run is simulated on its own
-    (``fast_simulate``) or the runs are batched (``batch_outcomes``)."""
-    from repro.sim.batch import batch_outcomes
+    (``fast_simulate``) or the runs are batched, one engine per replay
+    mode."""
 
     def jobs():
         out = []
@@ -314,7 +336,7 @@ def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
     for kernel in available_backends():
         per_run = outcomes(fast_simulate(p, plan, kernel=kernel) for p, plan in jobs())
         assert per_run == base, ("fast", kernel)
-        batched = outcomes(batch_outcomes(jobs(), force=True, kernel=kernel))
+        batched = outcomes(per_mode_outcomes(jobs(), kernel=kernel))
         assert batched == base, ("batch", kernel)
 
 

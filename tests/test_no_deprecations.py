@@ -20,6 +20,7 @@ from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.batch import batch_outcomes
 from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
 from repro.sim.fastpath import fast_simulate
+from tests.per_mode import per_mode_outcomes
 
 
 def _representative_workload():
@@ -37,13 +38,14 @@ def _representative_workload():
         sched.run(platform, grid)  # reference engine
         fast_simulate(platform, sched.plan(platform, grid), grid)
         runs.append((platform, sched.plan(platform, grid)))
+        batch_outcomes([(platform, sched.plan(platform, grid))])
         simulate_dynamic(
             platform,
             sched.plan(platform, grid),
             PlatformTimeline().straggle(1.0, 0, 2.0),
             grid,
         )
-    batch_outcomes(runs, force=True)
+    per_mode_outcomes(runs)
     run_experiment("w", [Instance("i", platform, grid)])
     AdaptiveScheduler(make_scheduler("ODDOML"), "adaptive").run_dynamic(
         platform, grid, PlatformTimeline().straggle(1.0, 0, 4.0)

@@ -40,6 +40,7 @@ from repro.obs import (
 from repro.platform.model import Platform
 from repro.schedulers.adaptive import DYNAMIC_MODES, AdaptiveScheduler
 from repro.schedulers.registry import make_scheduler
+from repro.sim.kernels import KERNEL_NAMES
 
 
 @pytest.fixture(autouse=True)
@@ -287,7 +288,7 @@ class TestRunMetadata:
             meta
         )
         assert isinstance(meta["cpu_count"], int)
-        assert meta["kernel"] in ("numpy", "numba", "c", "python")
+        assert meta["kernel"] in KERNEL_NAMES
         json.dumps(meta)
 
     def test_module_reexports(self):

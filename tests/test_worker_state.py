@@ -108,16 +108,6 @@ class TestStatsAndClone:
         assert ws.updates_done == 12
         assert ws.chunks_done == 1
 
-    def test_clone_is_independent(self):
-        ws = WorkerSim(Worker(0, 1.0, 1.0, 50), depth=2)
-        ws.assign(_chunk(t=2))
-        clone = ws.clone()
-        clone.post(clone.head(), 0.0, 1.0)
-        assert ws.head().kind is MsgKind.C_SEND  # original untouched
-        assert clone.head().kind is MsgKind.ROUND
-        clone.assign(_chunk(cid=1))
-        assert len(ws.chunks) == 1 and len(clone.chunks) == 2
-
     def test_invalid_depth(self):
         with pytest.raises(ValueError):
             WorkerSim(Worker(0, 1.0, 1.0, 50), depth=0)
