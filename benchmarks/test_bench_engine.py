@@ -176,5 +176,5 @@ def test_kernel_ladder_strict(emit):
 
 
 def test_kernel_ladder_ready(emit):
-    """The same ladder through the ready-mode lexicographic selection."""
+    """The same ladder through the ready-mode port selection."""
     _report_ladder("kernel_ladder_ready", "ORROML", emit)

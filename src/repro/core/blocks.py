@@ -17,7 +17,6 @@ schedulers) works in *block units*: a communication of ``X`` blocks costs
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["BlockGrid", "ceil_div", "block_slices"]

@@ -25,9 +25,9 @@ matrix column blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .blocks import BlockGrid, ceil_div
 

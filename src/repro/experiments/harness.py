@@ -8,7 +8,7 @@ steady-state bound, and exposes the paper's relative metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.blocks import BlockGrid
 from ..obs import merge_snapshots, snapshot, snapshot_delta, trace

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .harness import ExperimentResult
-from .metrics import Measurement
 
 __all__ = ["format_relative_table", "format_summary", "format_fig9"]
 

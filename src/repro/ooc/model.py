@@ -20,10 +20,9 @@ and the communication volume becomes the I/O volume.  For a product with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ..core.blocks import BlockGrid, ceil_div
+from ..core.blocks import BlockGrid
 from ..core.layout import max_reuse_mu, toledo_sigma
 from ..theory.bounds import ccr_lower_bound
 

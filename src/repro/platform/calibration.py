@@ -11,9 +11,8 @@ threaded runtime, or (in the paper's world) real MPI workers.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 

@@ -15,7 +15,7 @@ A *fully homogeneous* platform has identical ``(c, w, m)`` everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Worker", "Platform"]

@@ -23,7 +23,6 @@ from .engine import Engine, SimResult, WorkerStats, simulate
 from .fastpath import FastEngine, fast_simulate
 from .plan import Plan
 from .policies import (
-    PolicyKeySpec,
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
@@ -61,7 +60,6 @@ __all__ = [
     "random_timeline",
     "simulate_dynamic",
     "Plan",
-    "PolicyKeySpec",
     "ReadyPolicy",
     "StrictOrderPolicy",
     "demand_priority",

@@ -28,8 +28,8 @@ Per-instance results are **bit-identical** to
 :func:`~repro.sim.fastpath.fast_simulate`: each message cost is the same
 single IEEE-754 multiply the scalar engines perform, every add/sub/max
 happens in the same per-instance order, and ready-policy ties resolve
-through the same lexicographic ``(effective start, PolicyKeySpec
-fields)`` comparison.  ``tests/test_batch_equivalence.py`` and the
+through the same ``(effective start, priority key, worker index)``
+comparison.  ``tests/test_batch_equivalence.py`` and the
 golden-figure wall pin this.
 
 Two replay modes cover the batchable plans:
@@ -38,10 +38,10 @@ Two replay modes cover the batchable plans:
   step -> worker mapping is the plan's order (stored once per distinct
   plan), so a step is one order gather, a stream-pointer bump and one
   state gather/scatter;
-* **ready** (:class:`~repro.sim.policies.ReadyPolicy` with a declarative
-  :class:`~repro.sim.policies.PolicyKeySpec`): per-worker head keys are
-  cached in ``(B, P)`` arrays and each step performs one vectorized
-  lexicographic argmin across the worker axis of every instance at once.
+* **ready** (:class:`~repro.sim.policies.ReadyPolicy`, grouped by its
+  priority key): per-worker head legal starts and chunk ids are cached in
+  ``(B, P)`` arrays and each step performs one vectorized masked argmin
+  across the worker axis of every instance at once.
 
 Plans with dynamic allocators are not batchable (their chunks depend on
 the timing); :func:`batch_simulate` runs them through ``fast_simulate``
@@ -83,9 +83,9 @@ from ..obs import counter, get_tracer, stopwatch, timer, trace
 from ..platform.model import Platform
 from .engine import WorkerStats
 from .fastpath import fast_simulate
-from .kernels import FIELD_CODES, resolve_kernel
+from .kernels import resolve_kernel
 from .plan import Plan
-from .policies import StrictOrderPolicy
+from .policies import StrictOrderPolicy, selection_order_priority
 from .worker_state import CMode, c_message_count
 
 __all__ = [
@@ -135,13 +135,13 @@ def supports_batch(plan: Plan) -> bool:
 
 
 def _batch_mode(plan: Plan):
-    """Grouping key: ``"strict"``, ``("ready", fields)`` or ``None``."""
+    """Grouping key: ``"strict"``, ``("ready", priority)`` or ``None``."""
     if plan.allocator is not None:
         return None
     policy = plan.policy
     if isinstance(policy, StrictOrderPolicy):
         return "strict"
-    return ("ready", policy.priority.fields)
+    return ("ready", policy.priority)
 
 
 def _plan_steps(plan: Plan) -> int:
@@ -336,7 +336,7 @@ class BatchEngine:
     """Vectorized one-port simulator over ``B`` compatible instances.
 
     All plans must share one replay mode (all strict-order, or all ready
-    with the same :class:`~repro.sim.policies.PolicyKeySpec`);
+    with the same priority key);
     :func:`batch_simulate` groups arbitrary run lists into compatible
     engines automatically.  ``compile_cache`` shares compiled streams with
     other engines (see :class:`BatchCompileCache`).
@@ -372,7 +372,7 @@ class BatchEngine:
             )
         (mode,) = modes
         self._strict = mode == "strict"
-        self._key_fields: tuple[str, ...] = () if self._strict else mode[1]
+        self._by_cid = not self._strict and mode[1] == selection_order_priority
         with trace(
             "batch.compile",
             instances=len(runs),
@@ -535,7 +535,7 @@ class BatchEngine:
             self._kernel_args = (
                 B, P, self._lengths, self._ptr, self._end, self._seg, *costs,
                 self._head_legal, self._head_cid, f_kind, f_nb, f_upd, f_cid,
-                f_legal, f_ring, self._field_codes, *state,
+                f_legal, f_ring, int(self._by_cid), *state,
             )
 
     def _compile_ready(self) -> None:
@@ -546,10 +546,6 @@ class BatchEngine:
         self._head_legal = np.where(live, 0.0, np.inf)
         self._head_cid = np.full((self._B, self._P), np.inf)
         self._head_cid[live] = f_cid[self._ptr[live]]
-        self._wk_range = np.arange(self._P, dtype=np.float64)
-        self._field_codes = np.array(
-            [FIELD_CODES[f] for f in self._key_fields], dtype=np.int64
-        )
 
     # ------------------------------------------------------------------
     # stepping
@@ -595,9 +591,9 @@ class BatchEngine:
             _STEP_SECONDS.add(time.perf_counter() - t0)
             return self
         # the strict recurrence is pure; the ready window fuses the
-        # recurrence with the per-step lexicographic policy selection, so
-        # the mode attribute is the compile/recurrence/policy-selection
-        # phase split for profiling
+        # recurrence with the per-step policy selection, so the mode
+        # attribute is the compile/recurrence/policy-selection phase split
+        # for profiling
         mode = "strict" if self._strict else "ready"
         attrs = {"backend": self._backend.name, "mode": mode, "steps": steps}
         with tracer.span("batch.run", attrs), _STEP_SECONDS.time():
@@ -656,17 +652,12 @@ class BatchEngine:
     def _step_ready(self, n_act: int) -> None:
         head_legal = self._head_legal[:n_act]
         eff = np.maximum(self._port_free[:n_act, None], head_legal)
-        sel = eff == eff.min(axis=1, keepdims=True)
-        for f in self._key_fields:
-            if f == "head_cid":
-                vals = self._head_cid[:n_act]
-            elif f == "legal_start":
-                vals = head_legal
-            else:  # worker_index
-                vals = self._wk_range
-            v = np.where(sel, vals, np.inf)
-            sel = v == v.min(axis=1, keepdims=True)
-        off = self._row_off[:n_act] + sel.argmax(axis=1)
+        # the priority key over the earliest-starting workers; argmax takes
+        # the first (lowest-index) worker holding the least key
+        vals = self._head_cid[:n_act] if self._by_cid else head_legal
+        key = np.where(eff == eff.min(axis=1, keepdims=True), vals, np.inf)
+        first = (key == key.min(axis=1, keepdims=True)).argmax(axis=1)
+        off = self._row_off[:n_act] + first
 
         ptr, head_legal_f = self._ptr.reshape(-1), self._head_legal.reshape(-1)
         mp = ptr[off]
@@ -734,9 +725,9 @@ class BatchEngine:
         if not full._strict:
             raise TypeError(
                 "shared_prefix requires strict-order plans, but this batch "
-                f"replays in ready mode ({full._key_fields}): a ready "
-                "policy's message order is timing-dependent, so no prefix "
-                "can be declared shared ahead of time"
+                "replays in ready mode: a ready policy's message order is "
+                "timing-dependent, so no prefix can be declared shared "
+                "ahead of time"
             )
         if prefix_steps <= 0:
             return full
@@ -945,7 +936,7 @@ def batch_outcomes(
     """Simulate every ``(platform, plan)`` run, vectorizing compatible
     groups, and return per-run outcomes in input order.
 
-    Runs are grouped by replay mode (strict order / ready key spec);
+    Runs are grouped by replay mode (strict order / ready priority key);
     allocator-driven plans go through the scalar fast path.  Under a
     whole-run kernel backend each group is one :class:`BatchEngine`.
     Under the per-step numpy backend each group is bucketed by message

@@ -90,7 +90,7 @@ from .allocator import PanelDemandAllocator
 from .engine import Engine, SimResult
 from .fastpath import FastEngine
 from .plan import Plan
-from .policies import PolicyKeySpec, StrictOrderPolicy
+from .policies import StrictOrderPolicy, selection_order_priority
 from .worker_state import CMode, c_message_count
 
 __all__ = [
@@ -480,11 +480,11 @@ class DynamicRun:
         # onto the surviving pipelines (the shared-prefix re-scoring
         # contract of the boundary re-selection).
         self._executed: list[int] = []
-        self._spec: PolicyKeySpec | None = None
+        self._priority: str | None = None
         if isinstance(policy, StrictOrderPolicy):
             self._order = list(policy.order)
         else:
-            self._spec = policy.priority
+            self._priority = policy.priority
 
     # ------------------------------------------------------------------
     # event application
@@ -559,15 +559,16 @@ class DynamicRun:
 
     def _choose_ready(self) -> tuple[int, float] | None:
         # Ascending index scan with strict improvement: the same
-        # lexicographic (effective start, spec fields) comparison as
-        # FastEngine._run_ready_generic, with the crash-window floor folded
-        # into each worker's legal start.
+        # (effective start, priority key) comparison as
+        # FastEngine._run_ready, with the crash-window floor folded into
+        # each worker's legal start.
         ad = self.adapter
+        by_cid = self._priority == selection_order_priority
         avail = self.avail
         port_free = ad.port_free
         best = -1
         best_eff = 0.0
-        best_key: tuple = ()
+        best_key: float | int = 0
         frontier = self.frontier
         for i in range(ad.p):
             if not ad.has_pending(i) or avail[i] == _INF:
@@ -577,23 +578,12 @@ class DynamicRun:
             if floor > legal:
                 legal = floor
             eff = port_free if port_free > legal else legal
-            if best < 0 or eff < best_eff:
-                best, best_eff = i, eff
-                best_key = self._key(i, legal)
-            elif eff == best_eff:
-                key = self._key(i, legal)
-                if key < best_key:
-                    best, best_key = i, key
+            key = ad.head_cid(i) if by_cid else legal
+            if best < 0 or eff < best_eff or (eff == best_eff and key < best_key):
+                best, best_eff, best_key = i, eff, key
         if best < 0:
             return None
         return best, best_eff
-
-    def _key(self, i: int, legal: float) -> tuple:
-        ad = self.adapter
-        return tuple(
-            ad.head_cid(i) if f == "head_cid" else legal if f == "legal_start" else i
-            for f in self._spec.fields
-        )
 
     # ------------------------------------------------------------------
     # main loop
@@ -657,7 +647,7 @@ class DynamicRun:
         floors = [self._floor(i) for i in range(eng._p)]
         order = self._order
         if order is None:
-            eng._run_ready(self.allocator, self._spec, floors, until)
+            eng._run_ready(self.allocator, self._priority, floors, until)
         else:
             pos = eng._run_strict(order, floors, until, self._pos)
             self._executed.extend(order[self._pos : pos])
@@ -940,7 +930,7 @@ class DynamicRun:
         # probes never re-select (no controller), so they carry no history
         other._executed = []
         other._pos = self._pos
-        other._spec = self._spec
+        other._priority = self._priority
         return other
 
     def finish(self) -> float:

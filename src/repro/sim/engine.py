@@ -21,7 +21,7 @@ from typing import Any, Sequence
 
 from ..core.blocks import BlockGrid
 from ..core.chunks import Chunk
-from ..core.ops import ComputeEvent, MsgKind, PortEvent
+from ..core.ops import ComputeEvent, PortEvent
 from ..platform.model import Platform
 from .worker_state import CMode, HeadMsg, WorkerSim
 

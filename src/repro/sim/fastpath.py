@@ -17,9 +17,8 @@ scalar arrays:
   refreshed only when that worker posts or receives a chunk -- a port
   decision is a tight scan over ``p`` floats;
 * both plan policies (:class:`StrictOrderPolicy`, :class:`ReadyPolicy`
-  with its declarative :class:`~repro.sim.policies.PolicyKeySpec`
-  priority) and the demand allocators are interpreted directly, so every
-  plan runs here.
+  with its one-key priority) and the demand allocators are interpreted
+  directly, so every plan runs here.
 
 Every floating-point operation is performed in exactly the order of the
 reference engine, so makespans, per-worker statistics and port busy time
@@ -41,7 +40,7 @@ from ..platform.model import Platform
 from .allocator import PanelDemandAllocator
 from .engine import SimResult, WorkerStats
 from .plan import Plan
-from .policies import PolicyKeySpec, StrictOrderPolicy
+from .policies import StrictOrderPolicy, selection_order_priority
 from .worker_state import CMode
 
 __all__ = ["FastEngine", "fast_simulate"]
@@ -215,16 +214,6 @@ class FastEngine:
             self._head_legal[i] = self._last_comp_end[i]
             self._head_nblocks[i] = c_blocks
         self._head_cid[i] = cid
-
-    def legal_start(self, widx: int) -> float:
-        """Earliest start of worker ``widx``'s head message (must exist)."""
-        if self._head_stage_kind[widx] == self._K_NONE:
-            raise RuntimeError(f"worker {widx} has no pending message")
-        return self._head_legal[widx]
-
-    def effective_start(self, widx: int) -> float:
-        legal = self.legal_start(widx)
-        return legal if legal > self.port_free else self.port_free
 
     # ------------------------------------------------------------------
     # posting
@@ -530,11 +519,11 @@ class FastEngine:
     def _run_ready(
         self,
         allocator: PanelDemandAllocator | None,
-        spec: PolicyKeySpec,
+        priority: str,
         floors: Sequence[float],
         until: float,
     ) -> None:
-        """Serve pending workers by (effective start, spec fields) until
+        """Serve pending workers by (effective start, priority key) until
         they drain, or until the chosen message would start at or after
         ``until``.
 
@@ -543,8 +532,8 @@ class FastEngine:
         effective start and the ``legal_start`` key; a worker whose floor
         is ``inf`` is never served (the loop stops once only such workers
         remain).  Ascending index scan with strict improvement reproduces
-        the reference tuple-comparison tie-breaking exactly (including the
-        implicit lowest-worker-index tie-break).
+        the reference tie-breaking exactly (remaining ties go to the
+        lowest worker index).
 
         The allocator is refilled on entry and then once per drain, not
         before every message as in the reference loop: after a refill each
@@ -553,26 +542,7 @@ class FastEngine:
         and a post only changes the posted worker, so a refill is a no-op
         until a post leaves its worker without a head message.
         """
-        fields = spec.fields
-        single = (
-            fields[0] in ("head_cid", "legal_start")
-            and (len(fields) == 1 or (len(fields) == 2 and fields[1] == "worker_index"))
-        )
-        if single:
-            self._run_ready_single(allocator, floors, until, by_cid=fields[0] == "head_cid")
-        else:
-            self._run_ready_generic(allocator, floors, until, fields)
-
-    def _run_ready_single(
-        self,
-        allocator: PanelDemandAllocator | None,
-        floors: Sequence[float],
-        until: float,
-        *,
-        by_cid: bool,
-    ) -> None:
-        # Specialization for the two registry specs: one scalar key, no
-        # tuple allocation per candidate.
+        by_cid = priority == selection_order_priority
         kinds = self._head_stage_kind
         heads = self._head_legal
         cids = self._head_cid
@@ -598,52 +568,6 @@ class FastEngine:
                     best = i
                     best_eff = eff
                     best_key = key
-            if best < 0 or best_eff >= until:
-                break
-            self.post_next(best, floors[best])
-            if allocator is not None and kinds[best] == drained:
-                self._refill(allocator)
-
-    def _run_ready_generic(
-        self,
-        allocator: PanelDemandAllocator | None,
-        floors: Sequence[float],
-        until: float,
-        fields: tuple[str, ...],
-    ) -> None:
-        kinds = self._head_stage_kind
-        heads = self._head_legal
-        cids = self._head_cid
-        p = self._p
-        drained = self._K_NONE
-
-        def key_of(i: int, legal: float) -> tuple:
-            return tuple(
-                cids[i] if f == "head_cid" else legal if f == "legal_start" else i
-                for f in fields
-            )
-
-        if allocator is not None:
-            self._refill(allocator)
-        while True:
-            best = -1
-            best_eff = 0.0
-            best_key: tuple = ()
-            port_free = self.port_free
-            for i in range(p):
-                if kinds[i] == drained:
-                    continue
-                legal = heads[i]
-                f = floors[i]
-                if f > legal:
-                    legal = f
-                eff = port_free if port_free > legal else legal
-                if best < 0 or eff < best_eff:
-                    best, best_eff, best_key = i, eff, key_of(i, legal)
-                elif eff == best_eff:
-                    key = key_of(i, legal)
-                    if key < best_key:
-                        best, best_eff, best_key = i, eff, key
             if best < 0 or best_eff >= until:
                 break
             self.post_next(best, floors[best])

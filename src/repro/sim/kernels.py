@@ -8,9 +8,10 @@ compiles the two hot recurrences as **whole-run kernels**: one call
 advances *all* steps of a batch inside compiled code.  Both kernels walk
 the engine's shared per-plan message streams through per-instance
 ``(B, P)`` stream pointers -- the strict kernel takes each step's worker
-from the plan's order, the ready kernel selects it lexicographically --
-and compute each message's ``nblocks * c`` / ``updates * w`` inline from
-the instance's worker costs.  The kernels loop instance by instance, so
+from the plan's order, the ready kernel picks the least effective start,
+then the least priority key, then the lowest index -- and compute each
+message's ``nblocks * c`` / ``updates * w`` inline from the instance's
+worker costs.  The kernels loop instance by instance, so
 one call over a batch of any size or length spread costs what the
 instances' own steps cost.  The numpy per-step path remains the
 bit-identical equivalence oracle (the kernels perform the same IEEE-754
@@ -76,11 +77,6 @@ KERNEL_ENV = "REPRO_KERNEL"
 
 #: Registered backend names, in documentation order.
 KERNEL_NAMES = ("numpy", "c", "python")
-
-#: ``PolicyKeySpec`` field name -> integer code interpreted by the ready
-#: kernels (the spec's field order is preserved; codes index the branch
-#: inside the kernel's tie-break loop).
-FIELD_CODES = {"head_cid": 0, "legal_start": 1, "worker_index": 2}
 
 
 class KernelUnavailable(RuntimeError):
@@ -169,13 +165,12 @@ def _ready_run(
     f_cid,  # (N,) float64    chunk ids as float64 (exact below 2**53)
     f_legal,  # (N,) int64
     f_ring,  # (N,) int64
-    fields,  # (k,) int64     PolicyKeySpec field codes, in spec order
+    by_cid,  # int            1: priority key head_cid, 0: legal_start
     S,  # (s,) float64
     port_free,  # (B,) float64
     port_busy,  # (B,) float64
 ):
     inf = np.inf
-    n_fields = fields.shape[0]
     for b in range(B):
         stop = min(t1, lengths[b])
         if stop <= t0:
@@ -185,37 +180,20 @@ def _ready_run(
         hl = head_legal[b]
         hc = head_cid[b]
         for _t in range(t0, stop):
-            # lexicographic argmin over (effective start, spec fields);
-            # ascending scan with strict improvement == the numpy masked
-            # argmin (ties resolve to the lowest worker index)
+            # argmin over (effective start, priority key); ascending scan
+            # with strict improvement == the numpy masked argmin (ties
+            # resolve to the lowest worker index)
             best = 0
             v = hl[0]
             best_eff = pf if pf > v else v
             for i in range(1, P):
                 v = hl[i]
                 eff = pf if pf > v else v
-                if eff < best_eff:
+                if eff < best_eff or (
+                    eff == best_eff and (hc[i] < hc[best] if by_cid else v < hl[best])
+                ):
                     best = i
                     best_eff = eff
-                    continue
-                if eff > best_eff:
-                    continue
-                for k in range(n_fields):
-                    f = fields[k]
-                    if f == 0:
-                        vi = hc[i]
-                        vb = hc[best]
-                    elif f == 1:
-                        vi = hl[i]
-                        vb = hl[best]
-                    else:
-                        # worker_index: the incumbent's index is lower
-                        break
-                    if vi < vb:
-                        best = i
-                        break
-                    if vi > vb:
-                        break
             mp = ptr[b, best]
             sg = seg[b, best]
             end = best_eff + f_nb[mp] * cost_c[b, best]
@@ -318,8 +296,7 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
                const double *restrict f_cid,
                const int64_t *restrict f_legal,
                const int64_t *restrict f_ring,
-               int64_t n_fields,
-               const int64_t *restrict fields,
+               int64_t by_cid,
                double *restrict S,
                double *restrict port_free,
                double *restrict port_busy)
@@ -338,16 +315,10 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
             for (int64_t i = 1; i < P; i++) {
                 v = hl[i];
                 double eff = RMAX(pf, v);
-                if (eff < best_eff) { best = i; best_eff = eff; continue; }
-                if (eff > best_eff) continue;
-                for (int64_t k = 0; k < n_fields; k++) {
-                    int64_t f = fields[k];
-                    double vi, vb;
-                    if (f == 0) { vi = hc[i]; vb = hc[best]; }
-                    else if (f == 1) { vi = hl[i]; vb = hl[best]; }
-                    else break;  /* worker_index: the incumbent is lower */
-                    if (vi < vb) { best = i; break; }
-                    if (vi > vb) break;
+                if (eff < best_eff || (eff == best_eff
+                        && (by_cid ? hc[i] < hc[best] : v < hl[best]))) {
+                    best = i;
+                    best_eff = eff;
                 }
             }
             int64_t off = b * P + best;
@@ -536,7 +507,7 @@ class CBackend(KernelBackend):
             lib.strict_run.argtypes = [i64, i64, i64, i64] + [ptr] * 15
             lib.ready_run.restype = None
             lib.ready_run.argtypes = (
-                [i64, i64, i64, i64] + [ptr] * 14 + [i64] + [ptr] * 4
+                [i64, i64, i64, i64] + [ptr] * 14 + [i64] + [ptr] * 3
             )
         except (OSError, AttributeError) as exc:
             # a noexec cache mount, or a cached .so built for another
@@ -585,7 +556,7 @@ class CBackend(KernelBackend):
     def ready_run(
         self, t0, t1, B, P, lengths, ptr, endp, seg, cost_c, cost_w,
         head_legal, head_cid, f_kind, f_nb, f_upd, f_cid, f_legal, f_ring,
-        fields, S, port_free, port_busy,
+        by_cid, S, port_free, port_busy,
     ) -> None:
         self.ensure_ready()
         p, f8, i8 = self._p, np.float64, np.int64
@@ -596,7 +567,7 @@ class CBackend(KernelBackend):
             p(head_legal, f8), p(head_cid, f8),
             p(f_kind, np.int8), p(f_nb, f8), p(f_upd, f8), p(f_cid, f8),
             p(f_legal, i8), p(f_ring, i8),
-            int(fields.shape[0]), p(fields, i8),
+            by_cid,
             p(S, f8), p(port_free, f8), p(port_busy, f8),
         )
 

@@ -7,15 +7,16 @@ executes plans; schedulers stay free of simulation mechanics.
 
 A plan is the single gate for what the engines interpret: its policy is a
 :class:`StrictOrderPolicy` naming workers of the plan, or a
-:class:`ReadyPolicy` (whose priority is a declarative key spec), and only
-a ready policy may be driven by a demand allocator.  Every engine runs
+:class:`ReadyPolicy` (whose priority is ``"head_cid"`` or
+``"legal_start"``), and only a ready policy may be driven by a demand
+allocator.  Every engine runs
 every plan the constructor accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from ..core.chunks import Chunk
 from .allocator import PanelDemandAllocator

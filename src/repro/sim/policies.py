@@ -14,29 +14,27 @@ algorithms:
   selection order) and by the demand-driven heuristics (priority = how long
   the worker has been able to receive).
 
-Ready priorities are *declarative*: a :class:`PolicyKeySpec` names a
-lexicographic tuple of per-worker fields (lower is served first) drawn from
-a small vocabulary (:data:`POLICY_KEY_FIELDS`).  Because the spec is data,
-every engine -- the reference event engine, the flat-array fast path
-(:mod:`repro.sim.fastpath`) and the vectorized batch engine
-(:mod:`repro.sim.batch`) -- interprets it directly over its own state
-layout instead of calling back into Python per candidate.  These two
-policies, with a spec as the ready priority, are the only ones a
-:class:`~repro.sim.plan.Plan` accepts, so every engine runs every plan.
+A ready priority is one of two keys, compared after the effective start
+(lower is served first, remaining ties go to the lowest worker index):
+``"head_cid"`` (:data:`selection_order_priority`) or ``"legal_start"``
+(:data:`demand_priority`).  Because the key is data, every engine -- the
+reference event engine, the flat-array fast path
+(:mod:`repro.sim.fastpath`), the dynamic driver and the batch engine with
+its kernels (:mod:`repro.sim.batch`) -- interprets it as one scalar
+comparison over its own state layout.  These two policies are the only
+ones a :class:`~repro.sim.plan.Plan` accepts, so every engine runs every
+plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import Engine
 
 __all__ = [
     "StrictOrderPolicy",
     "ReadyPolicy",
-    "PolicyKeySpec",
-    "POLICY_KEY_FIELDS",
     "selection_order_priority",
     "demand_priority",
 ]
@@ -74,85 +72,55 @@ class StrictOrderPolicy:
         return StrictOrderPolicy(self.order)
 
 
-# ----------------------------------------------------------------------
-# declarative ready-priority key specs
-# ----------------------------------------------------------------------
-
-#: Vocabulary of per-worker fields a :class:`PolicyKeySpec` may name.  Each
-#: maps to a reference-engine getter; the fast path and the batch engine
-#: interpret the same names over their own arrays.
-POLICY_KEY_FIELDS: dict[str, Callable[[Engine, int], float | int]] = {
-    # chunk id of the worker's head message (chunk ids are allocated in
-    # selection order, so this is "earliest-selected first")
-    "head_cid": lambda engine, widx: engine.head(widx).chunk.cid,
-    # earliest legal start of the head message ("ready to receive the
-    # longest" when minimized)
-    "legal_start": lambda engine, widx: engine.legal_start(widx),
-    # the worker's index (the universal final tie-break)
-    "worker_index": lambda engine, widx: widx,
-}
-
-
-@dataclass(frozen=True)
-class PolicyKeySpec:
-    """Declarative ready priority: a lexicographic tuple of per-worker
-    fields; *lower* keys are served first.
-
-    The spec is plain data, so every engine interprets it natively (no
-    Python callback per candidate); calling it as ``spec(engine, widx)``
-    evaluates the key on the reference engine.
-    """
-
-    fields: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.fields:
-            raise ValueError("a key spec needs at least one field")
-        unknown = [f for f in self.fields if f not in POLICY_KEY_FIELDS]
-        if unknown:
-            raise ValueError(
-                f"unknown key field(s) {unknown}; known: {sorted(POLICY_KEY_FIELDS)}"
-            )
-
-    def __call__(self, engine: Engine, widx: int) -> tuple:
-        """Evaluate the key on the reference engine."""
-        return tuple(POLICY_KEY_FIELDS[f](engine, widx) for f in self.fields)
-
-
 #: Serve the earliest-selected chunk first (heterogeneous execution: chunk
-#: ids are allocated in selection order), ties to the lowest worker index.
-selection_order_priority = PolicyKeySpec(("head_cid", "worker_index"))
+#: ids are allocated in selection order).
+selection_order_priority = "head_cid"
 
 #: Serve the worker that has been ready to receive the longest
 #: (demand-driven heuristics: "the first worker which can receive it").
-demand_priority = PolicyKeySpec(("legal_start", "worker_index"))
+demand_priority = "legal_start"
+
+#: The ready priorities every engine interprets.
+_READY_KEYS = (selection_order_priority, demand_priority)
 
 
 class ReadyPolicy:
-    """Serve pending workers ordered by ``(effective start, priority)``.
+    """Serve pending workers ordered by ``(effective start, priority key,
+    worker index)``.
 
     The effective start is ``max(port_free, legal_start)``: among messages
-    receivable at the earliest possible moment, the priority breaks ties;
-    when nothing is receivable now, the port jumps to the earliest legal
-    start.  ``priority`` must be a :class:`PolicyKeySpec`.
+    receivable at the earliest possible moment, the priority key breaks
+    ties, then the lowest worker index; when nothing is receivable now,
+    the port jumps to the earliest legal start.  ``priority`` is
+    ``"head_cid"`` or ``"legal_start"``.
     """
 
-    def __init__(self, priority: PolicyKeySpec) -> None:
-        if not isinstance(priority, PolicyKeySpec):
+    def __init__(self, priority: str) -> None:
+        if not isinstance(priority, str):
             raise TypeError(
-                f"ReadyPolicy needs a PolicyKeySpec priority, got {type(priority).__name__}"
+                f"ReadyPolicy needs a priority key {_READY_KEYS}, "
+                f"got {type(priority).__name__}"
+            )
+        if priority not in _READY_KEYS:
+            raise ValueError(
+                f"unknown ready priority {priority!r}; known: {_READY_KEYS}"
             )
         self.priority = priority
 
     def next_choice(self, engine: Engine) -> int | None:
         """Index of the pending worker ranked first, or ``None`` when every
         worker has drained."""
+        by_cid = self.priority == selection_order_priority
         best: tuple | None = None
         best_widx: int | None = None
         for widx in range(engine.platform.p):
-            if engine.head(widx) is None:
+            head = engine.head(widx)
+            if head is None:
                 continue
-            key = (engine.effective_start(widx), self.priority(engine, widx))
+            key = (
+                engine.effective_start(widx),
+                head.chunk.cid if by_cid else engine.legal_start(widx),
+            )
             if best is None or key < best:
                 best = key
                 best_widx = widx

@@ -6,9 +6,9 @@ them.  They power the examples and the CLI's ``--gantt`` flag.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
-from ..core.ops import ComputeEvent, MsgKind, PortEvent
+from ..core.ops import ComputeEvent, MsgKind
 from .engine import SimResult
 
 __all__ = ["port_records", "compute_records", "gantt_ascii", "worker_utilization"]

@@ -40,8 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..core.chunks import assert_partition
-from ..core.ops import ComputeEvent, MsgKind, PortEvent
+from ..core.ops import MsgKind, PortEvent
 from .engine import SimResult
 
 __all__ = [

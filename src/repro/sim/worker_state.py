@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..core.chunks import Chunk
-from ..core.ops import ComputeEvent, MsgKind, PortEvent
+from ..core.ops import ComputeEvent, MsgKind
 from ..platform.model import Worker
 
 __all__ = ["CMode", "HeadMsg", "WorkerSim", "c_message_count"]

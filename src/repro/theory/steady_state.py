@@ -36,7 +36,6 @@ import numpy as np
 
 from ..core.blocks import BlockGrid
 from ..platform.model import Platform, Worker
-from .bounds import ccr_lower_bound
 
 __all__ = [
     "WorkerRate",

@@ -5,7 +5,7 @@ from the resolved kernel backend, and under the per-step numpy backend it
 sends small groups to the scalar fast path.  The equivalence and golden
 walls want the batch engine itself at any group size, so they go through
 :func:`per_mode_outcomes` instead: every strict-order group and every
-ready group (per key spec) is one :class:`~repro.sim.batch.BatchEngine`
+ready group (per priority key) is one :class:`~repro.sim.batch.BatchEngine`
 stepped by the given backend; allocator-driven plans, which no engine
 can replay, run through :func:`~repro.sim.fastpath.fast_simulate`.
 """

@@ -11,7 +11,7 @@ from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
 from repro.sim.engine import Engine, simulate
 from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
-from repro.sim.policies import PolicyKeySpec, ReadyPolicy, demand_priority
+from repro.sim.policies import ReadyPolicy, demand_priority, selection_order_priority
 
 
 class TestPanelDemandAllocator:
@@ -100,16 +100,16 @@ def _assert_same_run(ref, fast):
 
 @pytest.mark.parametrize("name", ["ODDOML", "BMM"])
 @pytest.mark.parametrize(
-    "spec",
-    [None, PolicyKeySpec(("legal_start", "head_cid", "worker_index"))],
-    ids=["registry-spec", "generic-spec"],
+    "priority",
+    [None, selection_order_priority],
+    ids=["registry-spec", "selection-order"],
 )
 @pytest.mark.parametrize("grid", [BlockGrid(r=7, t=6, s=13, q=3), BlockGrid(r=12, t=5, s=31)])
-def test_fast_ready_replay_refills_once_per_drain(name, spec, grid, het_platform):
+def test_fast_ready_replay_refills_once_per_drain(name, priority, grid, het_platform):
     def build():
         plan = make_scheduler(name).plan(het_platform, grid)  # allocators are single-use
-        if spec is not None:
-            plan.policy = ReadyPolicy(spec)
+        if priority is not None:
+            plan.policy = ReadyPolicy(priority)
         return plan
 
     ref_plan = build()
@@ -136,9 +136,9 @@ def test_dynamic_crash_window_floors_match_reference(het_platform, ragged_grid, 
     seen_floors: list[float] = []
     run_ready = FastEngine._run_ready
 
-    def spy(self, allocator, spec, floors, until):
+    def spy(self, allocator, priority, floors, until):
         seen_floors.extend(floors)
-        return run_ready(self, allocator, spec, floors, until)
+        return run_ready(self, allocator, priority, floors, until)
 
     monkeypatch.setattr(FastEngine, "_run_ready", spy)
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)

@@ -9,9 +9,9 @@ makespan, same port busy time, same per-worker statistics -- across
   chunk counts, strict and ready policies, and allocator plans that must
   fall back to the scalar path),
 * property-generated (platform, grid) instances,
-* hand-built plans covering every ``CMode``, prefetch depths 1..3, and the
-  ``PolicyKeySpec`` interpretations of ``selection_order_priority`` and
-  ``demand_priority`` (plus a generic multi-field spec),
+* hand-built plans covering every ``CMode``, prefetch depths 1..3, and
+  both ready priority keys (``selection_order_priority`` and
+  ``demand_priority``),
 * the checkpoint/restore and shared-prefix batch APIs,
 * ``batch_outcomes``'s routing: one engine per replay mode under a
   whole-run kernel, length buckets and the scalar gate under numpy.
@@ -53,7 +53,6 @@ from repro.sim.fastpath import fast_simulate
 from repro.sim.kernels import available_backends
 from repro.sim.plan import Plan
 from repro.sim.policies import (
-    PolicyKeySpec,
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
@@ -234,9 +233,6 @@ def test_property_equivalence_all_schedulers(params, grid):
 # ----------------------------------------------------------------------
 # hand-built plans: CMode x depth x policy coverage, ragged in one batch
 # ----------------------------------------------------------------------
-GENERIC_SPEC = PolicyKeySpec(("legal_start", "head_cid", "worker_index"))
-
-
 def _hand_built_runs(het_platform, small_grid, ragged_grid, policy_factory):
     """One batch spanning CModes, depths 1..3 and both grids."""
     runs = []
@@ -282,12 +278,11 @@ KERNELS = available_backends()
         _strict_factory,
         lambda a, m, r: ReadyPolicy(selection_order_priority),
         lambda a, m, r: ReadyPolicy(demand_priority),
-        lambda a, m, r: ReadyPolicy(GENERIC_SPEC),
     ],
-    ids=["strict", "selection-order", "demand", "generic-spec"],
+    ids=["strict", "selection-order", "demand"],
 )
 def test_mode_depth_policy_matrix(policy_factory, kernel, het_platform, small_grid, ragged_grid):
-    """backend x mode x PolicyKeySpec wall: every kernel backend replays
+    """backend x mode x priority key wall: every kernel backend replays
     the CMode/depth/policy matrix bit-identically to the reference."""
     runs = _hand_built_runs(het_platform, small_grid, ragged_grid, policy_factory)
     fasts = [
@@ -299,16 +294,16 @@ def test_mode_depth_policy_matrix(policy_factory, kernel, het_platform, small_gr
 
 
 def test_key_spec_interpretations_match_reference(het_platform, ragged_grid):
-    """The two registry specs and a generic spec rank identically in the
-    reference engine, the fast path and the batch engine."""
+    """Both priority keys rank identically in the reference engine, the
+    fast path and the batch engine."""
     rng = random.Random(11)
     assignments = _chunk_assignments(het_platform, ragged_grid, [3, 2, 2, 4], rng)
-    for spec in (selection_order_priority, demand_priority, GENERIC_SPEC):
+    for priority in (selection_order_priority, demand_priority):
 
         def build():
             return Plan(
                 assignments=[list(chs) for chs in assignments],
-                policy=ReadyPolicy(spec),
+                policy=ReadyPolicy(priority),
                 depths=[2, 1, 3, 2],
                 collect_events=False,
             )
@@ -389,7 +384,11 @@ def _routed(monkeypatch, runs, **kwargs):
 
     def counting_init(self, runs, **kw):
         init(self, runs, **kw)
-        built.append("strict" if self._strict else self._key_fields)
+        (mode,) = {
+            "strict" if isinstance(plan.policy, StrictOrderPolicy) else plan.policy.priority
+            for _pf, plan in runs
+        }
+        built.append(mode)
 
     monkeypatch.setattr(BatchEngine, "__init__", counting_init)
     before = snapshot()
@@ -420,8 +419,7 @@ def test_whole_run_kernels_build_one_engine_per_mode(
     outcomes, built, delta = _routed(
         monkeypatch, runs, compile_cache=cache, kernel=kernel
     )
-    ready_fields = runs[1][1].policy.priority.fields
-    assert sorted(built, key=str) == sorted(["strict", ready_fields], key=str)
+    assert sorted(built) == sorted(["strict", runs[1][1].policy.priority])
     pairs = {
         (id(plan), w)
         for _pf, plan in runs

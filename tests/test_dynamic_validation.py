@@ -60,7 +60,7 @@ from repro.sim.dynamic import (
     simulate_dynamic,
 )
 from repro.sim.fastpath import fast_simulate
-from repro.sim.policies import PolicyKeySpec, ReadyPolicy, StrictOrderPolicy
+from repro.sim.policies import ReadyPolicy, StrictOrderPolicy, demand_priority
 from repro.sim.validate import InvariantViolation, validate_dynamic
 from repro.theory.steady_state import makespan_lower_bound
 
@@ -358,16 +358,16 @@ def test_native_crash_rejoin_mid_run_matches(name, het_platform, ragged_grid):
 
 @pytest.mark.parametrize("offset", range(8))
 def test_native_generic_key_spec_matches(offset):
-    """Fuzz timelines under a multi-field ready key, (legal_start,
-    head_cid), which no registry scheduler uses: the floored legal start
-    must break effective-start ties in the native generic loop exactly as
-    in the per-message loop and on the reference engine."""
+    """Fuzz timelines with Het's allocator-free plan served by the demand
+    key instead of its selection order: the floored legal start must break
+    effective-start ties in the native ready loop exactly as in the
+    per-message loop and on the reference engine."""
     seed = _seed_base() + 60_000 + offset
     platform, grid, timeline, _name, _mode = _case(seed)
 
     def make_plan():
         plan = make_scheduler("Het").plan(platform, grid)
-        plan.policy = ReadyPolicy(PolicyKeySpec(("legal_start", "head_cid")))
+        plan.policy = ReadyPolicy(demand_priority)
         return plan
 
     native, recorded = _native_and_recorded(platform, grid, timeline, make_plan)

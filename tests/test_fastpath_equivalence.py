@@ -176,7 +176,9 @@ def test_strict_order_equivalence_modes(c_mode, depth, seed, het_platform, small
     assert_equivalent(ref, fast)
 
 
-@pytest.mark.parametrize("priority", [selection_order_priority, demand_priority])
+@pytest.mark.parametrize(
+    "priority", [selection_order_priority, demand_priority], ids=["priority0", "priority1"]
+)
 @pytest.mark.parametrize("c_mode", list(CMode))
 @pytest.mark.parametrize("seed", [3, 11])
 def test_ready_policy_equivalence_modes(priority, c_mode, seed, het_platform, ragged_grid):

@@ -21,7 +21,6 @@ from repro.sim import kernels
 from repro.sim.batch import BatchEngine
 from repro.sim.fastpath import fast_simulate
 from repro.sim.kernels import (
-    FIELD_CODES,
     KERNEL_ENV,
     KERNEL_NAMES,
     KernelUnavailable,
@@ -29,7 +28,6 @@ from repro.sim.kernels import (
     get_backend,
     resolve_kernel,
 )
-from repro.sim.policies import POLICY_KEY_FIELDS
 from tests.per_mode import per_mode_outcomes
 
 
@@ -46,11 +44,6 @@ def test_registry_names_cover_all_factories():
 def test_numpy_and_python_always_available():
     avail = available_backends()
     assert "numpy" in avail and "python" in avail
-
-
-def test_field_codes_cover_policy_vocabulary():
-    """The ready kernels interpret exactly the PolicyKeySpec vocabulary."""
-    assert set(FIELD_CODES) == set(POLICY_KEY_FIELDS)
 
 
 def test_whole_run_flags():

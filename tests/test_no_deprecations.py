@@ -1,10 +1,10 @@
 """The suite's own code paths emit no internal DeprecationWarning.
 
-The ``fast_key`` → :class:`PolicyKeySpec` migration is finished: a
-:class:`~repro.sim.policies.ReadyPolicy` takes only a spec, and engines
-read it straight from ``policy.priority``.  This wall runs a representative workload — every registry
-scheduler through the reference, fast, batch and dynamic engines plus the
-experiment harness — and asserts nothing under ``repro`` raises a
+No deprecated path is left: a :class:`~repro.sim.policies.ReadyPolicy`
+takes one of its two priority keys, and engines read it straight from
+``policy.priority``.  This wall runs a representative workload — every
+registry scheduler through the reference, fast, batch and dynamic engines
+plus the experiment harness — and asserts nothing under ``repro`` raises a
 DeprecationWarning.
 """
 

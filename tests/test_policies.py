@@ -1,6 +1,7 @@
 """Unit tests for port service policies and the plan gate on them."""
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -13,8 +14,6 @@ from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
 from repro.sim.engine import Engine
 from repro.sim.plan import Plan
 from repro.sim.policies import (
-    POLICY_KEY_FIELDS,
-    PolicyKeySpec,
     ReadyPolicy,
     StrictOrderPolicy,
     demand_priority,
@@ -90,30 +89,30 @@ class TestReadyPolicy:
 
 
 class TestPolicyKeySpec:
+    """A ready priority is one of two keys, checked when the policy is built."""
+
     def test_registry_priorities_are_specs(self):
-        assert selection_order_priority == PolicyKeySpec(("head_cid", "worker_index"))
-        assert demand_priority == PolicyKeySpec(("legal_start", "worker_index"))
+        assert selection_order_priority == "head_cid"
+        assert demand_priority == "legal_start"
+        for key in (selection_order_priority, demand_priority):
+            assert ReadyPolicy(key).priority == key
 
     def test_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="unknown key field"):
-            PolicyKeySpec(("head_cid", "nonsense"))
-        with pytest.raises(ValueError, match="at least one"):
-            PolicyKeySpec(())
-
-    def test_callable_evaluation_matches_fields(self):
-        eng = _engine(p=2)
-        eng.assign_chunk(0, make_chunk(7, 0, 0, 1, 0, 1, 1))
-        spec = PolicyKeySpec(("head_cid", "legal_start", "worker_index"))
-        assert spec(eng, 0) == (7, eng.legal_start(0), 0)
+        with pytest.raises(ValueError, match="head_cid.*legal_start"):
+            ReadyPolicy("nonsense")
+        for bad in (lambda engine, widx: (widx,), ("legal_start", "head_cid"), ()):
+            with pytest.raises(TypeError):
+                ReadyPolicy(bad)
 
     def test_vocabulary_is_closed(self):
-        assert set(POLICY_KEY_FIELDS) == {"head_cid", "legal_start", "worker_index"}
+        # worker_index is the tie-break of both keys, not a key of its own
+        with pytest.raises(ValueError, match="unknown ready priority"):
+            ReadyPolicy("worker_index")
 
     def test_ready_policy_with_spec_does_not_warn(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            ReadyPolicy(selection_order_priority)
             ReadyPolicy(demand_priority)
 
 
