@@ -30,15 +30,13 @@ def bench_runner() -> dict:
     * ``REPRO_BENCH_PARALLEL``: worker-process count (``auto`` = one per
       core; unset/``0``/``1`` = in-process serial execution);
     * ``REPRO_BENCH_CACHE``: content-addressed result-cache directory
-      (reruns become lookups);
-    * ``REPRO_BENCH_KERNEL``: simulation kernel backend
-      (``numpy`` / ``c`` / ``python``; unset = the program default,
-      ``c`` where it builds — see :mod:`repro.sim.kernels`; an
-      unavailable backend falls back to numpy with a warning).
+      (reruns become lookups).
 
     E.g. ``REPRO_BENCH_PARALLEL=auto pytest -m slow`` records multi-core
-    numbers on a multi-core machine, and ``REPRO_BENCH_KERNEL=numpy``
-    records the per-step oracle's numbers.
+    numbers on a multi-core machine.  The kernel backend is the
+    process's own (``REPRO_KERNEL``, see :mod:`repro.sim.kernels`):
+    ``REPRO_KERNEL=numpy pytest -m slow`` records the per-step oracle's
+    numbers, planning searches included.
     """
     raw = os.environ.get("REPRO_BENCH_PARALLEL", "").strip()
     if not raw:
@@ -57,23 +55,15 @@ def bench_runner() -> dict:
             )
         parallel = n if n >= 2 else None
     cache = os.environ.get("REPRO_BENCH_CACHE", "").strip() or None
-    kernel = os.environ.get("REPRO_BENCH_KERNEL", "").strip() or None
-    if kernel is not None:
-        from repro.sim.kernels import KERNEL_NAMES
-
-        if kernel not in KERNEL_NAMES:
-            raise pytest.UsageError(
-                f"REPRO_BENCH_KERNEL must be one of {KERNEL_NAMES}, got {kernel!r}"
-            )
-    return {"parallel": parallel, "cache": cache, "kernel": kernel}
+    return {"parallel": parallel, "cache": cache}
 
 
 @pytest.fixture(scope="session")
-def bench_meta(bench_runner) -> dict:
+def bench_meta() -> dict:
     """Host/run metadata shared by every BENCH payload of the session."""
     from repro.obs import run_metadata
 
-    return run_metadata(kernel=bench_runner["kernel"])
+    return run_metadata()
 
 
 @pytest.fixture

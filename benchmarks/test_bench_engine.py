@@ -14,6 +14,7 @@ dominates a planning-bound figure.
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.blocks import BlockGrid
 from repro.platform.generators import memory_heterogeneous
@@ -22,7 +23,7 @@ from repro.schedulers.heterogeneous import HetScheduler
 from repro.schedulers.registry import make_scheduler
 from repro.sim.batch import BatchEngine, _plan_steps
 from repro.sim.fastpath import fast_simulate
-from repro.sim.kernels import available_backends, get_backend
+from repro.sim.kernels import KERNEL_ENV, available_backends, get_backend
 from repro.sim.plan import Plan
 from repro.sim.policies import ReadyPolicy, StrictOrderPolicy
 
@@ -95,11 +96,15 @@ def _time_engine(engine: BatchEngine, rounds: int = _LADDER_ROUNDS) -> float:
     return best
 
 
-def _compiled(runs, kernel) -> tuple[BatchEngine, float]:
-    """A fresh engine over ``runs`` and its construction (compile) time."""
-    t0 = time.perf_counter()
-    engine = BatchEngine(runs, kernel=kernel)
-    return engine, time.perf_counter() - t0
+def _compiled(runs, kernel: str) -> tuple[BatchEngine, float]:
+    """A fresh engine over ``runs`` on the ``kernel`` backend (selected
+    through the environment, as a user selects it) and its construction
+    (compile) time."""
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv(KERNEL_ENV, kernel)
+        t0 = time.perf_counter()
+        engine = BatchEngine(runs)
+        return engine, time.perf_counter() - t0
 
 
 def _ladder(scheduler_name: str):
@@ -116,8 +121,10 @@ def _ladder(scheduler_name: str):
     runs = [(plat, _clone(plan)) for _ in range(_LADDER_B)]
 
     rows = []
-    t0 = time.perf_counter()
-    scalar = [fast_simulate(p, _clone(pl), kernel="numpy").makespan for p, pl in runs]
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv(KERNEL_ENV, "numpy")
+        t0 = time.perf_counter()
+        scalar = [fast_simulate(p, _clone(pl)).makespan for p, pl in runs]
     rows.append(("scalar", time.perf_counter() - t0, None, None, np.array(scalar)))
 
     numpy_engine, compile_s = _compiled(runs, "numpy")
@@ -132,9 +139,7 @@ def _ladder(scheduler_name: str):
         t0 = time.perf_counter()
         backend.ensure_ready()  # C build+load, timed separately
         warmup = time.perf_counter() - t0
-        engine, compile_s = _compiled(
-            [(plat, _clone(plan)) for _ in range(_LADDER_B)], backend
-        )
+        engine, compile_s = _compiled([(plat, _clone(plan)) for _ in range(_LADDER_B)], name)
         rows.append((name, _time_engine(engine), compile_s, warmup, engine.makespans()))
     return _plan_steps(plan), rows
 

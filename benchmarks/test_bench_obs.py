@@ -15,13 +15,15 @@ a regression in the fast path cannot hide until the next perf run.
 
 import time
 
+import pytest
+
 from repro.core.blocks import BlockGrid
 from repro.obs import counter, get_tracer, stopwatch, timer, trace, tracing_enabled
 from repro.platform.generators import memory_heterogeneous, scale_grid, scale_platform
 from repro.schedulers.registry import make_scheduler
 from repro.sim.batch import BatchEngine
 from repro.sim.fastpath import fast_simulate
-from repro.sim.kernels import resolve_kernel
+from repro.sim.kernels import KERNEL_ENV, resolve_kernel
 
 _CALIB_N = 20_000
 _ROUNDS = 5
@@ -98,16 +100,19 @@ def test_disabled_tracing_overhead(emit):
     }
     failures = []
     for kernel in ("numpy", None):
-        backend = resolve_kernel(kernel)
-        engine = BatchEngine([(plat, plan)], kernel=backend)
-        token = engine.checkpoint()
+        with pytest.MonkeyPatch.context() as env:
+            if kernel is not None:
+                env.setenv(KERNEL_ENV, kernel)
+            backend = resolve_kernel()
+            engine = BatchEngine([(plat, plan)])
+            token = engine.checkpoint()
 
-        def _batch_run():
-            engine.restore(token)
-            engine.run()
+            def _batch_run():
+                engine.restore(token)
+                engine.run()
 
-        t_batch = _best_of(_batch_run)
-        t_fast = _best_of(lambda: fast_simulate(plat, plan, grid, kernel=backend))
+            t_batch = _best_of(_batch_run)
+            t_fast = _best_of(lambda: fast_simulate(plat, plan, grid))
 
         # instrument sites crossed per run: BatchEngine.run bumps one
         # cached counter and clocks itself into one timer; fast_simulate

@@ -34,7 +34,7 @@ from .experiments.report import format_fig9, format_relative_table, format_summa
 from .experiments.table2 import table2_demo
 from .platform import generators as gen
 from .schedulers.registry import SCHEDULERS, canonical_name, make_scheduler
-from .sim.kernels import KERNEL_NAMES
+from .sim.kernels import KERNEL_ENV, KERNEL_NAMES
 from .sim.trace import gantt_ascii, worker_utilization
 from .theory import bounds as th_bounds
 from .theory import ccr as th_ccr
@@ -121,10 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel",
             default=None,
             choices=KERNEL_NAMES,
-            help="simulation kernel backend (default: $REPRO_KERNEL, else "
-            "'c' when its kernels build here and 'numpy' otherwise); all "
-            "backends are bit-identical, and a requested backend that is "
-            "unavailable falls back to numpy with a warning",
+            help="simulation kernel backend of this process -- planning "
+            "searches, replay and --parallel workers alike (sets "
+            "$REPRO_KERNEL; default: $REPRO_KERNEL, else 'c' when its kernels "
+            "build here and 'numpy' otherwise); all backends are "
+            "bit-identical, and a requested backend that is unavailable "
+            "falls back to numpy with a warning",
         )
 
     p_fig = sub.add_parser("figure", help="run one paper figure")
@@ -389,7 +391,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         validate=args.validate,
         parallel=args.parallel,
         cache=args.cache,
-        kernel=args.kernel,
         objective=args.objective,
     )
     print(format_relative_table(res, "cost"))
@@ -407,7 +408,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         figures=figures,
         parallel=args.parallel,
         cache=args.cache,
-        kernel=args.kernel,
         objective=args.objective,
     )
     print(format_fig9(res))
@@ -452,12 +452,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .schedulers.base import SchedulingError
 
     try:
-        res = sched.run(
-            platform,
-            grid,
-            collect_events=args.engine == "reference",
-            kernel=args.kernel,
-        )
+        res = sched.run(platform, grid, collect_events=args.engine == "reference")
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -585,7 +580,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         parallel=args.parallel,
         cache=args.cache,
-        kernel=args.kernel,
         objective=args.objective,
     )
     print(
@@ -713,9 +707,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         else:
             fig = args.figure or "fig7"
             with trace("profile", target=fig) as root:
-                run_figure(
-                    fig, args.scale, _algorithms(args.algorithms), kernel=args.kernel
-                )
+                run_figure(fig, args.scale, _algorithms(args.algorithms))
             label = f"figure {fig}"
         metrics = snapshot_delta(before)
     finally:
@@ -786,6 +778,9 @@ def _cmd_platforms(_args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "kernel", None):
+        # one backend per process: planning, replay and inherited workers
+        os.environ[KERNEL_ENV] = args.kernel
     handlers = {
         "figure": _cmd_figure,
         "summary": _cmd_summary,

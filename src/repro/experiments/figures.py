@@ -121,17 +121,16 @@ def run_figure(
     validate: bool = False,
     parallel=None,
     cache=None,
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Run one paper figure end to end.
 
-    ``validate``, ``parallel``, ``cache``, ``kernel`` and ``objective``
-    are forwarded to :func:`~repro.experiments.harness.run_experiment`,
-    so a figure's (algorithm, instance) runs can be audited on the
-    reference engine, fan out across cores, reuse content-addressed
-    results from earlier invocations, or replay through a chosen kernel
-    backend.
+    ``validate``, ``parallel``, ``cache`` and ``objective`` are forwarded
+    to :func:`~repro.experiments.harness.run_experiment`, so a figure's
+    (algorithm, instance) runs can be audited on the reference engine, fan
+    out across cores, reuse content-addressed results from earlier
+    invocations, or score a chosen objective.  Planning and replay step on
+    the process's kernel backend (``REPRO_KERNEL``, set by ``--kernel``).
     """
     try:
         factory = FIGURES[fig]
@@ -145,7 +144,6 @@ def run_figure(
             validate=validate,
             parallel=parallel,
             cache=cache,
-            kernel=kernel,
             objective=objective,
         )
 
@@ -157,7 +155,6 @@ def run_summary(
     *,
     parallel=None,
     cache=None,
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Figure 9: union of all experiments (relative metrics recomputed over
@@ -166,8 +163,7 @@ def run_summary(
     merged: ExperimentResult | None = None
     for fig in figures:
         res = run_figure(
-            fig, scale, schedulers,
-            parallel=parallel, cache=cache, kernel=kernel, objective=objective,
+            fig, scale, schedulers, parallel=parallel, cache=cache, objective=objective
         )
         merged = res if merged is None else merged.merged_with(res, name="fig9")
     assert merged is not None

@@ -146,7 +146,6 @@ def run_experiment(
     collect_events: bool = False,
     parallel=None,
     cache=None,
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     """Run ``schedulers`` (default: the paper's seven) on every instance.
@@ -172,11 +171,10 @@ def run_experiment(
     a warning, when ``validate`` or ``collect_events`` asks for full
     traces.
 
-    ``kernel`` selects a compiled simulation backend (see
-    :mod:`repro.sim.kernels`) for the eventless in-process runs; every
-    backend is bit-identical, so cached results stay valid.  The parallel
-    ``RunTask`` fan-out honours the ``REPRO_KERNEL`` environment knob
-    (inherited by worker processes) rather than an explicit argument.
+    Every run, in process or in a worker, plans and replays on the
+    process's kernel backend (``REPRO_KERNEL``, inherited by worker
+    processes; see :mod:`repro.sim.kernels`); every backend is
+    bit-identical, so cached results stay valid.
 
     ``objective`` (a name, spec string, or
     :class:`~repro.experiments.objectives.Objective`) is applied to every
@@ -202,7 +200,6 @@ def run_experiment(
             collect_events=collect_events,
             parallel=parallel,
             cache=cache,
-            kernel=kernel,
             objective=objective,
         )
     result.metrics = snapshot_delta(before)
@@ -218,7 +215,6 @@ def _run_experiment(
     collect_events: bool = False,
     parallel=None,
     cache=None,
-    kernel=None,
     objective=None,
 ) -> ExperimentResult:
     scheds = list(schedulers) if schedulers is not None else default_suite()
@@ -283,7 +279,6 @@ def _run_experiment(
                     inst.platform,
                     inst.grid,
                     collect_events=collect_events or validate,
-                    kernel=kernel,
                 )
             except SchedulingError as exc:
                 result.failures[(sched.name, inst.label)] = str(exc)

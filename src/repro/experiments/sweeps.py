@@ -85,7 +85,6 @@ def _measure_points(
     algorithms: Sequence[str],
     parallel,
     cache,
-    kernel=None,
     objective=None,
 ) -> list[SweepPoint]:
     """Shared sweep core: run every algorithm on every (ratio, platform)
@@ -135,7 +134,7 @@ def _measure_points(
         for name in algorithms:
             sched: Scheduler = make_scheduler(name, objective=objective)
             try:
-                res = sched.run(plat, grid, collect_events=False, kernel=kernel)
+                res = sched.run(plat, grid, collect_events=False)
             except SchedulingError:
                 continue
             makespans[name] = res.makespan
@@ -159,15 +158,15 @@ def heterogeneity_sweep(
     s_elements: int = 80_000,
     parallel=None,
     cache=None,
-    kernel=None,
     objective=None,
 ) -> HeterogeneitySweep:
     """Run every algorithm over fully heterogeneous platforms whose
     large/small parameter ratio sweeps over ``ratios``.
 
-    ``parallel``, ``cache``, ``kernel`` and ``objective`` mean what they
-    mean for :func:`~repro.experiments.harness.run_experiment`; each
-    point's makespans equal the reference engine's bit for bit."""
+    ``parallel``, ``cache`` and ``objective`` mean what they mean for
+    :func:`~repro.experiments.harness.run_experiment`; each point plans
+    and replays on the process's kernel backend (``REPRO_KERNEL``), and
+    its makespans equal the reference engine's bit for bit."""
     sweep = HeterogeneitySweep(algorithms=list(algorithms))
     grid = scale_grid(BlockGrid.paper_instance(s_elements), scale)
     labelled = []
@@ -178,8 +177,7 @@ def heterogeneity_sweep(
         labelled.append((ratio, plat))
     sweep.points.extend(
         _measure_points(
-            labelled, grid, algorithms, parallel, cache,
-            kernel=kernel, objective=objective,
+            labelled, grid, algorithms, parallel, cache, objective=objective
         )
     )
     return sweep
@@ -235,7 +233,6 @@ def straggler_sweep(
     s_elements: int = 80_000,
     parallel=None,
     cache=None,
-    kernel=None,
     objective=None,
 ) -> HeterogeneitySweep:
     """Degrade one worker of an otherwise homogeneous platform by a growing
@@ -261,8 +258,7 @@ def straggler_sweep(
         )
     sweep.points.extend(
         _measure_points(
-            labelled, grid, algorithms, parallel, cache,
-            kernel=kernel, objective=objective,
+            labelled, grid, algorithms, parallel, cache, objective=objective
         )
     )
     return sweep

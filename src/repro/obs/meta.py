@@ -33,9 +33,9 @@ def _git_describe() -> str | None:
     return out if proc.returncode == 0 and out else None
 
 
-def run_metadata(kernel=None) -> dict:
+def run_metadata() -> dict:
     """The uniform metadata document: python/numpy versions, cpu count,
-    the *active* kernel backend (``kernel`` resolved through
+    the process's *active* kernel backend (from
     :func:`repro.sim.kernels.resolve_kernel`, i.e. post-fallback), and
     the source revision."""
     import numpy as np
@@ -47,6 +47,6 @@ def run_metadata(kernel=None) -> dict:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "machine": _platform.machine(),
-        "kernel": resolve_kernel(kernel).name,
+        "kernel": resolve_kernel().name,
         "git": _git_describe(),
     }

@@ -78,7 +78,6 @@ class Scheduler(ABC):
         grid: BlockGrid,
         *,
         collect_events: bool = True,
-        kernel=None,
     ) -> SimResult:
         """Plan and simulate; the result's ``meta`` records the algorithm
         name and the wall-clock planning time (the paper includes each
@@ -88,9 +87,9 @@ class Scheduler(ABC):
         (:func:`~repro.sim.fastpath.fast_simulate`), which is bit-identical
         to the reference engine but an order of magnitude faster; asking
         for events selects the reference engine with its full traces.
-        ``kernel`` picks a compiled simulation backend for the eventless
-        replay (see :mod:`repro.sim.kernels`); it is ignored when events
-        are collected, since only the reference engine produces traces.
+        Planning searches and the eventless replay both step on the
+        process's kernel backend (``REPRO_KERNEL``, see
+        :mod:`repro.sim.kernels`).
         """
         with trace("plan", algorithm=self.name), stopwatch("plan.seconds") as sw:
             plan = self.plan(platform, grid)
@@ -100,7 +99,7 @@ class Scheduler(ABC):
             if collect_events:
                 result = simulate(platform, plan, grid)
             else:
-                result = fast_simulate(platform, plan, grid, kernel=kernel)
+                result = fast_simulate(platform, plan, grid)
         result.meta.setdefault("algorithm", self.name)
         result.meta["planning_seconds"] = sw.elapsed
         return result

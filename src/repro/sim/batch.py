@@ -237,7 +237,8 @@ class BatchCompileCache:
     candidates; a sweep resubmitting the same plan) therefore recompile
     nothing, and inside one engine every instance of a plan walks the
     same stream.  One cache instance is created per :func:`batch_outcomes`
-    call and shared across its engines; pass an explicit instance to reuse
+    call and shared across its engines; pass an explicit instance to
+    :class:`BatchEngine` or :func:`shared_prefix_makespans` to reuse
     compilations across calls.  Cached values keep their plan
     (and rounds tuple) alive, so the ``id()``-based keys cannot be
     recycled while the cache exists.
@@ -341,7 +342,7 @@ class BatchEngine:
     engines automatically.  ``compile_cache`` shares compiled streams with
     other engines (see :class:`BatchCompileCache`).
 
-    ``kernel`` selects the stepping backend (see :mod:`repro.sim.kernels`):
+    The stepping backend is the process's (see :mod:`repro.sim.kernels`):
     the numpy backend advances one step per Python iteration, a whole-run
     backend (``"c"``, the default where it builds, or its interpreted
     oracle ``"python"``) advances whole ``run()`` windows in one kernel
@@ -353,10 +354,9 @@ class BatchEngine:
         runs: Sequence[tuple[Platform, Plan]],
         *,
         compile_cache: BatchCompileCache | None = None,
-        kernel=None,
     ) -> None:
         self._cache = compile_cache if compile_cache is not None else BatchCompileCache()
-        self._backend = resolve_kernel(kernel)
+        self._backend = resolve_kernel()
         if not runs:
             raise ValueError("need at least one (platform, plan) run")
         modes = {_batch_mode(plan) for _platform, plan in runs}
@@ -709,7 +709,6 @@ class BatchEngine:
         prefix_steps: int,
         *,
         compile_cache: BatchCompileCache | None = None,
-        kernel=None,
     ) -> "BatchEngine":
         """Build a batch whose instances all share their first
         ``prefix_steps`` port messages, simulating the prefix only once.
@@ -721,7 +720,7 @@ class BatchEngine:
         really must be shared: per-instance orders, the touched message
         streams and their prefetch depths are verified to match.
         """
-        full = cls(runs, compile_cache=compile_cache, kernel=kernel)
+        full = cls(runs, compile_cache=compile_cache)
         if not full._strict:
             raise TypeError(
                 "shared_prefix requires strict-order plans, but this batch "
@@ -735,7 +734,7 @@ class BatchEngine:
             raise ValueError("prefix_steps exceeds the shortest instance")
         full._verify_shared_prefix(prefix_steps)
 
-        sub = cls([full._runs[0]], compile_cache=full._cache, kernel=full._backend)
+        sub = cls([full._runs[0]], compile_cache=full._cache)
         sub.run(max_steps=prefix_steps)
         # broadcast the prefix state: per-instance scalars, then each
         # touched worker's S segment (c_return_end, compute_end,
@@ -886,11 +885,11 @@ class BatchEngine:
         return out  # type: ignore[return-value]
 
 
-def _scalar_result(platform: Platform, plan: Plan, kernel, makespan_only: bool):
+def _scalar_result(platform: Platform, plan: Plan, makespan_only: bool):
     """One run on the scalar fast path, as a :class:`BatchOutcome` (or its
     bare makespan)."""
     counter("batch.scalar_runs").inc()
-    res = fast_simulate(platform, plan, kernel=kernel)
+    res = fast_simulate(platform, plan)
     if makespan_only:
         return res.makespan
     return BatchOutcome(
@@ -929,8 +928,6 @@ def _buckets(indices: list[int], runs: Sequence[tuple[Platform, Plan]]) -> list[
 def batch_outcomes(
     runs: Sequence[tuple[Platform, Plan]],
     *,
-    compile_cache: BatchCompileCache | None = None,
-    kernel=None,
     _makespans: bool = False,
 ) -> list[BatchOutcome]:
     """Simulate every ``(platform, plan)`` run, vectorizing compatible
@@ -942,17 +939,17 @@ def batch_outcomes(
     Under the per-step numpy backend each group is bucketed by message
     count, and only buckets large enough to amortize the per-step numpy
     dispatch run on engines; the rest go through the scalar fast path.
-    Results are bit-identical either way.  All engines share one
-    :class:`BatchCompileCache` (``compile_cache`` or a fresh one), so
-    candidates that share plan objects — e.g. HomI's scoring plans per
-    ``(n, mu)`` — compile their message streams once per call.
+    Results are bit-identical either way.  All engines share one fresh
+    :class:`BatchCompileCache`, so candidates that share plan objects —
+    e.g. HomI's scoring plans per ``(n, mu)`` — compile their message
+    streams once per call.
 
     ``_makespans=True`` is :func:`batch_simulate`'s path through the same
     grouping: bare makespans (read per engine from
     :meth:`BatchEngine.makespans`) instead of outcome records.
     """
-    backend = resolve_kernel(kernel)
-    cache = compile_cache if compile_cache is not None else BatchCompileCache()
+    whole_run = resolve_kernel().whole_run
+    cache = BatchCompileCache()
     collect = BatchEngine.makespans if _makespans else BatchEngine.outcomes
     groups: dict[Any, list[int]] = {}
     for i, (_platform, plan) in enumerate(runs):
@@ -960,7 +957,7 @@ def batch_outcomes(
     scalar = groups.pop(None, [])
     engines: list[list[int]] = []
     for indices in groups.values():
-        if backend.whole_run:
+        if whole_run:
             engines.append(indices)
             continue
         for bucket in _buckets(indices, runs):
@@ -970,12 +967,10 @@ def batch_outcomes(
                 engines.append(bucket)
     out: list = [None] * len(runs)
     for i in scalar:
-        out[i] = _scalar_result(*runs[i], backend, _makespans)
+        out[i] = _scalar_result(*runs[i], _makespans)
     for indices in engines:
         counter("batch.vectorized_runs").inc(len(indices))
-        engine = BatchEngine(
-            [runs[i] for i in indices], compile_cache=cache, kernel=backend
-        ).run()
+        engine = BatchEngine([runs[i] for i in indices], compile_cache=cache).run()
         for i, result in zip(indices, collect(engine)):
             out[i] = result
     return out
@@ -986,7 +981,6 @@ def shared_prefix_makespans(
     prefix_steps: int,
     *,
     compile_cache: BatchCompileCache | None = None,
-    kernel=None,
 ) -> np.ndarray:
     """Makespans of strict-order runs that share their first
     ``prefix_steps`` port messages, in input order.
@@ -1005,18 +999,11 @@ def shared_prefix_makespans(
     re-selection calls this at every event boundary of one run with a
     single cache.
     """
-    engine = BatchEngine.shared_prefix(
-        runs, prefix_steps, compile_cache=compile_cache, kernel=kernel
-    )
+    engine = BatchEngine.shared_prefix(runs, prefix_steps, compile_cache=compile_cache)
     return engine.run().makespans()
 
 
-def batch_simulate(
-    runs: Sequence[tuple[Platform, Plan]],
-    *,
-    compile_cache: BatchCompileCache | None = None,
-    kernel=None,
-) -> np.ndarray:
+def batch_simulate(runs: Sequence[tuple[Platform, Plan]]) -> np.ndarray:
     """Makespan of every ``(platform, plan)`` run, in input order.
 
     The bulk-evaluation entry point of the planning layer: one call
@@ -1027,7 +1014,5 @@ def batch_simulate(
     """
     if not len(runs):
         return np.zeros(0, dtype=np.float64)
-    makespans = batch_outcomes(
-        runs, compile_cache=compile_cache, kernel=kernel, _makespans=True
-    )
+    makespans = batch_outcomes(runs, _makespans=True)
     return np.array(makespans, dtype=np.float64)

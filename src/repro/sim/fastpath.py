@@ -579,8 +579,6 @@ def fast_simulate(
     platform: Platform,
     plan: Plan,
     grid: BlockGrid | None = None,
-    *,
-    kernel=None,
 ) -> SimResult:
     """Run ``plan`` on the fast path and return its :class:`SimResult`.
 
@@ -589,7 +587,7 @@ def fast_simulate(
     and the chunk list are bit-identical to the reference engine; the
     ``port_events`` / ``compute_events`` tuples are always empty.
 
-    ``kernel`` selects a compiled backend (see :mod:`repro.sim.kernels`).
+    The stepping backend is the process's (see :mod:`repro.sim.kernels`).
     Under a whole-run backend, batch-replayable plans route through a
     single-instance :class:`~repro.sim.batch.BatchEngine` so the step loop
     runs compiled; allocator-driven plans stay on :class:`FastEngine`.
@@ -601,12 +599,11 @@ def fast_simulate(
     # late imports: batch.py imports fast_simulate for its scalar fallback
     from .kernels import resolve_kernel
 
-    backend = resolve_kernel(kernel)
-    if backend.whole_run:
+    if resolve_kernel().whole_run:
         from .batch import supports_batch, BatchEngine
 
         if supports_batch(plan):
-            engine = BatchEngine([(platform, plan)], kernel=backend)
+            engine = BatchEngine([(platform, plan)])
             return engine.run().outcomes()[0].to_sim_result(platform, plan, grid)
     with stopwatch("sim.fast_seconds"):
         engine = FastEngine(platform, depths=plan.depths, c_mode=plan.c_mode)

@@ -36,15 +36,16 @@ Backends
     testable on hosts without a compiler, and it doubles as a debugging
     aid.
 
-Selection: every ``kernel=`` parameter accepts a backend name, a
-:class:`KernelBackend` instance, or ``None`` -- which reads the
-``REPRO_KERNEL`` environment variable and otherwise defaults to ``"c"``
-when the C kernels build here, ``"numpy"`` when they do not (the build
-is attempted once per process, before any simulation runs, and a failed
-build falls back silently).  Explicitly requesting an unavailable
-backend falls back to numpy with a single warning per process, so
-``REPRO_KERNEL=c`` is safe to export on machines without a compiler.  A
-name outside :data:`KERNEL_NAMES` raises :class:`ValueError`.
+Selection: the backend is a per-process setting.  The ``REPRO_KERNEL``
+environment variable names it (the CLI's ``--kernel`` flag sets it), so
+planning searches, replays and inherited ``--parallel`` workers all step
+on the same backend.  Unset, it defaults to ``"c"`` when the C kernels
+build here, ``"numpy"`` when they do not (the build is attempted once
+per process, before any simulation runs, and a failed build falls back
+silently).  Naming an unavailable backend falls back to numpy with a
+single warning per process, so ``REPRO_KERNEL=c`` is safe to export on
+machines without a compiler.  A name outside :data:`KERNEL_NAMES` raises
+:class:`ValueError`.
 
 Kernels take an explicit ``t0``/``t1`` step window, so
 ``BatchEngine.run(max_steps=)``, ``checkpoint()/restore()`` and the
@@ -72,7 +73,7 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Environment variable naming the default backend for ``kernel=None``.
+#: Environment variable naming the process's backend (``--kernel`` sets it).
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Registered backend names, in documentation order.
@@ -636,25 +637,21 @@ def _ready_backend(name: str) -> KernelBackend:
     return backend
 
 
-def resolve_kernel(kernel=None) -> KernelBackend:
-    """Resolve a ``kernel=`` parameter to a backend instance.
+def resolve_kernel() -> KernelBackend:
+    """The process's backend instance.
 
-    A :class:`KernelBackend` passes through; a name is looked up in the
-    registry; ``None`` consults :data:`KERNEL_ENV` (``REPRO_KERNEL``) and,
-    when that is unset, defaults to ``"c"`` if the C kernels build here
-    and to ``"numpy"`` otherwise (silently: a host without a compiler is a
-    supported configuration, not a misconfiguration).  Named backends are
-    built on resolution, so a requested-but-unavailable one -- no
-    compiler or a failed build -- falls back to numpy with one clear
-    warning per process, and environment-knob users never crash on a
-    machine without a compiler.  An unknown name raises
-    :class:`ValueError` (from :func:`get_backend`).
+    :data:`KERNEL_ENV` (``REPRO_KERNEL``) names it; when that is unset
+    the default is ``"c"`` if the C kernels build here and ``"numpy"``
+    otherwise (silently: a host without a compiler is a supported
+    configuration, not a misconfiguration).  Named backends are built on
+    resolution, so a requested-but-unavailable one -- no compiler or a
+    failed build -- falls back to numpy with one clear warning per
+    process, and environment-knob users never crash on a machine without
+    a compiler.  An unknown name raises :class:`ValueError` (from
+    :func:`get_backend`).
     """
-    if isinstance(kernel, KernelBackend):
-        return kernel
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV, "").strip() or None
-    if kernel is None:
+    kernel = os.environ.get(KERNEL_ENV, "").strip()
+    if not kernel:
         try:
             return _ready_backend("c")
         except KernelUnavailable:

@@ -59,7 +59,7 @@ from repro.sim.policies import (
     selection_order_priority,
 )
 from repro.sim.worker_state import CMode
-from tests.per_mode import per_mode_makespans, per_mode_outcomes
+from tests.per_mode import kernel_env, per_mode_makespans, per_mode_outcomes
 
 
 def assert_outcome_equivalent(fast, outcome):
@@ -167,8 +167,9 @@ def test_small_groups_fall_back_identically(het_platform, small_grid):
     runs = [(het_platform, sched.plan(het_platform, small_grid)) for _ in range(3)]
     for _pf, plan in runs:
         plan.collect_events = False
-    lazy = batch_simulate([(p, clone_plan(pl)) for p, pl in runs], kernel="numpy")
-    vectorized = per_mode_makespans(runs, kernel="numpy")
+    with kernel_env("numpy"):
+        lazy = batch_simulate([(p, clone_plan(pl)) for p, pl in runs])
+        vectorized = per_mode_makespans(runs)
     assert list(lazy) == vectorized
 
 
@@ -222,9 +223,10 @@ def test_property_equivalence_all_schedulers(params, grid):
     for kernel in available_backends():
         if kernel == "numpy":
             continue
-        compiled = per_mode_outcomes(
-            [(p, clone_plan(pl)) for _ref, (p, pl) in replayable], kernel=kernel
-        )
+        with kernel_env(kernel):
+            compiled = per_mode_outcomes(
+                [(p, clone_plan(pl)) for _ref, (p, pl) in replayable]
+            )
         for (ref, _run), outcome in zip(replayable, compiled):
             assert outcome.makespan == ref.makespan, kernel
             assert outcome.worker_stats == ref.worker_stats, kernel
@@ -288,7 +290,8 @@ def test_mode_depth_policy_matrix(policy_factory, kernel, het_platform, small_gr
     fasts = [
         simulate(platform, clone_plan(plan), None) for platform, plan in runs
     ]
-    outcomes = per_mode_outcomes(runs, kernel=kernel)
+    with kernel_env(kernel):
+        outcomes = per_mode_outcomes(runs)
     for fast, outcome in zip(fasts, outcomes):
         assert_outcome_equivalent(fast, outcome)
 
@@ -374,9 +377,9 @@ def _routing_runs(het_platform, small_grid, ragged_grid):
     ]
 
 
-def _routed(monkeypatch, runs, **kwargs):
-    """``batch_outcomes(runs, **kwargs)``, the replay mode of every
-    ``BatchEngine`` it built, and the metric deltas it left."""
+def _routed(monkeypatch, runs):
+    """``batch_outcomes(runs)``, the replay mode of every ``BatchEngine``
+    it built, and the metric deltas it left."""
     from repro.obs import snapshot, snapshot_delta
 
     built = []
@@ -392,7 +395,7 @@ def _routed(monkeypatch, runs, **kwargs):
 
     monkeypatch.setattr(BatchEngine, "__init__", counting_init)
     before = snapshot()
-    outcomes = batch_outcomes(runs, **kwargs)
+    outcomes = batch_outcomes(runs)
     return outcomes, built, snapshot_delta(before)
 
 
@@ -403,22 +406,20 @@ def test_whole_run_kernels_build_one_engine_per_mode(
     """Under a whole-run kernel each replay mode is one engine sharing the
     call's compile cache, whatever the group sizes; only the allocator
     plan takes the scalar path."""
-    from repro.sim.batch import BatchCompileCache
     from repro.sim.kernels import KernelUnavailable, get_backend
 
     try:
         get_backend(kernel).ensure_ready()
     except KernelUnavailable:
         pytest.skip(f"the {kernel} kernels do not build here")
-    expected = [
-        fast_simulate(pf, plan, kernel="numpy")
-        for pf, plan in _routing_runs(het_platform, small_grid, ragged_grid)
-    ]
+    with kernel_env("numpy"):
+        expected = [
+            fast_simulate(pf, plan)
+            for pf, plan in _routing_runs(het_platform, small_grid, ragged_grid)
+        ]
     runs = _routing_runs(het_platform, small_grid, ragged_grid)
-    cache = BatchCompileCache()
-    outcomes, built, delta = _routed(
-        monkeypatch, runs, compile_cache=cache, kernel=kernel
-    )
+    with kernel_env(kernel):
+        outcomes, built, delta = _routed(monkeypatch, runs)
     assert sorted(built) == sorted(["strict", runs[1][1].policy.priority])
     pairs = {
         (id(plan), w)
@@ -427,7 +428,7 @@ def test_whole_run_kernels_build_one_engine_per_mode(
         for w, chunks in enumerate(plan.assignments)
         if chunks
     }
-    assert cache.struct_misses == len(pairs)
+    assert delta["batch.compile.struct_misses"] == len(pairs)
     assert delta["batch.vectorized_runs"] == 5
     assert delta["batch.scalar_runs"] == 1
     for ref, outcome in zip(expected, outcomes):
@@ -439,12 +440,13 @@ def test_numpy_small_groups_take_the_scalar_path(
 ):
     """Under the per-step numpy backend, groups below the bucket gate build
     no engine: every run goes through the scalar fast path."""
-    expected = [
-        fast_simulate(pf, plan, kernel="numpy")
-        for pf, plan in _routing_runs(het_platform, small_grid, ragged_grid)
-    ]
     runs = _routing_runs(het_platform, small_grid, ragged_grid)
-    outcomes, built, delta = _routed(monkeypatch, runs, kernel="numpy")
+    with kernel_env("numpy"):
+        expected = [
+            fast_simulate(pf, plan)
+            for pf, plan in _routing_runs(het_platform, small_grid, ragged_grid)
+        ]
+        outcomes, built, delta = _routed(monkeypatch, runs)
     assert built == []
     assert delta["batch.scalar_runs"] == len(runs)
     assert "batch.vectorized_runs" not in delta
@@ -463,7 +465,8 @@ def test_checkpoint_restore_roundtrip(scheduler, kernel, het_platform, small_gri
         plan = make_scheduler(scheduler).plan(het_platform, grid)
         plan.collect_events = False
         runs.append((het_platform, plan))
-    engine = BatchEngine(runs, kernel=kernel)
+    with kernel_env(kernel):
+        engine = BatchEngine(runs)
     engine.run(max_steps=9)
     token = engine.checkpoint()
     first = engine.run().makespans()
@@ -513,13 +516,12 @@ def test_shared_prefix_matches_full_replay(het_platform, small_grid):
     assert list(shared) == fasts
     # the simulate-once-and-broadcast construction survives every backend
     for kernel in KERNELS:
-        again = (
-            BatchEngine.shared_prefix(
-                [(p, clone_plan(pl)) for p, pl in runs], prefix_len, kernel=kernel
+        with kernel_env(kernel):
+            again = (
+                BatchEngine.shared_prefix([(p, clone_plan(pl)) for p, pl in runs], prefix_len)
+                .run()
+                .makespans()
             )
-            .run()
-            .makespans()
-        )
         assert np.array_equal(again, shared), kernel
 
 
@@ -559,7 +561,8 @@ def _cost_variants(platform: Platform, n: int) -> list[Platform]:
 
 def _scalar_reference(platform: Platform, plan: Plan):
     """Per-instance reference: the scalar fast path on a fresh plan."""
-    return fast_simulate(platform, clone_plan(plan), kernel="numpy")
+    with kernel_env("numpy"):
+        return fast_simulate(platform, clone_plan(plan))
 
 
 class _Deal:
@@ -585,7 +588,8 @@ def test_one_plan_many_cost_variants(scheduler, kernel, het_platform, ragged_gri
     plan = make_scheduler(scheduler).plan(het_platform, ragged_grid)
     plan.collect_events = False
     runs = [(pf, plan) for pf in _cost_variants(het_platform, 8)]
-    engine = BatchEngine(runs, kernel=kernel)
+    with kernel_env(kernel):
+        engine = BatchEngine(runs)
     assert engine._flat[0].size == _plan_steps(plan)
     for (pf, _plan), outcome in zip(runs, engine.run().outcomes()):
         assert_outcome_equivalent(_scalar_reference(pf, plan), outcome)
@@ -626,7 +630,8 @@ def test_mixed_shared_and_distinct_plans(policy_factory, kernel, het_platform, s
         (het_platform, idle_het),
         (_cost_variants(pair, 2)[1], idle_pair),
     ]
-    engine = BatchEngine(runs, kernel=kernel)
+    with kernel_env(kernel):
+        engine = BatchEngine(runs)
     distinct = (idle_het, full_het, idle_pair, full_pair)
     assert engine._flat[0].size == sum(_plan_steps(plan) for plan in distinct)
     for (pf, plan), outcome in zip(runs, engine.run().outcomes()):
@@ -640,7 +645,8 @@ def test_strict_checkpoint_partial_run_restore(kernel, het_platform, ragged_grid
     plan = make_scheduler("Hom").plan(het_platform, ragged_grid)
     plan.collect_events = False
     runs = [(pf, plan) for pf in _cost_variants(het_platform, 8)]
-    engine = BatchEngine(runs, kernel=kernel)
+    with kernel_env(kernel):
+        engine = BatchEngine(runs)
     engine.run(max_steps=5)
     token = engine.checkpoint()
     engine.run(max_steps=engine.total_steps // 2)
@@ -673,7 +679,8 @@ def test_shared_prefix_over_shared_plan_objects(kernel, het_platform, small_grid
     b = plan_with(lambda w: -w)
     twin = Platform(list(het_platform))
     runs = [(het_platform, a), (twin, b), (twin, a), (het_platform, b), (het_platform, a)]
-    got = shared_prefix_makespans(runs, prefix_len, kernel=kernel)
+    with kernel_env(kernel):
+        got = shared_prefix_makespans(runs, prefix_len)
     assert list(got) == [_scalar_reference(pf, plan).makespan for pf, plan in runs]
 
 
@@ -742,12 +749,12 @@ def test_compile_cache_shared_across_engines(het_platform, small_grid):
     assert list(together.run().makespans()) == fresh
 
 
-def test_compile_cache_hits_within_one_submission(het_platform, small_grid):
+def test_compile_cache_hits_within_one_submission(monkeypatch, het_platform, small_grid):
     """HomI-style populations — one plan object scored on many virtual
     platforms — hit the struct cache inside a single batch_outcomes call.
     Pinned under numpy, where the population must clear the bucket gate
     to reach an engine at all."""
-    from repro.sim.batch import _MIN_VECTOR_BATCH, BatchCompileCache
+    from repro.sim.batch import _MIN_VECTOR_BATCH
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
     plan.collect_events = False
@@ -755,13 +762,14 @@ def test_compile_cache_hits_within_one_submission(het_platform, small_grid):
         (Platform([Worker(w.index, w.c * f, w.w, w.m) for w in het_platform]), plan)
         for f in np.linspace(1.0, 1.75, _MIN_VECTOR_BATCH)
     ]
-    cache = BatchCompileCache()
-    outcomes = batch_outcomes(runs, compile_cache=cache, kernel="numpy")
+    with kernel_env("numpy"):
+        outcomes, _built, delta = _routed(monkeypatch, runs)
     for (pf, _plan), outcome in zip(runs, outcomes):
         assert outcome.makespan == fast_simulate(pf, clone_plan(plan), small_grid).makespan
+    # one compilation (= one cache entry) per enrolled worker, no re-lookup
     enrolled = sum(1 for chunks in plan.assignments if chunks)
-    assert len(cache.struct) == enrolled
-    assert cache.struct_misses == enrolled
+    assert delta["batch.compile.struct_misses"] == enrolled
+    assert "batch.compile.struct_hits" not in delta
 
 
 def test_compile_cache_cost_only_change_recompiles_two_multiplies(
@@ -797,13 +805,13 @@ def test_compile_cache_cost_only_change_recompiles_two_multiplies(
     assert base == fast_simulate(het_platform, clone_plan(plan), small_grid).makespan
 
 
-def test_compile_cache_reuse_across_buckets(het_platform):
+def test_compile_cache_reuse_across_buckets(monkeypatch, het_platform):
     """One batch_outcomes call shares its compile cache across the numpy
     backend's length buckets: duplicate plan submissions share one stream,
     and a short bucket's chunk shapes hit the tmpl tier compiled by the
     long bucket (the plans' message counts differ 4x, so they cannot share
     a bucket — :data:`_BUCKET_RATIO` is 2)."""
-    from repro.sim.batch import _MIN_VECTOR_BATCH, BatchCompileCache, _plan_steps
+    from repro.sim.batch import _MIN_VECTOR_BATCH, _plan_steps
 
     long_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=24, q=2))
     short_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=6, q=2))
@@ -814,8 +822,8 @@ def test_compile_cache_reuse_across_buckets(het_platform):
     # each bucket just clears the gate, so both run on numpy engines
     n = _MIN_VECTOR_BATCH
     runs = [(het_platform, long_plan)] * n + [(het_platform, short_plan)] * n
-    cache = BatchCompileCache()
-    outcomes = batch_outcomes(runs, compile_cache=cache, kernel="numpy")
+    with kernel_env("numpy"):
+        outcomes, _built, delta = _routed(monkeypatch, runs)
     expected = {
         id(plan): fast_simulate(het_platform, clone_plan(plan)).makespan
         for plan in (long_plan, short_plan)
@@ -826,12 +834,12 @@ def test_compile_cache_reuse_across_buckets(het_platform):
     enrolled_short = sum(1 for chunks in short_plan.assignments if chunks)
     # struct compiled once per (plan, worker); a duplicate submission in
     # the same engine shares its twin's stream without another lookup
-    assert cache.struct_misses == enrolled_long + enrolled_short
-    assert cache.struct_hits == 0
-    engine = BatchEngine(runs[:2], compile_cache=cache)
+    assert delta["batch.compile.struct_misses"] == enrolled_long + enrolled_short
+    assert "batch.compile.struct_hits" not in delta
+    engine = BatchEngine(runs[:2])
     assert engine._flat[0].size == _plan_steps(long_plan)
     # the short bucket's chunk shapes were already templated by the long one
-    assert cache.tmpl_hits > 0
+    assert delta["batch.compile.tmpl_hits"] > 0
 
 
 def test_compile_cache_clear_resets_accounting(het_platform, small_grid):

@@ -1,5 +1,7 @@
 """CLI smoke tests for every subcommand."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -119,6 +121,44 @@ class TestEngineFlag:
         assert main(["run", "--algorithm", "Hom", "--scale", "0.1",
                      "--engine", "fast", "--gantt"]) == 0
         assert "--engine reference" in capsys.readouterr().out
+
+
+class TestKernelFlag:
+    """``--kernel`` picks the backend of the whole process: the planning
+    searches (HomI's threshold search, Het's variant scoring) step on it
+    as well as the final replays."""
+
+    @staticmethod
+    def _count_kernel_calls(monkeypatch) -> Counter:
+        """Count whole-run kernel calls per backend name."""
+        from repro.sim.kernels import KernelBackend
+
+        calls: Counter = Counter()
+        for cls in (KernelBackend, *KernelBackend.__subclasses__()):
+            for method in ("strict_run", "ready_run"):
+                original = getattr(cls, method)
+
+                def counted(self, *args, _original=original):
+                    calls[self.name] += 1
+                    return _original(self, *args)
+
+                monkeypatch.setattr(cls, method, counted)
+        return calls
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_flag_reaches_planning(self, kernel, monkeypatch, capsys):
+        from repro.sim.kernels import KERNEL_ENV
+
+        # undo the flag's write to the environment at teardown
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        calls = self._count_kernel_calls(monkeypatch)
+        assert main(["figure", "fig4", "--scale", "0.1", "--kernel", kernel]) == 0
+        assert "HomI" in capsys.readouterr().out
+        assert calls["c"] == 0, calls
+        if kernel == "numpy":
+            assert sum(calls.values()) == 0, calls
+        else:
+            assert calls["python"] > 0, calls
 
 
 class TestProfileAndTrace:

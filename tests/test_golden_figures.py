@@ -35,7 +35,7 @@ from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import default_suite
 from repro.sim.engine import simulate
 from repro.sim.fastpath import fast_simulate
-from tests.per_mode import per_mode_makespans
+from tests.per_mode import kernel_env, per_mode_makespans
 
 SCALE = 0.1
 DATA = pathlib.Path(__file__).parent / "data" / "golden_figures.json"
@@ -55,14 +55,14 @@ def _iter_runs(fig: str):
             yield inst, sched
 
 
-def _collect(engine: str, kernel=None) -> dict[str, dict[str, float]]:
+def _collect(engine: str) -> dict[str, dict[str, float]]:
     """``{fig: {"algorithm|instance": makespan}}`` under one engine.
 
     ``"batch"`` simulates each figure's plans on one
     :class:`~repro.sim.batch.BatchEngine` per replay mode (allocator plans
     through the fast path), whatever the group size and the backend.
-    ``kernel`` selects a compiled simulation backend for the fast/batch
-    engines (see :mod:`repro.sim.kernels`).
+    Planning and the fast/batch engines step on the process's kernel
+    backend (see :mod:`repro.sim.kernels`).
     """
     out: dict[str, dict[str, float]] = {}
     for fig in sorted(FIGURES):
@@ -75,7 +75,7 @@ def _collect(engine: str, kernel=None) -> dict[str, dict[str, float]]:
                 continue
             plan.collect_events = False
             if engine == "fast":
-                res = fast_simulate(inst.platform, plan, inst.grid, kernel=kernel)
+                res = fast_simulate(inst.platform, plan, inst.grid)
             elif engine == "reference":
                 res = simulate(inst.platform, plan, inst.grid)
             else:
@@ -84,7 +84,7 @@ def _collect(engine: str, kernel=None) -> dict[str, dict[str, float]]:
                 continue
             table[f"{sched.name}|{inst.label}"] = res.makespan
         if engine == "batch":
-            for key, makespan in zip(keys, per_mode_makespans(runs, kernel=kernel)):
+            for key, makespan in zip(keys, per_mode_makespans(runs)):
                 table[key] = makespan
         out[fig] = table
     return out
@@ -120,13 +120,15 @@ def test_both_engines_reproduce_golden_figures(engine, golden):
 @pytest.mark.parametrize("engine", ["fast", "batch"])
 @pytest.mark.parametrize("kernel", ["c", "python"])
 def test_compiled_backends_reproduce_golden_figures(engine, kernel, golden):
-    """Every compiled kernel backend replays the full golden-figure set
-    bit-identically (environments without a backend skip its rows)."""
+    """Every compiled kernel backend plans and replays the full
+    golden-figure set bit-identically (environments without a backend
+    skip its rows)."""
     from repro.sim.kernels import available_backends
 
     if kernel not in available_backends():
         pytest.skip(f"kernel backend {kernel!r} unavailable here")
-    measured = _collect(engine, kernel=kernel)
+    with kernel_env(kernel):
+        measured = _collect(engine)
     for fig, table in golden["figures"].items():
         got = measured[fig]
         assert sorted(got) == sorted(table), f"{fig}: (algorithm, instance) set changed"

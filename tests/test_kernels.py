@@ -2,11 +2,12 @@
 
 The equivalence walls (``test_batch_equivalence``, ``test_golden_figures``)
 pin that every backend computes bit-identical results; this file pins the
-*registry* contract around them: resolution order (instance > name > env >
+*registry* contract around them: resolution order (``REPRO_KERNEL`` >
 c when it builds > numpy), unknown-name errors (``numba`` among them),
 the single-warning numpy fallback for explicitly requested but
 unavailable backends, whole-run vs per-step dispatch, windowed stepping,
-and the ``fast_simulate``/harness integration points.
+and the ``fast_simulate``/harness integration points.  Every backend is
+picked the one way a user picks it: through the environment.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.sim.kernels import (
     get_backend,
     resolve_kernel,
 )
-from tests.per_mode import per_mode_outcomes
+from tests.per_mode import kernel_env, per_mode_outcomes
 
 
 # ----------------------------------------------------------------------
@@ -51,35 +52,29 @@ def test_whole_run_flags():
     assert get_backend("python").whole_run is True
 
 
-def test_unknown_name_raises_value_error():
+def test_unknown_name_raises_value_error(monkeypatch):
     with pytest.raises(ValueError, match="unknown kernel backend"):
         get_backend("fortran")
+    monkeypatch.setenv(KERNEL_ENV, "fortran")
     with pytest.raises(ValueError, match="unknown kernel backend"):
-        resolve_kernel("fortran")
+        resolve_kernel()
 
 
 def test_numba_is_an_unknown_name(monkeypatch, het_platform, small_grid):
-    """``numba`` names no backend: naming it, by argument or through the
-    environment, raises the unknown-backend error listing the known
+    """``numba`` names no backend: naming it in the environment makes
+    every entry point raise the unknown-backend error listing the known
     names instead of falling back to numpy."""
     from repro.sim.batch import batch_simulate
 
     known = r"unknown kernel backend 'numba'; known: \('numpy', 'c', 'python'\)"
-    with pytest.raises(ValueError, match=known):
-        resolve_kernel("numba")
     plan = make_and_strip("Hom", het_platform, small_grid)
-    with pytest.raises(ValueError, match=known):
-        fast_simulate(het_platform, plan, kernel="numba")
-    with pytest.raises(ValueError, match=known):
-        batch_simulate([(het_platform, plan)], kernel="numba")
     monkeypatch.setenv(KERNEL_ENV, "numba")
     with pytest.raises(ValueError, match=known):
-        resolve_kernel(None)
-
-
-def test_resolve_instance_passes_through():
-    backend = get_backend("python")
-    assert resolve_kernel(backend) is backend
+        resolve_kernel()
+    with pytest.raises(ValueError, match=known):
+        fast_simulate(het_platform, plan)
+    with pytest.raises(ValueError, match=known):
+        batch_simulate([(het_platform, plan)])
 
 
 def _c_builds() -> bool:
@@ -94,16 +89,16 @@ def test_resolve_name_and_default(monkeypatch):
     """The implicit default is the C kernel whenever it builds here, numpy
     otherwise; a name always wins."""
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert resolve_kernel(None).name == ("c" if _c_builds() else "numpy")
-    assert resolve_kernel("python").name == "python"
-    assert resolve_kernel("numpy").name == "numpy"
+    assert resolve_kernel().name == ("c" if _c_builds() else "numpy")
+    monkeypatch.setenv(KERNEL_ENV, "python")
+    assert resolve_kernel().name == "python"
+    monkeypatch.setenv(KERNEL_ENV, "numpy")
+    assert resolve_kernel().name == "numpy"
 
 
 def test_resolve_env_knob(monkeypatch):
     monkeypatch.setenv(KERNEL_ENV, "python")
-    assert resolve_kernel(None).name == "python"
-    # explicit kernel= beats the environment
-    assert resolve_kernel("numpy").name == "numpy"
+    assert resolve_kernel().name == "python"
 
 
 @pytest.fixture
@@ -127,14 +122,15 @@ def test_unavailable_backend_raises_on_direct_get(broken_backend):
     assert broken_backend not in available_backends()
 
 
-def test_unavailable_backend_falls_back_with_single_warning(broken_backend):
+def test_unavailable_backend_falls_back_with_single_warning(monkeypatch, broken_backend):
+    monkeypatch.setenv(KERNEL_ENV, broken_backend)
     with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-        backend = resolve_kernel(broken_backend)
+        backend = resolve_kernel()
     assert backend.name == "numpy"
     # second resolution is silent (one clear warning per process per name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_kernel(broken_backend).name == "numpy"
+        assert resolve_kernel().name == "numpy"
 
 
 @pytest.fixture
@@ -154,7 +150,7 @@ def test_default_without_c_is_numpy_silently(monkeypatch, fresh_registry):
     monkeypatch.setattr(kernels, "_FACTORIES", {**kernels._FACTORIES, "c": unavailable})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_kernel(None).name == "numpy"
+        assert resolve_kernel().name == "numpy"
 
 
 def test_default_with_missing_compiler_is_numpy(monkeypatch, tmp_path, fresh_registry):
@@ -163,7 +159,7 @@ def test_default_with_missing_compiler_is_numpy(monkeypatch, tmp_path, fresh_reg
     assert "c" not in available_backends()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_kernel(None).name == "numpy"
+        assert resolve_kernel().name == "numpy"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -177,7 +173,7 @@ def test_default_with_unlaunchable_compiler_is_numpy(monkeypatch, tmp_path, fres
     monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
     with pytest.raises(KernelUnavailable, match="cannot run C compiler"):
         type(get_backend("c"))().ensure_ready()
-    assert resolve_kernel(None).name == "numpy"
+    assert resolve_kernel().name == "numpy"
     # the failed build is cached as the backend's verdict
     assert "c" not in available_backends()
     assert not list((tmp_path / "cache").glob("*.so"))
@@ -200,24 +196,25 @@ def test_default_with_unloadable_cached_so_is_numpy(monkeypatch, tmp_path, fresh
         type(get_backend("c"))().ensure_ready()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_kernel(None).name == "numpy"
+        assert resolve_kernel().name == "numpy"
     assert "c" not in available_backends()
 
 
 def test_explicit_unavailable_c_warns_once(monkeypatch, tmp_path, fresh_registry):
     monkeypatch.setenv("CC", "/nonexistent/cc")
+    monkeypatch.setenv(KERNEL_ENV, "c")
     with pytest.warns(RuntimeWarning, match="kernel backend 'c' is unavailable"):
-        assert resolve_kernel("c").name == "numpy"
+        assert resolve_kernel().name == "numpy"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_kernel("c").name == "numpy"
+        assert resolve_kernel().name == "numpy"
 
 
 def test_unavailable_env_knob_falls_back(monkeypatch, broken_backend):
     monkeypatch.setenv(KERNEL_ENV, broken_backend)
     monkeypatch.setattr(kernels, "_warned", set())
     with pytest.warns(RuntimeWarning, match="unavailable"):
-        assert resolve_kernel(None).name == "numpy"
+        assert resolve_kernel().name == "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +246,8 @@ def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid,
         ]
         for _p, pl in fresh:
             pl.collect_events = False
-        engine = BatchEngine(fresh, kernel=kernel)
+        with kernel_env(kernel):
+            engine = BatchEngine(fresh)
         while not engine.done:
             before = engine._t
             engine.run(max_steps=chunk)
@@ -271,8 +269,12 @@ def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
     for name in ("Hom", "ORROML"):
         plan = make_scheduler(name).plan(het_platform, small_grid)
         plan.collect_events = False
-        scalar = fast_simulate(het_platform, make_and_strip(name, het_platform, small_grid), small_grid)
-        compiled = fast_simulate(het_platform, plan, small_grid, kernel=kernel)
+        with kernel_env("numpy"):
+            scalar = fast_simulate(
+                het_platform, make_and_strip(name, het_platform, small_grid), small_grid
+            )
+        with kernel_env(kernel):
+            compiled = fast_simulate(het_platform, plan, small_grid)
         assert compiled.makespan == scalar.makespan
         assert compiled.worker_stats == scalar.worker_stats
         assert compiled.meta.get("algorithm", name) is not None
@@ -285,23 +287,22 @@ def make_and_strip(name, platform, grid):
 
 
 def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_grid):
-    """Allocator-driven plans cannot take the batch route; kernel= must
-    degrade to the scalar/reference paths, not crash."""
+    """Allocator-driven plans cannot take the batch route; a whole-run
+    backend must degrade to the scalar/reference paths, not crash."""
     scalar = fast_simulate(
         het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid
     )
-    routed = fast_simulate(
-        het_platform,
-        make_and_strip("BMM", het_platform, small_grid),
-        small_grid,
-        kernel="python",
-    )
+    with kernel_env("python"):
+        routed = fast_simulate(
+            het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid
+        )
     assert routed.makespan == scalar.makespan
 
 
 def test_engine_records_backend(het_platform, small_grid):
     runs = _strict_runs(het_platform, small_grid, small_grid)
-    assert BatchEngine(runs, kernel="python")._backend.name == "python"
+    with kernel_env("python"):
+        assert BatchEngine(runs)._backend.name == "python"
 
 
 # ----------------------------------------------------------------------
@@ -327,13 +328,16 @@ def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
 
     base = outcomes(fast_simulate(p, plan) for p, plan in jobs())
     for kernel in available_backends():
-        per_run = outcomes(fast_simulate(p, plan, kernel=kernel) for p, plan in jobs())
+        with kernel_env(kernel):
+            per_run = outcomes(fast_simulate(p, plan) for p, plan in jobs())
+            batched = outcomes(per_mode_outcomes(jobs()))
         assert per_run == base, ("fast", kernel)
-        batched = outcomes(per_mode_outcomes(jobs(), kernel=kernel))
         assert batched == base, ("batch", kernel)
 
 
 def test_run_experiment_kernel_parity(het_platform, small_grid, ragged_grid):
+    """Every backend plans and replays the whole suite to the reference
+    engine's makespans."""
     from repro.experiments.harness import Instance, run_experiment
 
     instances = [
@@ -344,7 +348,8 @@ def test_run_experiment_kernel_parity(het_platform, small_grid, ragged_grid):
     ref = {(m.algorithm, m.instance): m.makespan for m in base.measurements}
     assert len(ref) == len(base.algorithms) * len(instances)
     for kernel in available_backends():
-        res = run_experiment("kernels", instances, kernel=kernel)
+        with kernel_env(kernel):
+            res = run_experiment("kernels", instances)
         got = {(m.algorithm, m.instance): m.makespan for m in res.measurements}
         assert got == ref, kernel
 
@@ -375,7 +380,8 @@ def test_c_backend_rejects_mistyped_arrays(scheduler, het_platform, small_grid):
 
     plan = make_scheduler(scheduler).plan(het_platform, small_grid)
     plan.collect_events = False
-    engine = BatchEngine([(het_platform, plan)], kernel="c")
+    with kernel_env("c"):
+        engine = BatchEngine([(het_platform, plan)])
     run = engine._backend.strict_run if engine._strict else engine._backend.ready_run
     args = engine._kernel_args
     mistyped = tuple(
