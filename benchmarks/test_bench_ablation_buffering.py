@@ -22,7 +22,6 @@ def _depth_ablation(scale: float):
     for depth in (1, 2, 3, 4):
         plan = sched.plan(plat, grid)
         plan.depths = [depth] * plat.p
-        plan.collect_events = False
         out[depth] = simulate(plat, plan, grid).makespan
     return out
 
@@ -56,11 +55,9 @@ def test_strict_vs_ready_order(benchmark, bench_scale, emit):
 
         sched = HomScheduler()
         strict_plan = sched.plan(plat, grid)
-        strict_plan.collect_events = False
         strict = simulate(plat, strict_plan, grid).makespan
         ready_plan = sched.plan(plat, grid)
         ready_plan.policy = ReadyPolicy(selection_order_priority)
-        ready_plan.collect_events = False
         ready = simulate(plat, ready_plan, grid).makespan
         return strict, ready
 

@@ -25,7 +25,6 @@ def _variant_matrix(scale: float):
         for variant in ALL_VARIANTS:
             outcome = incremental_selection(inst.platform, inst.grid, variant)
             plan = build_plan_from_sequence(inst.platform, inst.grid, outcome)
-            plan.collect_events = False
             makespans[variant.label] = simulate(inst.platform, plan, inst.grid).makespan
         best = min(makespans.values())
         winner = min(makespans, key=makespans.get)

@@ -79,7 +79,6 @@ def _clone(plan: Plan) -> Plan:
         policy=policy,
         depths=list(plan.depths),
         c_mode=plan.c_mode,
-        collect_events=False,
     )
 
 
@@ -117,7 +116,6 @@ def _ladder(scheduler_name: str):
     plat = memory_heterogeneous()
     grid = BlockGrid.paper_instance(80_000)
     plan = make_scheduler(scheduler_name).plan(plat, grid)
-    plan.collect_events = False
     runs = [(plat, _clone(plan)) for _ in range(_LADDER_B)]
 
     rows = []

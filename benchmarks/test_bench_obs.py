@@ -82,7 +82,6 @@ def test_disabled_tracing_overhead(emit):
     plat = scale_platform(memory_heterogeneous(), 0.5)
     grid = scale_grid(BlockGrid.paper_instance(), 0.3)
     plan = make_scheduler("Hom").plan(plat, grid)
-    plan.collect_events = False
 
     lines = [
         "obs_overhead: disabled-instrumentation cost vs simulation work",

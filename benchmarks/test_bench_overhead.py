@@ -24,7 +24,6 @@ def _measured_overhead() -> tuple[float, float]:
     sched = HomScheduler()
     with_c = sched.run(plat, grid, collect_events=False).makespan
     plan = sched.plan(plat, grid)
-    plan.collect_events = False
     from repro.sim.worker_state import CMode
 
     plan.c_mode = CMode.NONE

@@ -40,7 +40,6 @@ def main() -> None:
     for variant in ALL_VARIANTS:
         outcome = incremental_selection(platform, grid, variant)
         plan = build_plan_from_sequence(platform, grid, outcome)
-        plan.collect_events = False
         res = simulate(platform, plan, grid)
         counts = Counter(outcome.sequence)
         head = ",".join(f"P{w + 1}" for w in outcome.sequence[:12])

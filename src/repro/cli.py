@@ -4,9 +4,10 @@ Subcommands
 -----------
 ``figure``    run one paper figure (fig4..fig8) and print relative tables
 ``summary``   run the Figure 9 cross-experiment summary
-``run``       run one algorithm on one platform/grid, print details/Gantt
-              (``--execute`` performs the schedule for real on the
-              threaded runtime and checks the result against C + A @ B)
+``run``       run one algorithm on one platform/grid on the traced
+              reference engine, print details/Gantt (``--execute``
+              performs the schedule for real on the threaded runtime and
+              checks the result against C + A @ B)
 ``serve``     multi-process scheduling service: admit N concurrent
               matrix-product jobs onto a sharded worker-process pool
 ``sweep``     relative cost vs degree of heterogeneity
@@ -17,9 +18,12 @@ Subcommands
 ``table2``    demonstrate the bandwidth-centric memory infeasibility
 ``platforms`` list the built-in platform generators
 
-Passing ``--trace FILE`` (or setting ``REPRO_TRACE=FILE``) on the run
-subcommands writes a Chrome/Perfetto-loadable trace of the whole
-invocation -- open it at https://ui.perfetto.dev.
+Every subcommand takes the same two process-wide options, defined once
+on a shared parent parser: ``--kernel`` picks the simulation kernel
+backend (it sets ``REPRO_KERNEL`` before dispatch, so planning searches,
+replays and worker processes all use it), and ``--trace FILE`` (or
+``REPRO_TRACE=FILE``) writes a Chrome/Perfetto-loadable trace of the
+whole invocation -- open it at https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
@@ -56,6 +60,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mm",
         description="Matrix product on heterogeneous master-worker platforms (PPoPP'08)",
+    )
+    # process-wide options, inherited by every subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--kernel",
+        default=None,
+        choices=KERNEL_NAMES,
+        help="simulation kernel backend of this process -- planning "
+        "searches, replay and worker processes alike (sets "
+        "$REPRO_KERNEL; default: $REPRO_KERNEL, else 'c' when its kernels "
+        "build here and 'numpy' otherwise); all backends are "
+        "bit-identical, and a requested backend that is unavailable "
+        "falls back to numpy with a warning",
+    )
+    common.add_argument(
+        "--trace",
+        default=None,
+        metavar="FILE",
+        help="write a Chrome/Perfetto trace of this invocation to FILE "
+        "(also enabled by REPRO_TRACE=FILE)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -104,32 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="content-addressed result cache directory (reruns become lookups)",
         )
         add_objective_opt(p)
-        add_kernel_opt(p)
-        add_trace_opt(p)
 
-    def add_trace_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--trace",
-            default=None,
-            metavar="FILE",
-            help="write a Chrome/Perfetto trace of this invocation to FILE "
-            "(also enabled by REPRO_TRACE=FILE)",
-        )
-
-    def add_kernel_opt(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--kernel",
-            default=None,
-            choices=KERNEL_NAMES,
-            help="simulation kernel backend of this process -- planning "
-            "searches, replay and --parallel workers alike (sets "
-            "$REPRO_KERNEL; default: $REPRO_KERNEL, else 'c' when its kernels "
-            "build here and 'numpy' otherwise); all backends are "
-            "bit-identical, and a requested backend that is unavailable "
-            "falls back to numpy with a warning",
-        )
-
-    p_fig = sub.add_parser("figure", help="run one paper figure")
+    p_fig = sub.add_parser("figure", parents=[common], help="run one paper figure")
     p_fig.add_argument("fig", choices=sorted(FIGURES))
     p_fig.add_argument("--scale", type=float, default=1.0, help="problem scale (1.0 = paper)")
     p_fig.add_argument("--algorithms", default=None, help="comma-separated subset")
@@ -140,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_runner_opts(p_fig)
 
-    p_sum = sub.add_parser("summary", help="run the Figure 9 summary")
+    p_sum = sub.add_parser("summary", parents=[common], help="run the Figure 9 summary")
     p_sum.add_argument("--scale", type=float, default=0.3)
     p_sum.add_argument("--figures", default="fig4,fig5,fig6,fig7,fig8")
     add_runner_opts(p_sum)
 
-    p_run = sub.add_parser("run", help="run one algorithm on one instance")
+    p_run = sub.add_parser("run", parents=[common], help="run one algorithm on one instance")
     p_run.add_argument(
         "--algorithm",
         default="Het",
@@ -175,26 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="perform the schedule for real on the threaded runtime "
         "(worker threads, numpy block arithmetic) and report wall-clock "
-        "stats plus the max error against C + A @ B; needs --engine "
-        "reference for the event trace",
+        "stats plus the max error against C + A @ B",
     )
     p_run.add_argument("--save", default=None, metavar="FILE", help="write the result as JSON")
     p_run.add_argument(
         "--platform-file", default=None, metavar="FILE", help="load the platform from JSON"
     )
-    p_run.add_argument(
-        "--engine",
-        default="reference",
-        choices=("reference", "fast"),
-        help="simulation engine; 'reference' (default) keeps the full event "
-        "trace for --gantt and the breakdown report, 'fast' skips traces",
-    )
     add_objective_opt(p_run)
-    add_kernel_opt(p_run)
-    add_trace_opt(p_run)
 
     p_srv = sub.add_parser(
         "serve",
+        parents=[common],
         help="multi-process scheduling service: admit concurrent jobs "
         "onto a sharded worker-process pool",
     )
@@ -237,9 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument("--seed", type=int, default=0, help="job-instance RNG seed")
     add_objective_opt(p_srv)
-    add_trace_opt(p_srv)
 
-    p_sweep = sub.add_parser("sweep", help="relative cost vs degree of heterogeneity")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common], help="relative cost vs degree of heterogeneity"
+    )
     p_sweep.add_argument("--scale", type=float, default=0.25)
     p_sweep.add_argument(
         "--ratios", default="1.01,1.5,2,3,4,6,8", help="comma-separated ratio list"
@@ -251,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dyn = sub.add_parser(
         "dynamic",
+        parents=[common],
         help="dynamic-platform scenarios: oblivious vs adaptive vs clairvoyant",
     )
     p_dyn.add_argument("--scenario", default="straggler-onset", choices=DYNAMIC_SCENARIOS)
@@ -333,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected stochastic events over the steady-state-bound horizon",
     )
     add_objective_opt(p_dyn)
-    add_trace_opt(p_dyn)
 
     p_prof = sub.add_parser(
         "profile",
+        parents=[common],
         help="run a small workload under the tracer and print where the "
         "time went (planning vs simulation vs cache)",
     )
@@ -365,15 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
         default="oblivious,adaptive",
         help="dynamic evaluation modes (comma-separated)",
     )
-    add_kernel_opt(p_prof)
-    add_trace_opt(p_prof)
 
-    p_bounds = sub.add_parser("bounds", help="Section 3 CCR bounds")
+    p_bounds = sub.add_parser("bounds", parents=[common], help="Section 3 CCR bounds")
     p_bounds.add_argument("--memory", type=int, default=5242, help="worker memory in blocks")
     p_bounds.add_argument("--t", type=int, default=100)
 
-    sub.add_parser("table2", help="bandwidth-centric memory infeasibility demo")
-    sub.add_parser("platforms", help="list built-in platforms")
+    sub.add_parser(
+        "table2", parents=[common], help="bandwidth-centric memory infeasibility demo"
+    )
+    sub.add_parser("platforms", parents=[common], help="list built-in platforms")
     return parser
 
 
@@ -442,17 +435,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         algorithm = layered
     sched = make_scheduler(algorithm, objective=args.objective)
-    if args.execute and args.engine != "reference":
-        print(
-            "error: --execute replays the event trace; rerun with "
-            "--engine reference",
-            file=sys.stderr,
-        )
-        return 2
     from .schedulers.base import SchedulingError
 
     try:
-        res = sched.run(platform, grid, collect_events=args.engine == "reference")
+        res = sched.run(platform, grid)
     except SchedulingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -472,15 +458,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print("worker compute utilization: " + ", ".join(f"P{w + 1}:{u:.0%}" for w, u in util.items()))
     if res.meta.get("variant"):
         print(f"selection variant: {res.meta['variant']}")
-    if res.port_events:
-        from .sim.analysis import analyze
+    from .sim.analysis import analyze
 
-        print("\n" + analyze(res).report())
-        if args.gantt:
-            print()
-            print(gantt_ascii(res, width=100))
-    elif args.gantt:
-        print("\n(--gantt needs the event trace; rerun with --engine reference)")
+    print("\n" + analyze(res).report())
+    if args.gantt:
+        print()
+        print(gantt_ascii(res, width=100))
     if args.execute:
         import numpy as np
 
@@ -778,7 +761,7 @@ def _cmd_platforms(_args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "kernel", None):
+    if args.kernel:
         # one backend per process: planning, replay and inherited workers
         os.environ[KERNEL_ENV] = args.kernel
     handlers = {
@@ -793,7 +776,7 @@ def main(argv: list[str] | None = None) -> int:
         "table2": _cmd_table2,
         "platforms": _cmd_platforms,
     }
-    trace_path = getattr(args, "trace", None) or os.environ.get("REPRO_TRACE")
+    trace_path = args.trace or os.environ.get("REPRO_TRACE")
     if not trace_path:
         return handlers[args.command](args)
     from .obs import enable_tracing, trace, tracing_enabled

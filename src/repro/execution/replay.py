@@ -36,7 +36,10 @@ def replay_trace(
     """Replay ``result``'s events on concrete matrices; returns the master's
     final C.  Raises ``AssertionError`` on any causality breach."""
     if not result.port_events:
-        raise ValueError("result has no events (collect_events was disabled?)")
+        raise ValueError(
+            "result has no events: produce it with Scheduler.run(collect_events=True), "
+            "or record_events=True for a dynamic run"
+        )
     q = grid.q
     master_c = c.copy()
     chunk_by_id = {ch.cid: ch for ch in result.chunks}

@@ -143,7 +143,6 @@ def run_experiment(
     schedulers: Sequence[Scheduler] | None = None,
     *,
     validate: bool = False,
-    collect_events: bool = False,
     parallel=None,
     cache=None,
     objective=None,
@@ -158,9 +157,9 @@ def run_experiment(
     Every run goes through :meth:`~repro.schedulers.base.Scheduler.run`:
     eventless runs replay on the fast path (batch-replayable plans through
     a single-instance :class:`~repro.sim.batch.BatchEngine` on the
-    compiled kernel).  ``validate``/``collect_events`` are the oracle
-    switch: they need full traces and so force the in-process reference
-    engine, whose makespans are bit-identical (the golden wall pins this).
+    compiled kernel).  ``validate`` is the oracle switch: it needs full
+    traces and so forces the in-process reference engine, whose makespans
+    are bit-identical (the golden wall pins this).
 
     ``parallel`` fans whole (algorithm, instance) runs out across worker
     processes (see :func:`repro.experiments.parallel.resolve_workers` for
@@ -168,8 +167,7 @@ def run_experiment(
     :class:`~repro.experiments.parallel.ResultCache`) skips runs whose
     content-addressed result is already stored (keyed by
     :func:`~repro.experiments.parallel.task_key`).  Both are ignored, with
-    a warning, when ``validate`` or ``collect_events`` asks for full
-    traces.
+    a warning, when ``validate`` asks for full traces.
 
     Every run, in process or in a worker, plans and replays on the
     process's kernel backend (``REPRO_KERNEL``, inherited by worker
@@ -197,7 +195,6 @@ def run_experiment(
             instances,
             schedulers,
             validate=validate,
-            collect_events=collect_events,
             parallel=parallel,
             cache=cache,
             objective=objective,
@@ -212,7 +209,6 @@ def _run_experiment(
     schedulers: Sequence[Scheduler] | None = None,
     *,
     validate: bool = False,
-    collect_events: bool = False,
     parallel=None,
     cache=None,
     objective=None,
@@ -226,14 +222,13 @@ def _run_experiment(
     )
     bounds = {inst.label: makespan_lower_bound(inst.platform, inst.grid) for inst in instances}
 
-    full_traces = validate or collect_events
     use_runner = parallel is not None or cache is not None
-    if use_runner and full_traces:
+    if use_runner and validate:
         import warnings
 
         warnings.warn(
-            "parallel=/cache= are ignored when validate/collect_events is "
-            "set: they need the eventless fast path",
+            "parallel=/cache= are ignored when validate is set: they need "
+            "the eventless fast path",
             stacklevel=2,
         )
     elif use_runner:
@@ -275,11 +270,7 @@ def _run_experiment(
         bound = bounds[inst.label]
         for sched in scheds:
             try:
-                sim = sched.run(
-                    inst.platform,
-                    inst.grid,
-                    collect_events=collect_events or validate,
-                )
+                sim = sched.run(inst.platform, inst.grid, collect_events=validate)
             except SchedulingError as exc:
                 result.failures[(sched.name, inst.label)] = str(exc)
                 continue

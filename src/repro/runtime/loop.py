@@ -86,7 +86,10 @@ def run_master(
     for at most ``reply_timeout`` seconds.
     """
     if not result.port_events:
-        raise ValueError("result has no events (collect_events was disabled?)")
+        raise ValueError(
+            "result has no events: produce it with Scheduler.run(collect_events=True), "
+            "or record_events=True for a dynamic run"
+        )
     q = grid.q
     chunk_by_id = {ch.cid: ch for ch in result.chunks}
     master_c = c.copy()

@@ -233,7 +233,6 @@ def _remap_subplan(
         depths=depths,
         allocator=allocator,
         c_mode=plan.c_mode,
-        collect_events=False,
         meta=dict(plan.meta),
     )
 
@@ -342,27 +341,17 @@ class AdaptiveScheduler:
         platform: Platform,
         grid: BlockGrid,
         timeline: PlatformTimeline,
-        collect_events: bool = False,
         *,
         record_events: bool = False,
     ) -> SimResult:
         """Plan per the mode, replay under ``timeline``, return the result
         (``meta["dynamic"]`` records mode, events and replan decisions).
 
-        ``collect_events`` selects the (traced) reference engine; it is
-        incompatible with the adaptive mode, whose controller needs the
-        fast engine's mutation surface.  ``record_events`` instead has the
-        *driver* synthesize the trace (plus the killed-chunk audit) on the
-        fast engine — available in every mode, including adaptive — so the
+        ``record_events`` has the driver synthesize the full trace (plus
+        the killed-chunk audit) in every mode, adaptive included, so the
         result can be audited with
         :func:`repro.sim.validate.validate_dynamic`.
         """
-        if collect_events and self.mode in _CONTROLLED_MODES:
-            raise ValueError(
-                "collect_events needs the reference engine, but online "
-                f"rescheduling (mode={self.mode!r}) runs on the fast "
-                "engine; use oblivious or clairvoyant mode for traced runs"
-            )
         self._platform = platform
         self._grid = grid
         self._decisions: list[str] = []
@@ -392,7 +381,6 @@ class AdaptiveScheduler:
                 f"mode={self.mode!r} cannot wrap the coded-redundancy "
                 f"family ({self.base.name}); use its own run_dynamic"
             )
-        plan.collect_events = collect_events
         if isinstance(plan.allocator, PanelDemandAllocator):
             self._sides = plan.allocator.sides  # before any grants
             self._toledo = plan.allocator.toledo
@@ -405,7 +393,6 @@ class AdaptiveScheduler:
             plan,
             timeline,
             grid,
-            engine="reference" if collect_events else "fast",
             controller=controller,
             record_events=record_events,
         )
@@ -450,7 +437,6 @@ class AdaptiveScheduler:
                     )
             except SchedulingError:
                 continue
-            cand.collect_events = False
             candidates.append(cand)
         if not candidates:
             raise SchedulingError(f"{self.name}: no feasible plan on the final platform")
@@ -474,7 +460,6 @@ class AdaptiveScheduler:
             depths=list(plan.depths),
             allocator=plan.allocator.clone(),
             c_mode=plan.c_mode,
-            collect_events=False,
             meta=dict(plan.meta),
         )
 
@@ -921,7 +906,6 @@ class AdaptiveScheduler:
                         policy=StrictOrderPolicy(prefix_order + order_tail),
                         depths=depths,
                         c_mode=run.c_mode,
-                        collect_events=False,
                     ),
                 )
             )

@@ -93,7 +93,6 @@ class Scheduler(ABC):
         """
         with trace("plan", algorithm=self.name), stopwatch("plan.seconds") as sw:
             plan = self.plan(platform, grid)
-        plan.collect_events = collect_events
         engine = "reference" if collect_events else "fast"
         with trace("simulate", algorithm=self.name, engine=engine):
             if collect_events:

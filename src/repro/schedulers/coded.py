@@ -317,10 +317,8 @@ class _CodedBase(Scheduler):
         platform: Platform,
         grid: BlockGrid,
         timeline: PlatformTimeline | None = None,
-        collect_events: bool = False,
         *,
         record_events: bool = False,
-        engine: str = "fast",
     ) -> SimResult:
         """Race the coded shares on ``platform`` under ``timeline`` and
         stop at the decode threshold.
@@ -333,7 +331,6 @@ class _CodedBase(Scheduler):
         drain time of abandoned shares' sunk computes.
         """
         plan = self.plan(platform, grid)
-        plan.collect_events = collect_events
         ann = plan.meta["coded"]
         tracker = DecodeTracker(ann["stripes"], ann["k"])
         rect_sid = {tuple(rect): sid for sid, rect in enumerate(tracker.stripes)}
@@ -347,7 +344,6 @@ class _CodedBase(Scheduler):
             plan,
             timeline,
             grid,
-            engine=engine,
             completion=tracker,
             record_events=record_events,
         )

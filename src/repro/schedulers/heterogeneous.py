@@ -108,7 +108,6 @@ class HetScheduler(Scheduler):
         for variant in self.variants:
             outcome = incremental_selection(platform, pgrid, variant)
             candidate = build_plan_from_sequence(platform, pgrid, outcome)
-            candidate.collect_events = False
             candidates.append((platform, candidate))
         makespans = batch_simulate(candidates)
         scores = {
@@ -119,7 +118,6 @@ class HetScheduler(Scheduler):
         )
         best_makespan = float(makespans[best_idx])
         best_plan = candidates[best_idx][1]
-        best_plan.collect_events = True
         best_plan.meta.update(
             {
                 "algorithm": self.name,

@@ -173,7 +173,6 @@ def _evaluate_candidates(
             plan = homogeneous_plan(
                 grid, n_workers=n, mu=mu, enrolled=list(range(n)), total_workers=n
             )
-            plan.collect_events = False
             plan_cache[(n, mu)] = plan
         runs.append((virtual, plan))
     estimates = batch_simulate(runs)

@@ -93,7 +93,10 @@ class TraceAnalysis:
 def analyze(result: SimResult) -> TraceAnalysis:
     """Decompose a result (needs a collected trace)."""
     if not result.port_events:
-        raise ValueError("result has no events (collect_events was disabled?)")
+        raise ValueError(
+            "result has no events: produce it with Scheduler.run(collect_events=True), "
+            "or record_events=True for a dynamic run"
+        )
     makespan = result.makespan
     by_kind = {MsgKind.C_SEND: 0.0, MsgKind.ROUND: 0.0, MsgKind.C_RETURN: 0.0}
     for evt in result.port_events:

@@ -30,10 +30,10 @@ event frontier, ``inf`` for a worker that never rejoins) and stop before
 the first message that would start at or after the next event.  The
 driver then applies the due events, fires the controller and opens the
 next window.  The per-message interpretation of the same rules stays
-where it is needed: the reference engine (the oracle), runs with
-``record_events`` (trace synthesis) and ``completion`` criteria (the coded
-family's per-return decode check); it also raises the stall and
-strict-order errors where a window stops short of them.
+where it is needed: runs with ``record_events`` (trace synthesis) and
+``completion`` criteria (the coded family's per-return decode check); it
+also raises the stall and strict-order errors where a window stops short
+of them.
 
 **Bit-identity.**  With an empty timeline the driver posts exactly the
 message sequence of :func:`~repro.sim.fastpath.fast_simulate`, through the
@@ -41,9 +41,11 @@ same arithmetic, so makespans and per-worker statistics are bit-identical
 (the property wall in ``tests/test_dynamic.py`` pins this across the
 scheduler × CMode × policy matrix).  Native windows and the per-message
 loop are bit-identical too (makespans, statistics, kills and boundary
-decisions — the equivalence wall in ``tests/test_dynamic_validation.py``),
-and the same timeline interpretation also runs on the reference event
-engine (``engine="reference"``) for the engine equivalence wall.
+decisions — the equivalence wall in ``tests/test_dynamic_validation.py``).
+The engine equivalence wall replays the same timeline interpretation on
+the reference event engine through a test-side adapter
+(``tests/dynamic_oracle.py``), which stands in for :class:`_FastAdapter`
+without online control (``supports_control = False``).
 
 **Online control.**  A ``controller`` callback fires at every event
 boundary with the live :class:`DynamicRun`; it may reclaim unstarted
@@ -62,11 +64,10 @@ stay bit-identical.
 
 **Auditability.**  With ``record_events=True`` the driver synthesizes the
 same :class:`~repro.core.ops.PortEvent` / :class:`~repro.core.ops
-.ComputeEvent` records the reference engine would emit — including for
-fast-engine runs under online control, where it also logs killed
-(abandoned) chunk ids into ``meta["dynamic"]`` — so every dynamic run,
-static or adaptive, can be audited by
-:func:`repro.sim.validate.validate_dynamic`.
+.ComputeEvent` records the reference engine would emit — including under
+online control, where it also logs killed (abandoned) chunk ids into
+``meta["dynamic"]`` — so every dynamic run, static or adaptive, can be
+audited by :func:`repro.sim.validate.validate_dynamic`.
 
 **Stochastic timelines.**  :func:`random_timeline` draws a seeded Poisson
 event process over the scenario families (straggler / bandwidth / crash /
@@ -78,7 +79,7 @@ mixed); it is the generator behind ``dynamic_sweep(stochastic=...)``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core.blocks import BlockGrid
@@ -87,11 +88,11 @@ from ..core.ops import ComputeEvent, MsgKind, PortEvent
 from ..obs import counter, trace
 from ..platform.model import Platform, Worker
 from .allocator import PanelDemandAllocator
-from .engine import Engine, SimResult
+from .engine import SimResult
 from .fastpath import FastEngine
 from .plan import Plan
 from .policies import StrictOrderPolicy, selection_order_priority
-from .worker_state import CMode, c_message_count
+from .worker_state import c_message_count
 
 __all__ = [
     "EVENT_KINDS",
@@ -314,7 +315,7 @@ class PlatformTimeline:
 # engine adapters
 # ----------------------------------------------------------------------
 class _FastAdapter:
-    """Flat-array engine behind the segmented driver (the default)."""
+    """Flat-array engine behind the segmented driver."""
 
     supports_control = True
 
@@ -365,62 +366,6 @@ class _FastAdapter:
         return other
 
 
-class _ReferenceAdapter:
-    """Event-engine interpretation of the same timeline semantics (the
-    equivalence wall's second witness; also keeps full traces)."""
-
-    supports_control = False
-
-    def __init__(self, platform: Platform, plan: Plan) -> None:
-        self.platform = platform
-        self.engine = Engine(
-            platform,
-            depths=plan.depths,
-            c_mode=plan.c_mode,
-            collect_events=plan.collect_events,
-        )
-        for widx, chunks in enumerate(plan.assignments):
-            for ch in chunks:
-                self.engine.assign_chunk(widx, ch)
-
-    @property
-    def p(self) -> int:
-        return self.platform.p
-
-    @property
-    def port_free(self) -> float:
-        return self.engine.port_free
-
-    def has_pending(self, i: int) -> bool:
-        return self.engine.has_pending(i)
-
-    def head_legal(self, i: int) -> float:
-        return self.engine.legal_start(i)
-
-    def head_cid(self, i: int) -> int:
-        return self.engine.head(i).chunk.cid
-
-    def head_is_c_return(self, i: int) -> bool:
-        return self.engine.head(i).kind is MsgKind.C_RETURN
-
-    def post(self, i: int, min_start: float) -> None:
-        self.engine.post_next(i, min_start)
-
-    def set_params(self, i: int, c: float, w: float) -> None:
-        ws = self.engine.workers[i]
-        ws.worker = replace(ws.worker, c=c, w=w)
-
-    @property
-    def pending_workers(self) -> list[int]:
-        return self.engine.pending_workers
-
-    def result(self, grid, meta) -> SimResult:
-        return self.engine.result(grid=grid, meta=meta)
-
-    def clone(self) -> "_ReferenceAdapter":
-        raise TypeError("online control requires the fast engine")
-
-
 # ----------------------------------------------------------------------
 # the segmented driver
 # ----------------------------------------------------------------------
@@ -463,7 +408,7 @@ class DynamicRun:
         self.frontier = 0.0
         self.killed: list[tuple[int, float]] = []  # (cid, kill time)
         # the fast adapter has no traces of its own; the driver synthesizes
-        # them (the reference adapter records through its engine instead)
+        # them (an adapter without control records through its own engine)
         synth = record and adapter.supports_control
         self._port_log: list[PortEvent] | None = [] if synth else None
         self._comp_log: list[ComputeEvent] | None = [] if synth else None
@@ -663,29 +608,16 @@ class DynamicRun:
         """Drop everything still pending once the completion criterion is
         met: in-flight chunks are killed at the completion time (their sunk
         port and compute time stays on the books), unstarted chunks are
-        silently reclaimed.  Works on both adapters so the reference engine
-        witnesses the same decode semantics."""
+        silently reclaimed.  An adapter without online control drops its
+        own pending work (``abandon_pending(at)`` returns the kills), so a
+        second engine can witness the same decode semantics."""
         at = self.adapter.port_free
-        if self.adapter.supports_control:
-            for i in range(self.adapter.p):
-                self.kill_in_flight(i, at=at)
-                self.reclaim_unstarted(i)
+        if not self.adapter.supports_control:
+            self.killed.extend(self.adapter.abandon_pending(at))
             return
-        eng = self.adapter.engine
-        dropped: list[Chunk] = []
-        for ws in eng.workers:
-            if not ws.has_pending:
-                continue
-            pos = ws.chunk_pos
-            init_stage = 0 if ws.c_mode is not CMode.NONE else 1
-            if ws.stage != init_stage:
-                self.killed.append((ws.chunks[pos].cid, at))
-                ws.stage = init_stage
-            dropped.extend(ws.chunks[pos:])
-            del ws.chunks[pos:]
-        if dropped:
-            gone = {id(ch) for ch in dropped}
-            eng.all_chunks = [ch for ch in eng.all_chunks if id(ch) not in gone]
+        for i in range(self.adapter.p):
+            self.kill_in_flight(i, at=at)
+            self.reclaim_unstarted(i)
 
     def _post(self, widx: int) -> None:
         """Post worker ``widx``'s head message, synthesizing trace events
@@ -948,7 +880,6 @@ def simulate_dynamic(
     timeline: PlatformTimeline | None = None,
     grid: BlockGrid | None = None,
     *,
-    engine: str = "fast",
     controller: Callable[[DynamicRun, list[TimelineEvent]], None] | None = None,
     record_events: bool = False,
     completion=None,
@@ -956,23 +887,18 @@ def simulate_dynamic(
     """Run ``plan`` on ``platform`` under a :class:`PlatformTimeline`.
 
     With an empty (or ``None``) timeline the result is bit-identical to
-    :func:`~repro.sim.fastpath.fast_simulate`.  On the fast engine each
-    event-free window runs on ``FastEngine``'s own drain loops (see the
-    module docstring); ``record_events`` and ``completion`` runs walk the
-    per-message loop instead, with bit-identical results.  ``engine``
-    selects the underlying simulator: ``"fast"`` (default) or
-    ``"reference"`` (honours ``plan.collect_events`` for full traces — the
-    equivalence wall's second interpretation; like ``fast_simulate``, the
-    fast engine never records traces regardless of the flag).
-    ``controller`` fires at every event boundary with the live
-    :class:`DynamicRun` (fast engine only).
+    :func:`~repro.sim.fastpath.fast_simulate`.  Each event-free window
+    runs on ``FastEngine``'s own drain loops (see the module docstring);
+    ``record_events`` and ``completion`` runs walk the per-message loop
+    instead, with bit-identical results.  ``controller`` fires at every
+    event boundary with the live :class:`DynamicRun`.
 
-    With ``record_events`` the result carries full port/compute traces and
-    an audit annex in ``meta["dynamic"]`` (``c_mode``, ``killed_cids``) —
-    everything :func:`repro.sim.validate.validate_dynamic` needs.  On the
-    fast engine the driver synthesizes the events (bit-identical times, no
-    engine overhead when off); on the reference engine the engine's own
-    collection is forced on.
+    ``record_events`` is the one trace switch: the result then carries
+    full port/compute traces and an audit annex in ``meta["dynamic"]``
+    (``c_mode``, ``killed_cids``) — everything
+    :func:`repro.sim.validate.validate_dynamic` needs.  The driver
+    synthesizes the events (bit-identical times, no engine overhead when
+    off).
 
     ``completion`` installs an early-stop criterion (the coded-redundancy
     family's decode threshold — see :mod:`repro.schedulers.coded`): an
@@ -980,25 +906,14 @@ def simulate_dynamic(
     ``C_RETURN`` and a ``satisfied`` property.  The instant it is
     satisfied the run stops, killing in-flight chunks at the completion
     time (recorded in ``killed_cids``/``kills`` like controller kills)
-    and discarding unstarted ones.  Works on both engines.
+    and discarding unstarted ones.
     """
     if not isinstance(plan, Plan):
         raise TypeError(f"expected a Plan, got {type(plan)!r}")
     if timeline is None:
         timeline = PlatformTimeline()
     timeline.validate_for(platform)
-    if engine not in ("fast", "reference"):
-        raise ValueError(f"unknown engine {engine!r}; known: ('fast', 'reference')")
-    if engine == "fast":
-        adapter = _FastAdapter(platform, plan)
-    else:
-        collect = plan.collect_events
-        if record_events:
-            plan.collect_events = True
-        try:
-            adapter = _ReferenceAdapter(platform, plan)
-        finally:
-            plan.collect_events = collect
+    adapter = _FastAdapter(platform, plan)
     if controller is not None and not adapter.supports_control:
         raise TypeError("controller callbacks require the fast engine")
     run = DynamicRun(
@@ -1011,7 +926,7 @@ def simulate_dynamic(
         record=record_events,
         completion=completion,
     )
-    with trace("simulate_dynamic", engine=engine, events=len(timeline)):
+    with trace("simulate_dynamic", events=len(timeline)):
         run.run()
     # segment/event accounting: each applied event boundary starts a new
     # replay segment, so segments = events_applied + 1

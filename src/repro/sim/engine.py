@@ -118,8 +118,10 @@ class Engine:
         (the overlapped maximum re-use layout).
     c_mode:
         Which C messages to simulate (see :class:`CMode`).
-    collect_events:
-        Keep full port/compute event traces.
+
+    The engine records every port and compute event: it is the traced
+    oracle, and eventless replays go through
+    :func:`~repro.sim.fastpath.fast_simulate` instead.
     """
 
     def __init__(
@@ -128,7 +130,6 @@ class Engine:
         *,
         depths: Sequence[int] | None = None,
         c_mode: CMode = CMode.BOTH,
-        collect_events: bool = True,
     ) -> None:
         if depths is None:
             depths = [2] * platform.p
@@ -139,7 +140,6 @@ class Engine:
         self.port_busy = 0.0
         self.blocks_through_port = 0
         self.total_updates = 0
-        self.collect_events = collect_events
         self.workers = [
             WorkerSim(platform[i], depths[i], c_mode) for i in range(platform.p)
         ]
@@ -199,12 +199,10 @@ class Engine:
         if comp is not None:
             self.total_updates += comp.updates
             self.last_end = max(self.last_end, comp.end)
-            if self.collect_events:
-                self.compute_events.append(comp)
+            self.compute_events.append(comp)
         self.last_end = max(self.last_end, end)
         evt = PortEvent(start, end, widx, msg.kind, msg.chunk.cid, msg.round_idx, msg.nblocks)
-        if self.collect_events:
-            self.port_events.append(evt)
+        self.port_events.append(evt)
         return evt
 
     @property
@@ -257,12 +255,7 @@ def simulate(platform: Platform, plan: "Plan", grid: BlockGrid | None = None) ->
 
     if not isinstance(plan, Plan):
         raise TypeError(f"expected a Plan, got {type(plan)!r}")
-    engine = Engine(
-        platform,
-        depths=plan.depths,
-        c_mode=plan.c_mode,
-        collect_events=plan.collect_events,
-    )
+    engine = Engine(platform, depths=plan.depths, c_mode=plan.c_mode)
     for widx, chunks in enumerate(plan.assignments):
         for ch in chunks:
             engine.assign_chunk(widx, ch)

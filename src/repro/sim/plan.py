@@ -46,8 +46,6 @@ class Plan:
         ``refill_via`` surface.
     c_mode:
         Which C messages to simulate; real executions use ``CMode.BOTH``.
-    collect_events:
-        Whether the simulation keeps full traces.
     meta:
         Free-form scheduler annotations (algorithm name, variant, ...).
     """
@@ -57,7 +55,6 @@ class Plan:
     depths: list[int]
     allocator: PanelDemandAllocator | None = None
     c_mode: CMode = CMode.BOTH
-    collect_events: bool = True
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -53,14 +53,14 @@ class StrictOrderPolicy:
         self.order = list(order)
         self._pos = 0
 
-    def next_choice(self, engine: Engine) -> int | None:
+    def next_choice(self, eng: Engine) -> int | None:
         """Index of the worker whose head message to post, or ``None`` when
         the schedule is complete."""
         if self._pos >= len(self.order):
             return None
         widx = self.order[self._pos]
         self._pos += 1
-        if engine.head(widx) is None:
+        if eng.head(widx) is None:
             raise RuntimeError(
                 f"strict order names worker {widx} at position {self._pos - 1} "
                 "but it has no pending message"
@@ -107,19 +107,19 @@ class ReadyPolicy:
             )
         self.priority = priority
 
-    def next_choice(self, engine: Engine) -> int | None:
+    def next_choice(self, eng: Engine) -> int | None:
         """Index of the pending worker ranked first, or ``None`` when every
         worker has drained."""
         by_cid = self.priority == selection_order_priority
         best: tuple | None = None
         best_widx: int | None = None
-        for widx in range(engine.platform.p):
-            head = engine.head(widx)
+        for widx in range(eng.platform.p):
+            head = eng.head(widx)
             if head is None:
                 continue
             key = (
-                engine.effective_start(widx),
-                head.chunk.cid if by_cid else engine.legal_start(widx),
+                eng.effective_start(widx),
+                head.chunk.cid if by_cid else eng.legal_start(widx),
             )
             if best is None or key < best:
                 best = key

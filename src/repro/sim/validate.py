@@ -84,7 +84,10 @@ def validate_result(result: SimResult, *, check_memory: bool = True) -> Validati
     breach, otherwise returns a :class:`ValidationReport`."""
     port = sorted(result.port_events, key=lambda e: (e.start, e.end))
     comps = sorted(result.compute_events, key=lambda e: (e.worker, e.start))
-    _check(bool(port), "no port events collected (was collect_events disabled?)")
+    _check(
+        bool(port),
+        "no port events collected: validate a Scheduler.run(collect_events=True) result",
+    )
 
     # 1-2: one-port and message durations ------------------------------
     prev_end = 0.0
@@ -349,7 +352,10 @@ def validate_dynamic(
     killed = set(dyn_meta.get("killed_cids", ()))
     port = sorted(result.port_events, key=lambda e: (e.start, e.end))
     comps = sorted(result.compute_events, key=lambda e: (e.worker, e.start))
-    _check(bool(port), "no port events collected (was record_events disabled?)")
+    _check(
+        bool(port),
+        "no port events collected: validate a dynamic run made with record_events=True",
+    )
     c_mode = dyn_meta.get("c_mode")
     if c_mode is not None:
         expect_c_send = c_mode != "NONE"

@@ -12,6 +12,7 @@ from repro.sim.engine import Engine, simulate
 from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
 from repro.sim.policies import ReadyPolicy, demand_priority, selection_order_priority
+from tests.dynamic_oracle import simulate_reference
 
 
 class TestPanelDemandAllocator:
@@ -113,7 +114,6 @@ def test_fast_ready_replay_refills_once_per_drain(name, priority, grid, het_plat
         return plan
 
     ref_plan = build()
-    ref_plan.collect_events = False
     ref = simulate(het_platform, ref_plan, grid)
     plan = build()
     calls = _count_refills(plan.allocator)
@@ -142,9 +142,7 @@ def test_dynamic_crash_window_floors_match_reference(het_platform, ragged_grid, 
 
     monkeypatch.setattr(FastEngine, "_run_ready", spy)
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
-    ref_plan = sched.plan(het_platform, ragged_grid)
-    ref_plan.collect_events = False
-    ref = simulate_dynamic(het_platform, ref_plan, tl, ragged_grid, engine="reference")
+    ref = simulate_reference(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
     assert any(0.0 < f < float("inf") for f in seen_floors)
     _assert_same_run(ref, fast)
     assert fast.makespan > nominal

@@ -86,7 +86,6 @@ def clone_plan(plan: Plan) -> Plan:
         policy=policy,
         depths=list(plan.depths),
         c_mode=plan.c_mode,
-        collect_events=False,
     )
 
 
@@ -136,10 +135,8 @@ def test_registry_one_ragged_batch(het_platform, hom_platform, small_grid, ragge
                 plan = make_scheduler(name).plan(platform, grid)
             except SchedulingError:
                 continue
-            plan.collect_events = False
             # fresh plan for the scalar reference (allocators are single-use)
             fast_plan = make_scheduler(name).plan(platform, grid)
-            fast_plan.collect_events = False
             fasts.append(fast_simulate(platform, fast_plan, grid))
             runs.append((platform, plan, name, grid))
     assert any(not supports_batch(plan) for _pf, plan, _n, _g in runs)  # fallbacks
@@ -165,8 +162,6 @@ def test_small_groups_fall_back_identically(het_platform, small_grid):
     results must equal the same group replayed on one numpy engine."""
     sched = make_scheduler("Hom")
     runs = [(het_platform, sched.plan(het_platform, small_grid)) for _ in range(3)]
-    for _pf, plan in runs:
-        plan.collect_events = False
     with kernel_env("numpy"):
         lazy = batch_simulate([(p, clone_plan(pl)) for p, pl in runs])
         vectorized = per_mode_makespans(runs)
@@ -203,9 +198,7 @@ def test_property_equivalence_all_schedulers(params, grid):
             plan = make_scheduler(name).plan(platform, grid)
         except SchedulingError:
             continue
-        plan.collect_events = False
         ref_plan = make_scheduler(name).plan(platform, grid)
-        ref_plan.collect_events = False
         refs.append(simulate(platform, ref_plan, grid))
         runs.append((platform, plan))
     outcomes = per_mode_outcomes(runs)
@@ -254,7 +247,6 @@ def _hand_built_runs(het_platform, small_grid, ragged_grid, policy_factory):
                         policy=policy,
                         depths=depths,
                         c_mode=c_mode,
-                        collect_events=False,
                     ),
                 )
             )
@@ -308,7 +300,6 @@ def test_key_spec_interpretations_match_reference(het_platform, ragged_grid):
                 assignments=[list(chs) for chs in assignments],
                 policy=ReadyPolicy(priority),
                 depths=[2, 1, 3, 2],
-                collect_events=False,
             )
 
         ref = simulate(het_platform, build(), ragged_grid)
@@ -325,7 +316,6 @@ def test_key_spec_interpretations_match_reference(het_platform, ragged_grid):
 # ----------------------------------------------------------------------
 def test_unsupported_plans_fall_back(het_platform, small_grid):
     bmm = make_scheduler("BMM").plan(het_platform, small_grid)
-    bmm.collect_events = False
     assert not supports_batch(bmm)
     with pytest.raises(TypeError, match="fall"):
         BatchEngine([(het_platform, bmm)])
@@ -364,8 +354,6 @@ def _routing_runs(het_platform, small_grid, ragged_grid):
         for grid in (small_grid, ragged_grid)
     ]
     bmm = make_scheduler("BMM").plan(het_platform, small_grid)
-    for plan in (strict, *ready, bmm):
-        plan.collect_events = False
     v0, v1, v2 = _cost_variants(het_platform, 3)
     return [
         (v0, strict),
@@ -463,7 +451,6 @@ def test_checkpoint_restore_roundtrip(scheduler, kernel, het_platform, small_gri
     runs = []
     for grid in (small_grid, ragged_grid):
         plan = make_scheduler(scheduler).plan(het_platform, grid)
-        plan.collect_events = False
         runs.append((het_platform, plan))
     with kernel_env(kernel):
         engine = BatchEngine(runs)
@@ -479,7 +466,6 @@ def test_checkpoint_restore_roundtrip(scheduler, kernel, het_platform, small_gri
 
 def test_makespans_require_completion(het_platform, small_grid):
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    plan.collect_events = False
     engine = BatchEngine([(het_platform, plan)])
     engine.run(max_steps=1)
     with pytest.raises(RuntimeError, match="stopped"):
@@ -505,7 +491,6 @@ def test_shared_prefix_matches_full_replay(het_platform, small_grid):
                     assignments=[list(chs) for chs in assignments],
                     policy=StrictOrderPolicy(order[:prefix_len] + suffix),
                     depths=[2] * het_platform.p,
-                    collect_events=False,
                 ),
             )
         )
@@ -536,7 +521,6 @@ def test_shared_prefix_rejects_divergent_prefixes(het_platform, small_grid):
             assignments=[list(chs) for chs in assignments],
             policy=StrictOrderPolicy(order_),
             depths=[2] * het_platform.p,
-            collect_events=False,
         )
 
     divergent = list(reversed(order))
@@ -586,7 +570,6 @@ def test_one_plan_many_cost_variants(scheduler, kernel, het_platform, ragged_gri
     """One plan object scored under eight cost variants in one engine:
     every instance walks the plan's single stream with its own (c, w)."""
     plan = make_scheduler(scheduler).plan(het_platform, ragged_grid)
-    plan.collect_events = False
     runs = [(pf, plan) for pf in _cost_variants(het_platform, 8)]
     with kernel_env(kernel):
         engine = BatchEngine(runs)
@@ -613,7 +596,6 @@ def test_mixed_shared_and_distinct_plans(policy_factory, kernel, het_platform, s
             assignments=assignments,
             policy=policy_factory(assignments, CMode.BOTH, deal),
             depths=[1 + w % 3 for w in range(platform.p)],
-            collect_events=False,
         )
 
     idle_het = plan_on(het_platform, ragged_grid, [2, 3, 1, 2], [0, 2], 1)
@@ -643,7 +625,6 @@ def test_strict_checkpoint_partial_run_restore(kernel, het_platform, ragged_grid
     """Strict mode checkpoints its stream pointers: a partial run after a
     checkpoint is fully undone by restore."""
     plan = make_scheduler("Hom").plan(het_platform, ragged_grid)
-    plan.collect_events = False
     runs = [(pf, plan) for pf in _cost_variants(het_platform, 8)]
     with kernel_env(kernel):
         engine = BatchEngine(runs)
@@ -672,7 +653,6 @@ def test_shared_prefix_over_shared_plan_objects(kernel, het_platform, small_grid
             assignments=[list(chs) for chs in assignments],
             policy=StrictOrderPolicy(order[:prefix_len] + suffix),
             depths=[2] * het_platform.p,
-            collect_events=False,
         )
 
     a = plan_with(lambda w: w)
@@ -697,7 +677,6 @@ def test_het_variant_scores_unchanged(het_platform, small_grid):
     for variant in ALL_VARIANTS:
         outcome = incremental_selection(het_platform, small_grid, variant)
         candidate = build_plan_from_sequence(het_platform, small_grid, outcome)
-        candidate.collect_events = False
         res = fast_simulate(het_platform, candidate, small_grid)
         assert scores[variant.label] == res.makespan
 
@@ -727,7 +706,6 @@ def test_compile_cache_shared_across_engines(het_platform, small_grid):
     from repro.sim.batch import BatchCompileCache, _plan_steps
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    plan.collect_events = False
     variants = [
         Platform([Worker(w.index, w.c * f, w.w * f, w.m) for w in het_platform])
         for f in (1.0, 1.5, 2.0)
@@ -757,7 +735,6 @@ def test_compile_cache_hits_within_one_submission(monkeypatch, het_platform, sma
     from repro.sim.batch import _MIN_VECTOR_BATCH
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    plan.collect_events = False
     runs = [
         (Platform([Worker(w.index, w.c * f, w.w, w.m) for w in het_platform]), plan)
         for f in np.linspace(1.0, 1.75, _MIN_VECTOR_BATCH)
@@ -781,7 +758,6 @@ def test_compile_cache_cost_only_change_recompiles_two_multiplies(
     from repro.sim.batch import BatchCompileCache
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    plan.collect_events = False
     enrolled = sum(1 for chunks in plan.assignments if chunks)
     cache = BatchCompileCache()
     base = BatchEngine([(het_platform, plan)], compile_cache=cache).run().makespans()[0]
@@ -815,8 +791,6 @@ def test_compile_cache_reuse_across_buckets(monkeypatch, het_platform):
 
     long_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=24, q=2))
     short_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=6, q=2))
-    for plan in (long_plan, short_plan):
-        plan.collect_events = False
     assert _plan_steps(long_plan) > 2 * _plan_steps(short_plan)
 
     # each bucket just clears the gate, so both run on numpy engines
@@ -846,7 +820,6 @@ def test_compile_cache_clear_resets_accounting(het_platform, small_grid):
     from repro.sim.batch import BatchCompileCache
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    plan.collect_events = False
     cache = BatchCompileCache()
     BatchEngine([(het_platform, plan)], compile_cache=cache).run()
     assert cache.struct_misses > 0

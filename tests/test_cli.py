@@ -95,32 +95,15 @@ class TestNewCommands:
 
 
 class TestEngineFlag:
-    def test_engine_choices_parse(self):
-        assert build_parser().parse_args(["run"]).engine == "reference"
-        for engine in ("reference", "fast"):
-            args = build_parser().parse_args(["run", "--engine", engine])
-            assert args.engine == engine
-
     def test_unknown_engine_rejected(self):
-        # run keeps only the trace switch; the experiment subcommands have
-        # one simulation path and no --engine at all
-        for engine in ("batch", "warp"):
+        # run always traces on the reference engine; no subcommand takes
+        # an engine switch
+        for engine in ("fast", "reference", "batch", "warp"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run", "--engine", engine])
         for cmd in (["figure", "fig4"], ["summary"], ["sweep"], ["profile"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(cmd + ["--engine", "fast"])
-
-    @pytest.mark.parametrize("engine", ["fast"])
-    def test_run_without_traces(self, engine, capsys):
-        assert main(["run", "--algorithm", "Hom", "--scale", "0.1", "--engine", engine]) == 0
-        out = capsys.readouterr().out
-        assert "makespan" in out
-
-    def test_run_gantt_needs_reference(self, capsys):
-        assert main(["run", "--algorithm", "Hom", "--scale", "0.1",
-                     "--engine", "fast", "--gantt"]) == 0
-        assert "--engine reference" in capsys.readouterr().out
 
 
 class TestKernelFlag:
@@ -159,6 +142,33 @@ class TestKernelFlag:
             assert sum(calls.values()) == 0, calls
         else:
             assert calls["python"] > 0, calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dynamic", "--scale", "0.1", "--severities", "4",
+             "--algorithms", "Hom,Het", "--modes", "oblivious,reselect"],
+            ["serve", "--hom", "3:1:1:45", "--jobs", "2", "--q", "4",
+             "--r", "4", "--t", "4", "--s", "8", "--algorithm", "HomI"],
+        ],
+        ids=["dynamic", "serve"],
+    )
+    def test_every_subcommand_takes_the_flag(self, argv, monkeypatch, capsys):
+        from repro.sim.kernels import KERNEL_ENV
+
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        calls = self._count_kernel_calls(monkeypatch)
+        assert main(argv + ["--kernel", "numpy"]) == 0
+        capsys.readouterr()
+        assert sum(calls.values()) == 0, calls
+
+    def test_flag_is_defined_once_for_every_subcommand(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        for name, sp in sub.choices.items():
+            flags = [o for a in sp._actions for o in a.option_strings]
+            assert flags.count("--kernel") == 1, name
+            assert flags.count("--trace") == 1, name
 
 
 class TestProfileAndTrace:
@@ -246,14 +256,6 @@ class TestServeAndExecute:
         out = capsys.readouterr().out
         assert "threaded execution" in out
         assert "max |err|" in out
-
-    def test_run_execute_needs_reference_engine(self, capsys):
-        rc = main(
-            ["run", "--algorithm", "Hom", "--platform", "memory-het",
-             "--scale", "0.05", "--engine", "fast", "--execute"]
-        )
-        assert rc == 2
-        assert "reference" in capsys.readouterr().err
 
     def test_serve_hom_pool(self, capsys):
         rc = main(

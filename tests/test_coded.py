@@ -29,6 +29,7 @@ from repro.sim.dynamic import DynamicStall, PlatformTimeline
 from repro.sim.engine import simulate
 from repro.sim.fastpath import FastEngine, fast_simulate
 from repro.sim.validate import validate_dynamic, validate_result
+from tests.dynamic_oracle import on_engine
 
 
 def _platform(p: int = 3, m: int = 21) -> Platform:
@@ -104,7 +105,6 @@ class TestStaticPlans:
         plan = sched.plan(platform, GRID)
         FastEngine(platform, depths=plan.depths, c_mode=plan.c_mode).run_plan(plan)
         traced = sched.plan(platform, GRID)
-        traced.collect_events = True
         validate_result(simulate(platform, traced, GRID))
 
     def test_fixed_rate_share_counts(self):
@@ -146,10 +146,10 @@ class TestDecodeRuns:
     def test_reference_and_fast_agree_on_empty_timeline(self, name):
         platform = _platform()
         sched = make_scheduler(name)
-        runs = {
-            eng: sched.run_dynamic(platform, GRID, engine=eng)
-            for eng in ("fast", "reference")
-        }
+        runs = {}
+        for eng in ("fast", "reference"):
+            with on_engine(eng):
+                runs[eng] = sched.run_dynamic(platform, GRID)
         assert runs["fast"].makespan == runs["reference"].makespan
         assert (
             runs["fast"].meta["dynamic"]["coded"]

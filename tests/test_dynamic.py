@@ -51,7 +51,9 @@ from repro.sim.policies import (
     demand_priority,
     selection_order_priority,
 )
+from repro.sim.validate import validate_dynamic
 from repro.sim.worker_state import CMode
+from tests.dynamic_oracle import reference_engine, simulate_reference
 
 
 def assert_equivalent(ref, dyn):
@@ -228,7 +230,6 @@ def test_empty_timeline_mode_matrix(c_mode, depth, policy_factory, het_platform,
             policy=policy_factory(order),
             depths=[depth] * het_platform.p,
             c_mode=c_mode,
-            collect_events=False,
         )
 
     ref = fast_simulate(het_platform, build(), small_grid)
@@ -239,6 +240,26 @@ def test_empty_timeline_mode_matrix(c_mode, depth, policy_factory, het_platform,
 # ----------------------------------------------------------------------
 # events: fast == reference interpretation
 # ----------------------------------------------------------------------
+def test_reference_oracle_replaces_the_fast_adapter(het_platform, small_grid):
+    """The test-side oracle really swaps the driver's engine: its runs keep
+    the reference engine's own trace without ``record_events``, and it
+    refuses online control like any adapter without ``supports_control``."""
+    sched = make_scheduler("Het")
+    tl = PlatformTimeline().straggle(5.0, 0, 4.0)
+    fast = simulate_dynamic(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
+    ref = simulate_reference(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
+    assert fast.port_events == () and ref.port_events
+    assert ref.makespan == fast.makespan
+    with reference_engine(), pytest.raises(TypeError, match="fast engine"):
+        simulate_dynamic(
+            het_platform,
+            sched.plan(het_platform, small_grid),
+            tl,
+            small_grid,
+            controller=lambda run, applied: None,
+        )
+
+
 @pytest.mark.parametrize("name", ["Het", "ODDOML", "Hom", "BMM", "OMMOML"])
 def test_event_interpretations_agree(name, het_platform, ragged_grid):
     sched = make_scheduler(name)
@@ -254,8 +275,8 @@ def test_event_interpretations_agree(name, het_platform, ragged_grid):
         .recover(0.7 * nominal, 0)
     )
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
-    ref = simulate_dynamic(
-        het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid, engine="reference"
+    ref = simulate_reference(
+        het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid
     )
     assert_equivalent(ref, fast)
     assert fast.meta["dynamic"]["events_applied"] > 0
@@ -314,16 +335,20 @@ def test_unknown_mode_rejected():
         AdaptiveScheduler(make_scheduler("Het"), "psychic")
 
 
-def test_collect_events_selects_traced_engine(het_platform, small_grid):
+def test_record_events_traces_every_mode(het_platform, small_grid):
+    """``record_events`` is the one trace switch of a dynamic run: it
+    traces oblivious and adaptive runs alike, and the trace validates."""
     tl = PlatformTimeline().straggle(5.0, 0, 4.0)
-    traced = AdaptiveScheduler(make_scheduler("Het"), "oblivious").run_dynamic(
-        het_platform, small_grid, tl, collect_events=True
-    )
-    assert traced.port_events  # reference engine, full traces
-    with pytest.raises(ValueError, match="collect_events"):
-        AdaptiveScheduler(make_scheduler("Het"), "adaptive").run_dynamic(
-            het_platform, small_grid, tl, collect_events=True
+    for mode in ("oblivious", "adaptive"):
+        wrapper = AdaptiveScheduler(make_scheduler("Het"), mode)
+        plain = wrapper.run_dynamic(het_platform, small_grid, tl)
+        assert plain.port_events == ()
+        traced = AdaptiveScheduler(make_scheduler("Het"), mode).run_dynamic(
+            het_platform, small_grid, tl, record_events=True
         )
+        assert traced.port_events and traced.compute_events, mode
+        assert traced.makespan == plain.makespan, mode
+        validate_dynamic(traced, tl, grid=small_grid)
 
 
 @pytest.fixture(scope="module")

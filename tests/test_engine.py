@@ -118,16 +118,6 @@ class TestEngineMechanics:
         assert res.grid is None
         assert res.total_updates == 1
 
-    def test_collect_events_false_keeps_stats(self):
-        plat = Platform.homogeneous(1, 1.0, 1.0, 50)
-        ch = make_chunk(0, 0, 0, 1, 0, 1, 2)
-        plan = Plan(
-            assignments=[[ch]], policy=StrictOrderPolicy([0] * 4), depths=[2], collect_events=False
-        )
-        res = simulate(plat, plan)
-        assert res.port_events == ()
-        assert res.makespan > 0
-        assert res.total_updates == 2
 
 
 class TestReadyPolicyEngine:

@@ -54,7 +54,6 @@ def assert_equivalent(ref, fast, *, expect_chunks=True):
 
 def run_both(sched, platform, grid):
     ref_plan = sched.plan(platform, grid)
-    ref_plan.collect_events = False
     ref = simulate(platform, ref_plan, grid)
     fast_plan = sched.plan(platform, grid)  # fresh plan: allocators are single-use
     fast = fast_simulate(platform, fast_plan, grid)
@@ -112,7 +111,6 @@ def test_property_equivalence_all_schedulers(params, grid):
             ref_plan = sched.plan(platform, grid)
         except SchedulingError:
             continue
-        ref_plan.collect_events = False
         ref = simulate(platform, ref_plan, grid)
         fast = fast_simulate(platform, sched.plan(platform, grid), grid)
         assert_equivalent(ref, fast)
@@ -168,7 +166,6 @@ def test_strict_order_equivalence_modes(c_mode, depth, seed, het_platform, small
             policy=StrictOrderPolicy(order),
             depths=[depth] * het_platform.p,
             c_mode=c_mode,
-            collect_events=False,
         )
 
     ref = simulate(het_platform, build(), small_grid)
@@ -192,7 +189,6 @@ def test_ready_policy_equivalence_modes(priority, c_mode, seed, het_platform, ra
             policy=ReadyPolicy(priority),
             depths=[2, 1, 3, 2],
             c_mode=c_mode,
-            collect_events=False,
         )
 
     ref = simulate(het_platform, build(), ragged_grid)

@@ -73,7 +73,6 @@ def _collect(engine: str) -> dict[str, dict[str, float]]:
                 plan = sched.plan(inst.platform, inst.grid)
             except SchedulingError:
                 continue
-            plan.collect_events = False
             if engine == "fast":
                 res = fast_simulate(inst.platform, plan, inst.grid)
             elif engine == "reference":

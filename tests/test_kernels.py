@@ -67,7 +67,7 @@ def test_numba_is_an_unknown_name(monkeypatch, het_platform, small_grid):
     from repro.sim.batch import batch_simulate
 
     known = r"unknown kernel backend 'numba'; known: \('numpy', 'c', 'python'\)"
-    plan = make_and_strip("Hom", het_platform, small_grid)
+    plan = make_scheduler("Hom").plan(het_platform, small_grid)
     monkeypatch.setenv(KERNEL_ENV, "numba")
     with pytest.raises(ValueError, match=known):
         resolve_kernel()
@@ -224,7 +224,6 @@ def _strict_runs(het_platform, small_grid, ragged_grid):
     runs = []
     for grid in (small_grid, ragged_grid):
         plan = make_scheduler("Hom").plan(het_platform, grid)
-        plan.collect_events = False
         runs.append((het_platform, plan))
     return runs
 
@@ -236,7 +235,6 @@ def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid,
     runs = []
     for grid in (small_grid, ragged_grid):
         plan = make_scheduler(scheduler).plan(het_platform, grid)
-        plan.collect_events = False
         runs.append((het_platform, plan))
 
     def replay(kernel, chunk):
@@ -244,8 +242,6 @@ def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid,
             (p, make_scheduler(scheduler).plan(p, g))
             for (p, _pl), g in zip(runs, (small_grid, ragged_grid))
         ]
-        for _p, pl in fresh:
-            pl.collect_events = False
         with kernel_env(kernel):
             engine = BatchEngine(fresh)
         while not engine.done:
@@ -268,10 +264,9 @@ def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
         pytest.skip(f"kernel backend {kernel!r} unavailable here")
     for name in ("Hom", "ORROML"):
         plan = make_scheduler(name).plan(het_platform, small_grid)
-        plan.collect_events = False
         with kernel_env("numpy"):
             scalar = fast_simulate(
-                het_platform, make_and_strip(name, het_platform, small_grid), small_grid
+                het_platform, make_scheduler(name).plan(het_platform, small_grid), small_grid
             )
         with kernel_env(kernel):
             compiled = fast_simulate(het_platform, plan, small_grid)
@@ -280,21 +275,15 @@ def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
         assert compiled.meta.get("algorithm", name) is not None
 
 
-def make_and_strip(name, platform, grid):
-    plan = make_scheduler(name).plan(platform, grid)
-    plan.collect_events = False
-    return plan
-
-
 def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_grid):
     """Allocator-driven plans cannot take the batch route; a whole-run
     backend must degrade to the scalar/reference paths, not crash."""
     scalar = fast_simulate(
-        het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid
+        het_platform, make_scheduler("BMM").plan(het_platform, small_grid), small_grid
     )
     with kernel_env("python"):
         routed = fast_simulate(
-            het_platform, make_and_strip("BMM", het_platform, small_grid), small_grid
+            het_platform, make_scheduler("BMM").plan(het_platform, small_grid), small_grid
         )
     assert routed.makespan == scalar.makespan
 
@@ -319,7 +308,6 @@ def test_evaluate_runs_kernel_parity(het_platform, small_grid, ragged_grid):
         for grid in (small_grid, ragged_grid):
             for name in ("Hom", "ORROML"):
                 plan = make_scheduler(name).plan(het_platform, grid)
-                plan.collect_events = False
                 out.append((het_platform, plan))
         return out
 
@@ -344,7 +332,7 @@ def test_run_experiment_kernel_parity(het_platform, small_grid, ragged_grid):
         Instance("small", het_platform, small_grid),
         Instance("ragged", het_platform, ragged_grid),
     ]
-    base = run_experiment("kernels", instances, collect_events=True)
+    base = run_experiment("kernels", instances, validate=True)
     ref = {(m.algorithm, m.instance): m.makespan for m in base.measurements}
     assert len(ref) == len(base.algorithms) * len(instances)
     for kernel in available_backends():
@@ -379,7 +367,6 @@ def test_c_backend_rejects_mistyped_arrays(scheduler, het_platform, small_grid):
         pytest.skip("the C kernels do not build here")
 
     plan = make_scheduler(scheduler).plan(het_platform, small_grid)
-    plan.collect_events = False
     with kernel_env("c"):
         engine = BatchEngine([(het_platform, plan)])
     run = engine._backend.strict_run if engine._strict else engine._backend.ready_run

@@ -6,12 +6,23 @@ takes one of its two priority keys, and engines read it straight from
 registry scheduler through the reference, fast, batch and dynamic engines
 plus the experiment harness — and asserts nothing under ``repro`` raises a
 DeprecationWarning.
+
+It also pins the trace switches: each entry point has exactly one
+(``collect_events`` on ``Scheduler.run``, ``record_events`` on the dynamic
+driver and both ``run_dynamic`` entry points, ``validate`` on ``run_experiment``), no
+public function takes an ``engine``, and a plan carries no trace flag.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import warnings
 
+import pytest
+
+import repro
 from repro.core.blocks import BlockGrid
 from repro.experiments.harness import Instance, run_experiment
 from repro.platform.model import Platform, Worker
@@ -62,3 +73,65 @@ def test_suite_emits_no_internal_deprecation_warning():
         if issubclass(w.category, DeprecationWarning) and "repro" in (w.filename or "")
     ]
     assert internal == [], [str(w.message) for w in internal]
+
+
+# ----------------------------------------------------------------------
+# one trace switch per entry point
+# ----------------------------------------------------------------------
+_TRACE_WORDS = ("collect", "record", "event", "engine", "trace", "validate")
+
+
+def _trace_params(fn) -> dict[str, object]:
+    """The trace-related parameters of ``fn`` and their defaults."""
+    return {
+        name: param.default
+        for name, param in inspect.signature(fn).parameters.items()
+        if any(word in name for word in _TRACE_WORDS)
+    }
+
+
+def test_each_entry_point_has_one_trace_switch():
+    from repro.schedulers.base import Scheduler
+    from repro.schedulers.coded import CodedScheduler
+
+    assert _trace_params(Scheduler.run) == {"collect_events": True}
+    assert _trace_params(simulate_dynamic) == {"record_events": False}
+    assert _trace_params(AdaptiveScheduler.run_dynamic) == {"record_events": False}
+    assert _trace_params(CodedScheduler.run_dynamic) == {"record_events": False}
+    assert _trace_params(run_experiment) == {"validate": False}
+
+
+def _public_functions():
+    """Every public function and method defined in ``src/repro``."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                for meth_name, meth in vars(obj).items():
+                    if inspect.isfunction(meth) and (
+                        meth_name == "__init__" or not meth_name.startswith("_")
+                    ):
+                        yield f"{module.__name__}.{name}.{meth_name}", meth
+
+
+def test_no_public_function_takes_an_engine():
+    offenders = [
+        qual
+        for qual, fn in _public_functions()
+        if "engine" in inspect.signature(fn).parameters
+    ]
+    assert offenders == []
+
+
+def test_plan_has_no_trace_flag():
+    from repro.sim.plan import Plan
+    from repro.sim.policies import StrictOrderPolicy
+
+    with pytest.raises(TypeError, match="collect_events"):
+        Plan(assignments=[[]], policy=StrictOrderPolicy([]), depths=[2], collect_events=False)

@@ -232,16 +232,12 @@ def _instances():
 
 
 class TestInstrumentedMatrix:
-    @pytest.mark.parametrize(
-        "collect_events", [False, True], ids=["fast", "reference"]
-    )
+    @pytest.mark.parametrize("validate", [False, True], ids=["fast", "reference"])
     @pytest.mark.parametrize("algorithm", ["Hom", "Het"])
-    def test_experiment_span_trees(self, collect_events, algorithm):
+    def test_experiment_span_trees(self, validate, algorithm):
         scheds = [make_scheduler(algorithm)]
         with tracing() as tr:
-            res = run_experiment(
-                "obs", _instances(), scheds, collect_events=collect_events
-            )
+            res = run_experiment("obs", _instances(), scheds, validate=validate)
         assert res.measurements
         _assert_well_formed(tr)
         names = {s.name for s in tr.walk()}

@@ -355,7 +355,7 @@ class TestCacheEviction:
 
 
 # ----------------------------------------------------------------------
-# the one simulation path against its oracle: collect_events forces the
+# the one simulation path against its oracle: validate forces the
 # reference engine, which must agree bit for bit
 # ----------------------------------------------------------------------
 def _reference_makespans(platform, grid, algorithms) -> dict[str, float]:
@@ -374,7 +374,7 @@ class TestEngineSelection:
         starved = Instance("starved", Platform([Worker(0, 1.0, 1.0, 2)]), small_grid)
         instances = [*tiny_instances, starved]
         default = run_experiment("x", instances)
-        oracle = run_experiment("x", instances, collect_events=True)
+        oracle = run_experiment("x", instances, validate=True)
         assert [
             (m.algorithm, m.instance, m.makespan, m.n_enrolled, m.bound)
             for m in oracle.measurements

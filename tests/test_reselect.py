@@ -53,7 +53,6 @@ def _prefix_population(n_cand: int = 4):
         plan = homogeneous_plan(
             grid, n_workers=4, mu=8, enrolled=[0, 1, 2, 3], total_workers=4
         )
-        plan.collect_events = False
         runs.append((platform, plan))
     return runs
 
@@ -102,7 +101,7 @@ def test_shared_prefix_depth_divergence_located():
     b = homogeneous_plan(grid, n_workers=4, mu=8, enrolled=[0, 1, 2, 3], total_workers=4)
     shallow = Plan(
         assignments=b.assignments, policy=b.policy, depths=[1, 2, 2, 2],
-        c_mode=b.c_mode, collect_events=False,
+        c_mode=b.c_mode,
     )
     with pytest.raises(
         ValueError, match=r"instance 1 worker 0 prefetch depth 1 differs"
@@ -115,7 +114,6 @@ def test_shared_prefix_rejects_ready_plans_with_mode():
     platform = Platform([Worker(i, 1.0, 3.0, 96) for i in range(4)])
     grid = BlockGrid(r=8, t=4, s=16, q=2)
     plan = sched.plan(platform, grid)
-    plan.collect_events = False
     with pytest.raises(TypeError, match="ready mode"):
         BatchEngine.shared_prefix([(platform, plan)], 1)
 

@@ -134,7 +134,6 @@ class TestAlgorithmCharacter:
         assert plan.allocator is None and fresh.allocator is None
         assert plan.c_mode == fresh.c_mode
         assert plan.meta == fresh.meta
-        assert plan.collect_events and fresh.collect_events
         assert plan.meta["predicted_makespan"] == min(plan.meta["variant_makespans"].values())
 
     def test_hom_and_homi_equal_on_homogeneous(self, hom_platform, small_grid):

@@ -27,6 +27,7 @@ from repro.sim.dynamic import (
     simulate_dynamic,
 )
 from repro.sim.fastpath import fast_simulate
+from tests.dynamic_oracle import on_engine
 
 
 def _platform(p: int = 2) -> Platform:
@@ -49,9 +50,8 @@ class TestCrashJoinSameTime:
         base = fast_simulate(platform, sched.plan(platform, GRID), GRID)
         tl = PlatformTimeline().crash(base.makespan / 2, 0).join(base.makespan / 2, 0)
         for engine in ("fast", "reference"):
-            dyn = simulate_dynamic(
-                platform, sched.plan(platform, GRID), tl, GRID, engine=engine
-            )
+            with on_engine(engine):
+                dyn = simulate_dynamic(platform, sched.plan(platform, GRID), tl, GRID)
             assert dyn.makespan == base.makespan
 
     def test_join_inserted_before_crash_leaves_worker_down(self):
