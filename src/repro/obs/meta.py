@@ -12,6 +12,7 @@ import os
 import pathlib
 import platform as _platform
 import subprocess
+import sys
 
 __all__ = ["run_metadata"]
 
@@ -36,8 +37,10 @@ def _git_describe() -> str | None:
 def run_metadata() -> dict:
     """The uniform metadata document: python/numpy versions, cpu count,
     the process's *active* kernel backend (from
-    :func:`repro.sim.kernels.resolve_kernel`, i.e. post-fallback), and
-    the source revision."""
+    :func:`repro.sim.kernels.resolve_kernel`, i.e. post-fallback), the
+    source revision, and whether the interpreter writes bytecode caches
+    (under ``PYTHONDONTWRITEBYTECODE`` every fresh process recompiles the
+    package, so set-up times of the two settings are not comparable)."""
     import numpy as np
 
     from ..sim.kernels import resolve_kernel
@@ -49,4 +52,5 @@ def run_metadata() -> dict:
         "machine": _platform.machine(),
         "kernel": resolve_kernel().name,
         "git": _git_describe(),
+        "bytecode_cache": not sys.dont_write_bytecode,
     }

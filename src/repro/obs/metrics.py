@@ -1,8 +1,8 @@
 """Metrics registry: named counters, gauges and timers.
 
 Every subsystem that used to keep ad-hoc counters (``ResultCache`` hit
-rates, ``BatchCompileCache`` per-tier lookups, kernel fallbacks, reselect
-boundary-search stats, ``simulate_dynamic`` event counts) registers its
+rates, compiled batch streams, kernel fallbacks, reselect boundary-search
+stats, ``simulate_dynamic`` event counts) registers its
 instruments here under a dotted ``<subsystem>.<name>`` key, so one
 :func:`snapshot` answers "what did this process count so far" and one
 :func:`snapshot_delta` answers "what did *this run* count".

@@ -32,10 +32,9 @@ change; :class:`AdaptiveScheduler` wraps one of them and evaluates it on a
     candidate population is scored in one incremental
     :meth:`~repro.sim.batch.BatchEngine.shared_prefix` batch — the shared
     executed-so-far prefix is simulated once and broadcast, only the
-    divergent replanned tails are replayed, and one
-    :class:`~repro.sim.batch.BatchCompileCache` is reused across
-    boundaries — so re-searching at every boundary costs a fraction of the
-    from-scratch ``_evaluate_candidates`` replay.  The best threshold
+    divergent replanned tails are replayed — so re-searching at every
+    boundary costs a fraction of the from-scratch ``_evaluate_candidates``
+    replay.  The best threshold
     candidate then competes against ``continue``/``migrate`` on probe
     clones like any other reaction; bases without a threshold search fall
     back to plain ``adaptive`` behaviour.
@@ -70,7 +69,7 @@ from ..core.chunks import Chunk, PanelCursor, RoundSpec, make_chunk
 from ..obs import counter, stopwatch, trace
 from ..platform.model import Platform, Worker
 from ..sim.allocator import PanelDemandAllocator
-from ..sim.batch import BatchCompileCache, shared_prefix_makespans
+from ..sim.batch import shared_prefix_makespans
 from ..sim.dynamic import DynamicRun, DynamicStall, PlatformTimeline, simulate_dynamic
 from ..sim.engine import SimResult
 from ..sim.fastpath import fast_simulate
@@ -291,10 +290,6 @@ class AdaptiveScheduler:
             raise ValueError(f"unknown mode {mode!r}; known: {DYNAMIC_MODES}")
         self.base = base
         self.mode = mode
-        # one compiled-stream cache per wrapper: the boundary re-search
-        # reuses chunk templates (and any shared streams) across *all*
-        # event boundaries of a run instead of recompiling per boundary
-        self._batch_cache = BatchCompileCache() if mode == "reselect" else None
 
     @property
     def name(self) -> str:
@@ -909,16 +904,7 @@ class AdaptiveScheduler:
                     ),
                 )
             )
-        scores = shared_prefix_makespans(
-            runs, prefix_steps, compile_cache=self._batch_cache
-        )
-        # the struct tier keys on id(plan) and pins the plan objects, but
-        # this boundary's candidate plans (each embedding the full run
-        # history) can never be resubmitted at a later boundary — drop
-        # them so memory stays bounded in the number of boundaries; the
-        # tmpl tier is what genuinely re-hits across boundaries (counters
-        # are left running on purpose)
-        self._batch_cache.struct.clear()
+        scores = shared_prefix_makespans(runs, prefix_steps)
         stats = self._reselect_stats
         stats["searches"] += 1
         stats["candidates"] += len(runs)

@@ -2,7 +2,6 @@
 
 from .allocator import PanelDemandAllocator
 from .batch import (
-    BatchCompileCache,
     BatchEngine,
     BatchOutcome,
     batch_outcomes,
@@ -45,7 +44,6 @@ __all__ = [
     "simulate",
     "FastEngine",
     "fast_simulate",
-    "BatchCompileCache",
     "BatchEngine",
     "BatchOutcome",
     "batch_outcomes",

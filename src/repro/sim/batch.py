@@ -56,16 +56,15 @@ scalar fast path, where the per-step numpy dispatch overhead would beat
 the vectorization win.
 
 For searches whose candidates share a leading message sequence,
-:meth:`BatchEngine.shared_prefix` simulates the common prefix once on a
-single instance and broadcasts the resulting state across the batch; the
-:meth:`~BatchEngine.checkpoint` / :meth:`~BatchEngine.restore` pair
-snapshots a partially-run batch so alternative continuations can be
+:meth:`BatchEngine.shared_prefix` advances the longest instance alone
+through the common prefix and broadcasts the resulting state across the
+batch; the :meth:`~BatchEngine.checkpoint` / :meth:`~BatchEngine.restore`
+pair snapshots a partially-run batch so alternative continuations can be
 replayed from the same frontier.  :func:`shared_prefix_makespans` is the
 search-facing wrapper: the incremental strict-order search of the adaptive
 boundary re-selection (:mod:`repro.schedulers.adaptive`) submits one run
 per candidate continuation — identical executed-so-far prefix, divergent
-replanned suffixes — and reuses one :class:`BatchCompileCache` across
-event boundaries, so re-scoring a population of threshold candidates
+replanned suffixes — so re-scoring a population of threshold candidates
 costs one prefix replay plus the divergent tails instead of a from-scratch
 simulation per candidate.
 """
@@ -91,7 +90,6 @@ from .worker_state import CMode, c_message_count
 __all__ = [
     "BATCH_ENGINE_VERSION",
     "BatchEngine",
-    "BatchCompileCache",
     "BatchOutcome",
     "batch_outcomes",
     "batch_simulate",
@@ -123,6 +121,8 @@ _STEP_COUNTERS = {
     False: counter("batch.steps.ready"),
 }
 _STEP_SECONDS = timer("batch.step_seconds")
+# distinct (plan, worker) message streams compiled
+_STREAMS = counter("batch.compile.streams")
 
 # message kind codes
 _K_C_SEND, _K_ROUND, _K_C_RETURN = 1, 2, 3
@@ -206,131 +206,84 @@ class BatchOutcome:
         )
 
 
-def _tier_counter(name: str) -> property:
-    """Per-instance count of one tier counter (lookups through this cache
-    since construction / :meth:`BatchCompileCache.clear`)."""
+def _chunk_template(chunk: Chunk, c_mode: CMode) -> tuple:
+    """Worker-independent per-message ``(kind, nblocks, updates)`` arrays
+    of one chunk shape.  Counts are stored as (integral) float64, so the
+    kernels' inline ``nblocks * c`` / ``updates * w`` is IEEE-754 identical
+    to the scalar engines' per-message int * float products."""
+    kinds, nbs, upds = [], [], []
+    cb = chunk.c_blocks
+    if c_mode is not CMode.NONE:
+        kinds.append(_K_C_SEND)
+        nbs.append(cb)
+        upds.append(0)
+    for rd in chunk.rounds:
+        kinds.append(_K_ROUND)
+        nbs.append(rd.a_blocks + rd.b_blocks)
+        upds.append(rd.updates)
+    if c_mode is CMode.BOTH:
+        kinds.append(_K_C_RETURN)
+        nbs.append(cb)
+        upds.append(0)
+    return (
+        np.array(kinds, dtype=np.int8),
+        np.array(nbs, dtype=np.float64),
+        np.array(upds, dtype=np.float64),
+    )
 
-    def _get(self) -> int:
-        return self._counts[name]
 
-    _get.__name__ = name
-    return property(_get, doc=_tier_counter.__doc__)
+def _worker_stream(plan: Plan, w: int, templates: dict) -> tuple:
+    """Message stream of ``plan``'s worker ``w`` (must have at least one
+    chunk): ``(kind, nb, upd, cid, rel_legal, rel_ring, blocks_in,
+    blocks_out, updates)``, with legal-start and ring-slot indices
+    relative to the worker's state segment.
 
-
-class BatchCompileCache:
-    """Compiled-stream cache shared across :class:`BatchEngine` instances.
-
-    Compiling a batch splits per-(instance, worker) work into two layers,
-    each cached at its natural sharing granularity:
-
-    * ``tmpl`` — per chunk *shape*: the (kind, nblocks, updates) message
-      template of one round structure (shared by thousands of chunks);
-    * ``struct`` — per ``(plan, worker)``: the concatenated message stream
-      with legal-start/ring-slot indices relative to the worker's state
-      segment, plus its integer statistics — everything about the
-      worker's messages.
-
-    Worker costs are not compiled at all: the kernels multiply each
-    message's ``nblocks * c`` / ``updates * w`` inline from the
-    instance's ``(c, w)``.  Candidate populations that share plan objects
-    (HomI shares one scoring plan per ``(n, mu)`` across threshold
-    candidates; a sweep resubmitting the same plan) therefore recompile
-    nothing, and inside one engine every instance of a plan walks the
-    same stream.  One cache instance is created per :func:`batch_outcomes`
-    call and shared across its engines; pass an explicit instance to
-    :class:`BatchEngine` or :func:`shared_prefix_makespans` to reuse
-    compilations across calls.  Cached values keep their plan
-    (and rounds tuple) alive, so the ``id()``-based keys cannot be
-    recycled while the cache exists.
-
-    Per-tier ``*_hits`` / ``*_misses`` counters account every lookup (a
-    miss is a compilation), so tests — and profiling — can assert exactly
-    which tier recompiled: e.g. re-scoring a shared plan under new worker
-    costs must miss neither tier.  Each lookup also feeds the process-wide
-    metrics registry (``batch.compile.<tier>_{hits,misses}``); the
-    per-instance properties count only this cache's lookups, so other
-    caches in the process (e.g. a ``fast_simulate`` routed through the
-    batch kernels) never show up in them.  :meth:`clear` resets the
-    per-instance counters with the entries (the registry totals keep
-    accumulating).
+    ``templates`` memoizes chunk shapes for one compile: thousands of
+    chunks share one memoized rounds tuple, so the key is
+    ``(id(chunk.rounds), chunk.c_blocks, c_mode)`` -- valid because the
+    plans being compiled keep their rounds tuples alive for the call.
     """
-
-    _COUNTERS = ("tmpl_hits", "tmpl_misses", "struct_hits", "struct_misses")
-
-    __slots__ = ("tmpl", "struct", "_metrics", "_counts")
-
-    def __init__(self) -> None:
-        self.tmpl: dict[tuple, tuple] = {}
-        self.struct: dict[tuple, tuple] = {}
-        self._metrics = {
-            name: counter(f"batch.compile.{name}") for name in self._COUNTERS
-        }
-        self._reset_counters()
-
-    def _reset_counters(self) -> None:
-        self._counts = dict.fromkeys(self._COUNTERS, 0)
-
-    def bump(self, name: str) -> None:
-        """Count one lookup outcome (``name`` is one of the per-tier
-        counters, e.g. ``"tmpl_hits"``)."""
-        self._counts[name] += 1
-        self._metrics[name].inc()
-
-    tmpl_hits = _tier_counter("tmpl_hits")
-    tmpl_misses = _tier_counter("tmpl_misses")
-    struct_hits = _tier_counter("struct_hits")
-    struct_misses = _tier_counter("struct_misses")
-
-    def clear(self) -> None:
-        self.tmpl.clear()
-        self.struct.clear()
-        self._reset_counters()
-
-    def worker_struct(self, plan: Plan, w: int, chunk_template) -> tuple:
-        """Message stream of ``plan``'s worker ``w`` (must have at least
-        one chunk): ``(kind, nb, upd, cid, rel_legal, rel_ring, blocks_in,
-        blocks_out, updates)``."""
-        key = (id(plan), w)
-        hit = self.struct.get(key)
-        if hit is not None:
-            self.bump("struct_hits")
-            return hit[1]
-        self.bump("struct_misses")
-        chunks = plan.assignments[w]
-        depth = plan.depths[w]
-        tmpls = [chunk_template(ch, plan.c_mode) for ch in chunks]
-        kind = np.concatenate([t[0] for t in tmpls])
-        nb = np.concatenate([t[1] for t in tmpls])
-        upd = np.concatenate([t[2] for t in tmpls])
-        cid = np.repeat(
-            np.fromiter((ch.cid for ch in chunks), np.float64, len(chunks)),
-            np.fromiter((t[0].size for t in tmpls), np.int64, len(tmpls)),
-        )
-        is_round = kind == _K_ROUND
-        g = np.cumsum(is_round) - 1  # global round index per worker
-        rel_ring = 3 + (g % depth)  # ring slot, relative to the S segment
-        # legal-start source, relative to the segment base: 0 = c_return_end
-        # slot, 1 = compute_end slot, 3 + depth = the never-written 0.0
-        # slot (warm-up rounds), else the ring slot of round (g - depth)
-        rel_legal = np.where(
-            kind == _K_C_SEND,
-            0,
-            np.where(kind == _K_C_RETURN, 1, np.where(g < depth, 3 + depth, rel_ring)),
-        )
-        blocks_out = int(nb[kind == _K_C_RETURN].sum())
-        struct = (
-            kind,
-            nb,
-            upd,
-            cid,
-            rel_legal,
-            rel_ring,
-            int(nb.sum()) - blocks_out,
-            blocks_out,
-            int(upd.sum()),
-        )
-        self.struct[key] = (plan, struct)
-        return struct
+    _STREAMS.inc()
+    chunks = plan.assignments[w]
+    depth = plan.depths[w]
+    c_mode = plan.c_mode
+    tmpls = []
+    for ch in chunks:
+        key = (id(ch.rounds), ch.c_blocks, c_mode)
+        tmpl = templates.get(key)
+        if tmpl is None:
+            tmpl = templates[key] = _chunk_template(ch, c_mode)
+        tmpls.append(tmpl)
+    kind = np.concatenate([t[0] for t in tmpls])
+    nb = np.concatenate([t[1] for t in tmpls])
+    upd = np.concatenate([t[2] for t in tmpls])
+    cid = np.repeat(
+        np.fromiter((ch.cid for ch in chunks), np.float64, len(chunks)),
+        np.fromiter((t[0].size for t in tmpls), np.int64, len(tmpls)),
+    )
+    is_round = kind == _K_ROUND
+    g = np.cumsum(is_round) - 1  # global round index per worker
+    rel_ring = 3 + (g % depth)  # ring slot, relative to the S segment
+    # legal-start source, relative to the segment base: 0 = c_return_end
+    # slot, 1 = compute_end slot, 3 + depth = the never-written 0.0
+    # slot (warm-up rounds), else the ring slot of round (g - depth)
+    rel_legal = np.where(
+        kind == _K_C_SEND,
+        0,
+        np.where(kind == _K_C_RETURN, 1, np.where(g < depth, 3 + depth, rel_ring)),
+    )
+    blocks_out = int(nb[kind == _K_C_RETURN].sum())
+    return (
+        kind,
+        nb,
+        upd,
+        cid,
+        rel_legal,
+        rel_ring,
+        int(nb.sum()) - blocks_out,
+        blocks_out,
+        int(upd.sum()),
+    )
 
 
 class BatchEngine:
@@ -339,8 +292,12 @@ class BatchEngine:
     All plans must share one replay mode (all strict-order, or all ready
     with the same priority key);
     :func:`batch_simulate` groups arbitrary run lists into compatible
-    engines automatically.  ``compile_cache`` shares compiled streams with
-    other engines (see :class:`BatchCompileCache`).
+    engines automatically.  Each distinct ``(plan, worker)`` message
+    stream is compiled once per engine, however many instances replay it;
+    worker costs are not compiled at all (the kernels multiply each
+    message's ``nblocks * c`` / ``updates * w`` inline from the
+    instance's ``(c, w)``), so instances that differ only in costs share
+    one stream.
 
     The stepping backend is the process's (see :mod:`repro.sim.kernels`):
     the numpy backend advances one step per Python iteration, a whole-run
@@ -349,13 +306,7 @@ class BatchEngine:
     call.  Results are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        runs: Sequence[tuple[Platform, Plan]],
-        *,
-        compile_cache: BatchCompileCache | None = None,
-    ) -> None:
-        self._cache = compile_cache if compile_cache is not None else BatchCompileCache()
+    def __init__(self, runs: Sequence[tuple[Platform, Plan]]) -> None:
         self._backend = resolve_kernel()
         if not runs:
             raise ValueError("need at least one (platform, plan) run")
@@ -384,52 +335,12 @@ class BatchEngine:
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
-    def _chunk_template(self, chunk: Chunk, c_mode: CMode) -> tuple:
-        """Worker-independent per-message arrays for one chunk shape:
-        ``(kind, nblocks, updates)`` plus the rounds tuple (kept alive so
-        the ``id()`` cache key stays valid).
-
-        Cached per (round structure, C-block count, C mode): thousands of
-        chunks share one memoized rounds tuple.  Counts are stored as
-        (integral) float64, so the kernels' inline ``nblocks * c`` /
-        ``updates * w`` is IEEE-754 identical to the scalar engines'
-        per-message int * float products.
-        """
-        key = (id(chunk.rounds), chunk.h, chunk.w, c_mode)
-        cached = self._cache.tmpl.get(key)
-        if cached is not None:
-            self._cache.bump("tmpl_hits")
-            return cached
-        self._cache.bump("tmpl_misses")
-        kinds, nbs, upds = [], [], []
-        cb = chunk.c_blocks
-        if c_mode is not CMode.NONE:
-            kinds.append(_K_C_SEND)
-            nbs.append(cb)
-            upds.append(0)
-        for rd in chunk.rounds:
-            kinds.append(_K_ROUND)
-            nbs.append(rd.a_blocks + rd.b_blocks)
-            upds.append(rd.updates)
-        if c_mode is CMode.BOTH:
-            kinds.append(_K_C_RETURN)
-            nbs.append(cb)
-            upds.append(0)
-        tmpl = (
-            np.array(kinds, dtype=np.int8),
-            np.array(nbs, dtype=np.float64),
-            np.array(upds, dtype=np.float64),
-            chunk.rounds,
-        )
-        self._cache.tmpl[key] = tmpl
-        return tmpl
-
     def _compile(self, runs: Sequence[tuple[Platform, Plan]]) -> None:
-        cache = self._cache
         P = max(platform.p for platform, _plan in runs)
-        # the shared message streams: each distinct (plan, worker) struct
+        # the shared message streams: each distinct (plan, worker) stream
         # once, whatever the number of instances replaying it
         streams: dict[tuple[int, int], tuple[int, tuple]] = {}
+        templates: dict[tuple, tuple] = {}
         parts: list[tuple] = []
         n_msgs = 0
         # one layout per distinct (plan, p): per-worker stream offsets and
@@ -442,6 +353,8 @@ class BatchEngine:
             p = platform.p
             k = layout_of.get((id(plan), p))
             if k is None:
+                if len(plan.depths) != p:
+                    raise ValueError("need one prefetch depth per worker")
                 k = layout_of[(id(plan), p)] = len(layouts)
                 layout = tuple([0] * P for _ in range(7))
                 start, length, depth, chunks, blocks_in, blocks_out, updates = layout
@@ -454,13 +367,13 @@ class BatchEngine:
                         continue
                     hit = streams.get((id(plan), w))
                     if hit is None:
-                        struct = cache.worker_struct(plan, w, self._chunk_template)
-                        hit = streams[(id(plan), w)] = (n_msgs, struct)
-                        parts.append(struct)
-                        n_msgs += struct[0].size
-                    start[w], struct = hit
-                    length[w] = struct[0].size
-                    blocks_in[w], blocks_out[w], updates[w] = struct[6:]
+                        stream = _worker_stream(plan, w, templates)
+                        hit = streams[(id(plan), w)] = (n_msgs, stream)
+                        parts.append(stream)
+                        n_msgs += stream[0].size
+                    start[w], stream = hit
+                    length[w] = stream[0].size
+                    blocks_in[w], blocks_out[w], updates[w] = stream[6:]
                 if self._strict:
                     orders.append(_checked_order(plan, p, length))
                 layouts.append(layout)
@@ -704,24 +617,21 @@ class BatchEngine:
     # ------------------------------------------------------------------
     @classmethod
     def shared_prefix(
-        cls,
-        runs: Sequence[tuple[Platform, Plan]],
-        prefix_steps: int,
-        *,
-        compile_cache: BatchCompileCache | None = None,
+        cls, runs: Sequence[tuple[Platform, Plan]], prefix_steps: int
     ) -> "BatchEngine":
         """Build a batch whose instances all share their first
         ``prefix_steps`` port messages, simulating the prefix only once.
 
-        The prefix is replayed on a single-instance engine and its state is
-        broadcast across the batch -- bit-identical to running it ``B``
-        times, at 1/B of the cost.  Only strict-order plans are supported
-        (a ready policy's order is not known ahead of time), and the prefix
-        really must be shared: per-instance orders, the touched message
-        streams and their prefetch depths are verified to match.
+        Instance 0 (the longest after sorting) alone is advanced through
+        the prefix and its state is broadcast across the batch --
+        bit-identical to running it ``B`` times, at 1/B of the cost.  Only
+        strict-order plans are supported (a ready policy's order is not
+        known ahead of time), and the prefix really must be shared:
+        per-instance orders, the touched message streams and their
+        prefetch depths are verified to match.
         """
-        full = cls(runs, compile_cache=compile_cache)
-        if not full._strict:
+        engine = cls(runs)
+        if not engine._strict:
             raise TypeError(
                 "shared_prefix requires strict-order plans, but this batch "
                 "replays in ready mode: a ready policy's message order is "
@@ -729,30 +639,34 @@ class BatchEngine:
                 "ahead of time"
             )
         if prefix_steps <= 0:
-            return full
-        if prefix_steps > int(full._lengths.min()):
+            return engine
+        if prefix_steps > int(engine._lengths.min()):
             raise ValueError("prefix_steps exceeds the shortest instance")
-        full._verify_shared_prefix(prefix_steps)
+        engine._verify_shared_prefix(prefix_steps)
 
-        sub = cls([full._runs[0]], compile_cache=full._cache)
-        sub.run(max_steps=prefix_steps)
-        # broadcast the prefix state: per-instance scalars, then each
-        # touched worker's S segment (c_return_end, compute_end,
+        _STEP_COUNTERS[True].inc(prefix_steps)
+        if engine._backend.whole_run:
+            engine._backend.strict_run(0, prefix_steps, 1, *engine._kernel_args[1:])
+        else:
+            while engine._t < prefix_steps:
+                engine._step_strict(1)
+                engine._t += 1
+        # broadcast instance 0's prefix state: per-instance scalars, then
+        # each touched worker's S segment (c_return_end, compute_end,
         # compute_busy, ring slots); untouched workers stay all-zero in
-        # every instance, exactly as in the sub engine
-        full._port_free[:] = sub._port_free[0]
-        full._port_busy[:] = sub._port_busy[0]
-        ob = full._order_base
-        prefix = full._order_flat[ob[0] : ob[0] + prefix_steps]
+        # every instance
+        engine._port_free[1:] = engine._port_free[0]
+        engine._port_busy[1:] = engine._port_busy[0]
+        ob = engine._order_base
+        prefix = engine._order_flat[ob[0] : ob[0] + prefix_steps]
         for w in np.unique(prefix):
-            width = 3 + int(sub._depth[0, w])
-            src = sub._S[sub._seg[0, w] : sub._seg[0, w] + width]
-            dst_idx = full._seg[:, w, None] + np.arange(width)
-            full._S[dst_idx] = src
+            width = 3 + int(engine._depth[0, w])
+            src = engine._S[engine._seg[0, w] : engine._seg[0, w] + width]
+            engine._S[engine._seg[1:, w, None] + np.arange(width)] = src
         # every instance has consumed the prefix's messages of each worker
-        full._ptr[:] = full._base + np.bincount(prefix, minlength=full._P)
-        full._t = prefix_steps
-        return full
+        engine._ptr[1:] = engine._base[1:] + np.bincount(prefix, minlength=engine._P)
+        engine._t = prefix_steps
+        return engine
 
     @staticmethod
     def _first_mismatch(a: np.ndarray, b: np.ndarray, block: int = 1024) -> int:
@@ -939,17 +853,15 @@ def batch_outcomes(
     Under the per-step numpy backend each group is bucketed by message
     count, and only buckets large enough to amortize the per-step numpy
     dispatch run on engines; the rest go through the scalar fast path.
-    Results are bit-identical either way.  All engines share one fresh
-    :class:`BatchCompileCache`, so candidates that share plan objects —
-    e.g. HomI's scoring plans per ``(n, mu)`` — compile their message
-    streams once per call.
+    Results are bit-identical either way.  Inside each engine, candidates
+    that share plan objects — e.g. HomI's scoring plans per ``(n, mu)`` —
+    share one compiled message stream per worker.
 
     ``_makespans=True`` is :func:`batch_simulate`'s path through the same
     grouping: bare makespans (read per engine from
     :meth:`BatchEngine.makespans`) instead of outcome records.
     """
     whole_run = resolve_kernel().whole_run
-    cache = BatchCompileCache()
     collect = BatchEngine.makespans if _makespans else BatchEngine.outcomes
     groups: dict[Any, list[int]] = {}
     for i, (_platform, plan) in enumerate(runs):
@@ -970,17 +882,14 @@ def batch_outcomes(
         out[i] = _scalar_result(*runs[i], _makespans)
     for indices in engines:
         counter("batch.vectorized_runs").inc(len(indices))
-        engine = BatchEngine([runs[i] for i in indices], compile_cache=cache).run()
+        engine = BatchEngine([runs[i] for i in indices]).run()
         for i, result in zip(indices, collect(engine)):
             out[i] = result
     return out
 
 
 def shared_prefix_makespans(
-    runs: Sequence[tuple[Platform, Plan]],
-    prefix_steps: int,
-    *,
-    compile_cache: BatchCompileCache | None = None,
+    runs: Sequence[tuple[Platform, Plan]], prefix_steps: int
 ) -> np.ndarray:
     """Makespans of strict-order runs that share their first
     ``prefix_steps`` port messages, in input order.
@@ -992,15 +901,11 @@ def shared_prefix_makespans(
     suffixes.  Per-instance results are bit-identical to running each full
     plan through :func:`batch_simulate` (and therefore to the scalar
     engines); the prefix really must be shared and is verified lazily
-    (first divergence reported with its step index and worker).
-
-    Pass a long-lived ``compile_cache`` to amortize chunk-template
-    compilation across repeated searches — the adaptive boundary
-    re-selection calls this at every event boundary of one run with a
-    single cache.
+    (first divergence reported with its step index and worker).  One
+    :class:`BatchEngine` is built per call: the adaptive boundary
+    re-selection calls this at every event boundary of a run.
     """
-    engine = BatchEngine.shared_prefix(runs, prefix_steps, compile_cache=compile_cache)
-    return engine.run().makespans()
+    return BatchEngine.shared_prefix(runs, prefix_steps).run().makespans()
 
 
 def batch_simulate(runs: Sequence[tuple[Platform, Plan]]) -> np.ndarray:

@@ -51,7 +51,9 @@ Kernels take an explicit ``t0``/``t1`` step window, so
 ``BatchEngine.run(max_steps=)``, ``checkpoint()/restore()`` and the
 shared-prefix incremental search all keep working under a compiled
 backend: the engine simply asks the kernel to advance the window it would
-otherwise have stepped through in Python.
+otherwise have stepped through in Python.  The shared-prefix search also
+passes ``B = 1`` to advance only the batch's longest instance through the
+common prefix before broadcasting its state.
 """
 
 from __future__ import annotations

@@ -373,8 +373,8 @@ def _routed(monkeypatch, runs):
     built = []
     init = BatchEngine.__init__
 
-    def counting_init(self, runs, **kw):
-        init(self, runs, **kw)
+    def counting_init(self, runs):
+        init(self, runs)
         (mode,) = {
             "strict" if isinstance(plan.policy, StrictOrderPolicy) else plan.policy.priority
             for _pf, plan in runs
@@ -391,9 +391,9 @@ def _routed(monkeypatch, runs):
 def test_whole_run_kernels_build_one_engine_per_mode(
     kernel, monkeypatch, het_platform, small_grid, ragged_grid
 ):
-    """Under a whole-run kernel each replay mode is one engine sharing the
-    call's compile cache, whatever the group sizes; only the allocator
-    plan takes the scalar path."""
+    """Under a whole-run kernel each replay mode is one engine, whatever
+    the group sizes, compiling each distinct (plan, worker) stream once;
+    only the allocator plan takes the scalar path."""
     from repro.sim.kernels import KernelUnavailable, get_backend
 
     try:
@@ -416,7 +416,7 @@ def test_whole_run_kernels_build_one_engine_per_mode(
         for w, chunks in enumerate(plan.assignments)
         if chunks
     }
-    assert delta["batch.compile.struct_misses"] == len(pairs)
+    assert delta["batch.compile.streams"] == len(pairs)
     assert delta["batch.vectorized_runs"] == 5
     assert delta["batch.scalar_runs"] == 1
     for ref, outcome in zip(expected, outcomes):
@@ -696,134 +696,87 @@ def test_homi_dedupe_preserves_choice(het_platform, small_grid):
 
 
 # ----------------------------------------------------------------------
-# compile cache: shared streams across candidates, bit-identical results
+# stream compilation: one stream per (plan, worker) inside an engine
 # ----------------------------------------------------------------------
-def test_compile_cache_shared_across_engines(het_platform, small_grid):
-    """One BatchCompileCache serves many engines: candidates that share a
-    plan object recompile nothing (worker costs are multiplied inline by
-    the kernels), and inside one engine every instance of a plan walks
-    the same stream — results stay bit-identical to fresh compilation."""
-    from repro.sim.batch import BatchCompileCache, _plan_steps
+def _enrolled(plan: Plan) -> int:
+    return sum(1 for chunks in plan.assignments if chunks)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_one_engine_holds_a_shared_plan_stream_once(kernel, het_platform, small_grid):
+    """Inside one engine every instance of a plan walks the same stream:
+    cost variants of one plan object compile it once per enrolled worker
+    (worker costs are multiplied inline by the kernels), and the results
+    stay bit-identical to fresh single-run replays."""
+    from repro.obs import snapshot, snapshot_delta
 
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    variants = [
-        Platform([Worker(w.index, w.c * f, w.w * f, w.m) for w in het_platform])
-        for f in (1.0, 1.5, 2.0)
-    ]
-    runs = [(pf, plan) for pf in variants]
-    fresh = [BatchEngine([run]).run().makespans()[0] for run in runs]
-
-    cache = BatchCompileCache()
-    shared = [BatchEngine([run], compile_cache=cache).run().makespans()[0] for run in runs]
-    assert shared == fresh
-    # the plan's per-worker structure was compiled once, not per engine
-    enrolled = sum(1 for chunks in plan.assignments if chunks)
-    assert len(cache.struct) == enrolled
-    assert cache.struct_misses == enrolled
-    assert cache.struct_hits == enrolled * (len(variants) - 1)
-    # one engine over all the variants holds the plan's streams once
-    together = BatchEngine(runs, compile_cache=cache)
+    runs = [(pf, plan) for pf in _cost_variants(het_platform, 3)]
+    with kernel_env(kernel):
+        fresh = [BatchEngine([run]).run().makespans()[0] for run in runs]
+        before = snapshot()
+        together = BatchEngine(runs)
+        delta = snapshot_delta(before)
+        got = list(together.run().makespans())
+    assert delta["batch.compile.streams"] == _enrolled(plan)
     assert together._flat[0].size == _plan_steps(plan)
-    assert list(together.run().makespans()) == fresh
+    assert got == fresh
+    assert got == [_scalar_reference(pf, plan).makespan for pf, _plan in runs]
 
 
-def test_compile_cache_hits_within_one_submission(monkeypatch, het_platform, small_grid):
-    """HomI-style populations — one plan object scored on many virtual
-    platforms — hit the struct cache inside a single batch_outcomes call.
-    Pinned under numpy, where the population must clear the bucket gate
-    to reach an engine at all."""
+def test_numpy_buckets_compile_each_plan_stream_once(monkeypatch, het_platform):
+    """Under numpy, one batch_outcomes call splits a HomI-style population
+    (two plan objects, each scored on many cost variants) into length
+    buckets; each bucket's engine compiles its plan's streams once, and
+    duplicate submissions share them.  The plans' message counts differ
+    4x, so they cannot share a bucket (:data:`_BUCKET_RATIO` is 2)."""
     from repro.sim.batch import _MIN_VECTOR_BATCH
-
-    plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    runs = [
-        (Platform([Worker(w.index, w.c * f, w.w, w.m) for w in het_platform]), plan)
-        for f in np.linspace(1.0, 1.75, _MIN_VECTOR_BATCH)
-    ]
-    with kernel_env("numpy"):
-        outcomes, _built, delta = _routed(monkeypatch, runs)
-    for (pf, _plan), outcome in zip(runs, outcomes):
-        assert outcome.makespan == fast_simulate(pf, clone_plan(plan), small_grid).makespan
-    # one compilation (= one cache entry) per enrolled worker, no re-lookup
-    enrolled = sum(1 for chunks in plan.assignments if chunks)
-    assert delta["batch.compile.struct_misses"] == enrolled
-    assert "batch.compile.struct_hits" not in delta
-
-
-def test_compile_cache_cost_only_change_recompiles_two_multiplies(
-    het_platform, small_grid
-):
-    """Re-scoring one shared plan under new worker costs must recompile
-    nothing: no new tmpl or struct misses (the cost multiplies happen
-    inline in the kernels, per message)."""
-    from repro.sim.batch import BatchCompileCache
-
-    plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    enrolled = sum(1 for chunks in plan.assignments if chunks)
-    cache = BatchCompileCache()
-    base = BatchEngine([(het_platform, plan)], compile_cache=cache).run().makespans()[0]
-    assert cache.struct_misses == enrolled
-    struct_misses = cache.struct_misses
-    tmpl_misses = cache.tmpl_misses
-
-    scaled = Platform(
-        [Worker(w.index, w.c * 1.5, w.w * 2.0, w.m) for w in het_platform]
-    )
-    rescored = (
-        BatchEngine([(scaled, plan)], compile_cache=cache).run().makespans()[0]
-    )
-    # structure and templates fully reused: nothing recompiled
-    assert cache.struct_misses == struct_misses
-    assert cache.tmpl_misses == tmpl_misses
-    assert cache.struct_hits == enrolled
-    assert cache.tmpl_hits >= 1
-    # and the rescored makespan is still bit-identical to a fresh replay
-    assert rescored == fast_simulate(scaled, clone_plan(plan), small_grid).makespan
-    assert base == fast_simulate(het_platform, clone_plan(plan), small_grid).makespan
-
-
-def test_compile_cache_reuse_across_buckets(monkeypatch, het_platform):
-    """One batch_outcomes call shares its compile cache across the numpy
-    backend's length buckets: duplicate plan submissions share one stream,
-    and a short bucket's chunk shapes hit the tmpl tier compiled by the
-    long bucket (the plans' message counts differ 4x, so they cannot share
-    a bucket — :data:`_BUCKET_RATIO` is 2)."""
-    from repro.sim.batch import _MIN_VECTOR_BATCH, _plan_steps
 
     long_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=24, q=2))
     short_plan = make_scheduler("Hom").plan(het_platform, BlockGrid(r=6, t=5, s=6, q=2))
     assert _plan_steps(long_plan) > 2 * _plan_steps(short_plan)
 
     # each bucket just clears the gate, so both run on numpy engines
-    n = _MIN_VECTOR_BATCH
-    runs = [(het_platform, long_plan)] * n + [(het_platform, short_plan)] * n
+    variants = [
+        Platform([Worker(w.index, w.c * f, w.w, w.m) for w in het_platform])
+        for f in np.linspace(1.0, 1.75, _MIN_VECTOR_BATCH)
+    ]
+    runs = [(pf, long_plan) for pf in variants] + [(pf, short_plan) for pf in variants]
     with kernel_env("numpy"):
-        outcomes, _built, delta = _routed(monkeypatch, runs)
-    expected = {
-        id(plan): fast_simulate(het_platform, clone_plan(plan)).makespan
-        for plan in (long_plan, short_plan)
-    }
-    for (_pf, plan), outcome in zip(runs, outcomes):
-        assert outcome.makespan == expected[id(plan)]
-    enrolled_long = sum(1 for chunks in long_plan.assignments if chunks)
-    enrolled_short = sum(1 for chunks in short_plan.assignments if chunks)
-    # struct compiled once per (plan, worker); a duplicate submission in
-    # the same engine shares its twin's stream without another lookup
-    assert delta["batch.compile.struct_misses"] == enrolled_long + enrolled_short
-    assert "batch.compile.struct_hits" not in delta
-    engine = BatchEngine(runs[:2])
-    assert engine._flat[0].size == _plan_steps(long_plan)
-    # the short bucket's chunk shapes were already templated by the long one
-    assert delta["batch.compile.tmpl_hits"] > 0
+        outcomes, built, delta = _routed(monkeypatch, runs)
+    assert built == ["strict", "strict"]
+    assert delta["batch.compile.streams"] == _enrolled(long_plan) + _enrolled(short_plan)
+    assert "batch.scalar_runs" not in delta
+    for (pf, plan), outcome in zip(runs, outcomes):
+        assert outcome.makespan == _scalar_reference(pf, plan).makespan
 
 
-def test_compile_cache_clear_resets_accounting(het_platform, small_grid):
-    from repro.sim.batch import BatchCompileCache
-
-    plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    cache = BatchCompileCache()
-    BatchEngine([(het_platform, plan)], compile_cache=cache).run()
-    assert cache.struct_misses > 0
-    cache.clear()
-    assert not cache.struct and not cache.tmpl
-    assert cache.struct_misses == cache.struct_hits == 0
-    assert cache.tmpl_misses == cache.tmpl_hits == 0
+# ----------------------------------------------------------------------
+# a plan replayed on a platform of another size is rejected everywhere
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("delta_p", [-1, 1], ids=["smaller", "larger"])
+@pytest.mark.parametrize("scheduler", ["Het", "HomI"])
+def test_worker_count_mismatch_rejected(scheduler, delta_p, kernel):
+    """A plan carries one prefetch depth (and one chunk list) per worker;
+    replaying it on a platform with one worker fewer or more must raise
+    the reference engine's ValueError on every engine and backend,
+    never drop a worker's chunks or index past the plan."""
+    workers = [Worker(i, 1.0, 2.0, 60) for i in range(3)]
+    grid = BlockGrid(r=30, t=4, s=60, q=2)
+    planned = Platform(workers)
+    other = Platform(
+        workers[:2] if delta_p < 0 else workers + [Worker(3, 1.0, 2.0, 60)]
+    )
+    with kernel_env(kernel):
+        plan = make_scheduler(scheduler).plan(planned, grid)
+        assert len(plan.depths) == planned.p
+        for replay in (
+            lambda: simulate(other, clone_plan(plan), grid),
+            lambda: fast_simulate(other, clone_plan(plan), grid),
+            lambda: batch_simulate([(other, clone_plan(plan))]),
+            lambda: BatchEngine([(other, clone_plan(plan))]),
+            lambda: BatchEngine([(planned, plan), (other, clone_plan(plan))]),
+        ):
+            with pytest.raises(ValueError, match="need one prefetch depth per worker"):
+                replay()

@@ -9,6 +9,7 @@ their parents) across the scheduler x engine x dynamic-mode matrix.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -280,12 +281,21 @@ class TestInstrumentedMatrix:
 class TestRunMetadata:
     def test_keys_and_types(self):
         meta = run_metadata()
-        assert {"python", "numpy", "cpu_count", "machine", "kernel", "git"} <= set(
-            meta
-        )
+        assert {
+            "python", "numpy", "cpu_count", "machine", "kernel", "git", "bytecode_cache"
+        } <= set(meta)
         assert isinstance(meta["cpu_count"], int)
+        assert meta["bytecode_cache"] is (not sys.dont_write_bytecode)
         assert meta["kernel"] in KERNEL_NAMES
         json.dumps(meta)
+
+    @pytest.mark.parametrize("dont_write", [True, False])
+    def test_bytecode_cache_follows_the_interpreter(self, monkeypatch, dont_write):
+        """Under PYTHONDONTWRITEBYTECODE (or -B) every fresh process
+        recompiles the package, so set-up times are only comparable
+        between records that agree on this key."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", dont_write)
+        assert run_metadata()["bytecode_cache"] is (not dont_write)
 
     def test_module_reexports(self):
         for name in ("trace", "counter", "snapshot", "run_metadata", "Tracer"):

@@ -25,11 +25,12 @@ from repro.schedulers.adaptive import DYNAMIC_MODES, AdaptiveScheduler
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.homogeneous import HomIScheduler, HomScheduler, homogeneous_plan
 from repro.schedulers.registry import make_scheduler
-from repro.sim.batch import BatchEngine, shared_prefix_makespans
+from repro.sim.batch import BatchEngine, batch_simulate, shared_prefix_makespans
 from repro.sim.dynamic import DynamicStall, PlatformTimeline, random_timeline
+from repro.sim.kernels import available_backends
 from repro.sim.validate import validate_dynamic
 from repro.theory.steady_state import makespan_lower_bound
-from tests.per_mode import per_mode_makespans
+from tests.per_mode import kernel_env, per_mode_makespans
 
 
 def _transient(scenario: str, severity: float, scale: float = 0.5):
@@ -66,6 +67,28 @@ def test_shared_prefix_makespans_bit_identical_to_batch():
     assert list(incremental) == scratch
     # and identical to not sharing any prefix at all
     assert list(shared_prefix_makespans(runs, 0)) == scratch
+
+
+@pytest.mark.parametrize("kernel", available_backends())
+def test_shared_prefix_search_builds_one_engine(kernel, monkeypatch):
+    """One shared-prefix search is one BatchEngine on every backend: the
+    prefix is advanced on the engine's longest instance and broadcast,
+    with no second engine for it."""
+    runs = _prefix_population()
+    prefix = 4 * (1 + 4 + 1)
+    built = []
+    init = BatchEngine.__init__
+
+    def counting_init(self, runs):
+        built.append(len(runs))
+        init(self, runs)
+
+    with kernel_env(kernel):
+        expected = batch_simulate(runs)
+        monkeypatch.setattr(BatchEngine, "__init__", counting_init)
+        got = shared_prefix_makespans(runs, prefix)
+    assert built == [len(runs)]
+    assert list(got) == list(expected)
 
 
 def test_shared_prefix_order_divergence_located():
@@ -188,8 +211,7 @@ def test_reselect_falls_back_to_adaptive_without_threshold_search():
 
 def test_reselect_search_does_less_work_than_from_scratch():
     """The acceptance meter: the boundary re-search simulates the shared
-    executed prefix once instead of once per candidate, and the compile
-    cache reuses templates/streams across candidates and boundaries."""
+    executed prefix once instead of once per candidate."""
     platform, grid, tl = _transient("straggler-onset", 8.0)
     wrapper = AdaptiveScheduler(make_scheduler("HomI"), "reselect")
     sim = wrapper.run_dynamic(platform, grid, tl)
@@ -201,16 +223,6 @@ def test_reselect_search_does_less_work_than_from_scratch():
     # the from-scratch _evaluate_candidates path would do)
     incremental = stats["prefix_steps"] + stats["suffix_steps"]
     assert incremental < stats["full_steps"]
-    # compile-cache accounting: candidate plans share the survivor chunks'
-    # round structures (tmpl tier) and the prefix instance recompiles
-    # nothing (the struct tier hits when shared_prefix replays it)
-    cache = wrapper._batch_cache
-    assert cache.tmpl_hits > cache.tmpl_misses
-    assert cache.struct_hits > 0
-    # boundary candidate plans can never be resubmitted later, so the
-    # plan-pinning struct tier is dropped after each search: memory stays
-    # bounded in the number of boundaries
-    assert not cache.struct
 
 
 def test_reselect_stats_only_in_reselect_mode():
