@@ -342,8 +342,8 @@ class AdaptiveScheduler:
         """Plan per the mode, replay under ``timeline``, return the result
         (``meta["dynamic"]`` records mode, events and replan decisions).
 
-        ``record_events`` has the driver synthesize the full trace (plus
-        the killed-chunk audit) in every mode, adaptive included, so the
+        ``record_events`` records the full trace (plus the killed-chunk
+        audit) in every mode, adaptive included, so the
         result can be audited with
         :func:`repro.sim.validate.validate_dynamic`.
         """

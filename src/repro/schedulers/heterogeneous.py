@@ -10,8 +10,8 @@ kernel) the submission is one :class:`~repro.sim.batch.BatchEngine` per
 replay mode; under the per-step numpy backend eight plans are below the
 batch layer's vectorization threshold, so each candidate runs on its own
 through :class:`~repro.sim.fastpath.FastEngine` (bit-identical either
-way).  The winning candidate plan is returned as built; only its trace
-switch and metadata change.
+way).  The winning candidate plan is returned as built; only its
+metadata changes.
 """
 
 from __future__ import annotations

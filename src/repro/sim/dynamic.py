@@ -23,17 +23,17 @@ raises :class:`DynamicStall` unless a controller migrates the work.
 
 **Native windows.**  Between two timeline events nothing changes the
 platform, so on the fast engine the driver hands each event-free window
-to :class:`~repro.sim.fastpath.FastEngine`'s own drain loops (strict
-order or ready policy, with the demand allocator refilling as usual):
-they take per-worker start floors (crash-window availability and the
-event frontier, ``inf`` for a worker that never rejoins) and stop before
-the first message that would start at or after the next event.  The
-driver then applies the due events, fires the controller and opens the
-next window.  The per-message interpretation of the same rules stays
-where it is needed: runs with ``record_events`` (trace synthesis) and
-``completion`` criteria (the coded family's per-return decode check); it
-also raises the stall and strict-order errors where a window stops short
-of them.
+to :class:`~repro.sim.fastpath.FastEngine`'s one posting loop (strict
+order or ready policy, with the demand allocator refilling as usual): it
+takes per-worker start floors (crash-window availability and the event
+frontier, ``inf`` for a worker that never rejoins) and stops before the
+first message that would start at or after the next event.  The driver
+then applies the due events, fires the controller and opens the next
+window.  The per-message interpretation of the same rules stays where it
+is needed: runs with ``record_events`` and ``completion`` criteria (the
+coded family's per-return decode check); it also raises the stall and
+strict-order errors where a window stops short of them.  Both paths post
+through the same loop, so the message arithmetic is written once.
 
 **Bit-identity.**  With an empty timeline the driver posts exactly the
 message sequence of :func:`~repro.sim.fastpath.fast_simulate`, through the
@@ -62,12 +62,13 @@ For runs without a controller the frontier is provably a no-op (every
 post already starts at or after the last applied event), so static replays
 stay bit-identical.
 
-**Auditability.**  With ``record_events=True`` the driver synthesizes the
-same :class:`~repro.core.ops.PortEvent` / :class:`~repro.core.ops
-.ComputeEvent` records the reference engine would emit — including under
-online control, where it also logs killed (abandoned) chunk ids into
-``meta["dynamic"]`` — so every dynamic run, static or adaptive, can be
-audited by :func:`repro.sim.validate.validate_dynamic`.
+**Auditability.**  With ``record_events=True`` the fast engine's posting
+loop records, for every message it posts, the same
+:class:`~repro.core.ops.PortEvent` / :class:`~repro.core.ops.ComputeEvent`
+records the reference engine would emit — including under online control,
+where the driver also logs killed (abandoned) chunk ids into
+``meta["dynamic"]``; probes never record — so every dynamic run, static or
+adaptive, can be audited by :func:`repro.sim.validate.validate_dynamic`.
 
 **Stochastic timelines.**  :func:`random_timeline` draws a seeded Poisson
 event process over the scenario families (straggler / bandwidth / crash /
@@ -84,7 +85,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..core.blocks import BlockGrid
 from ..core.chunks import Chunk
-from ..core.ops import ComputeEvent, MsgKind, PortEvent
 from ..obs import counter, trace
 from ..platform.model import Platform, Worker
 from .allocator import PanelDemandAllocator
@@ -111,6 +111,31 @@ _INF = math.inf
 EVENT_KINDS = ("set_bandwidth", "set_speed", "straggle", "recover", "crash", "join")
 
 _VALUE_KINDS = frozenset(("set_bandwidth", "set_speed", "straggle"))
+
+
+def _reprice(
+    ev: TimelineEvent,
+    cs: list[float],
+    ws: list[float],
+    base_cs: Sequence[float],
+    base_ws: Sequence[float],
+) -> bool:
+    """The one event-pricing rule: apply ``ev`` to the per-worker costs
+    ``cs``/``ws`` in place (``straggle`` and ``recover`` against the base
+    costs).  Returns False for ``crash``/``join``, which change no price."""
+    i = ev.worker
+    kind = ev.kind
+    if kind == "set_bandwidth":
+        cs[i] = ev.value
+    elif kind == "set_speed":
+        ws[i] = ev.value
+    elif kind == "straggle":
+        ws[i] = base_ws[i] * ev.value
+    elif kind == "recover":
+        cs[i], ws[i] = base_cs[i], base_ws[i]
+    else:
+        return False
+    return True
 
 
 class DynamicStall(RuntimeError):
@@ -252,24 +277,17 @@ class PlatformTimeline:
         """Per-worker ``(cs, ws)`` in force at ``time`` (events at exactly
         ``time`` included), derived from the ``base`` platform.
 
-        The arithmetic here is the single source of truth: the segmented
-        driver applies events through the same expressions, so a platform
-        materialized via :meth:`platform_at` prices messages exactly like
-        the corresponding segment of a dynamic run.
+        Events are priced by :func:`_reprice`, which the segmented driver
+        applies too, so a platform materialized via :meth:`platform_at`
+        prices messages exactly like the corresponding segment of a dynamic
+        run.
         """
-        cs, ws = list(base.cs), list(base.ws)
+        base_cs, base_ws = base.cs, base.ws
+        cs, ws = list(base_cs), list(base_ws)
         for ev in self._events:
             if ev.time > time:
                 break
-            i = ev.worker
-            if ev.kind == "set_bandwidth":
-                cs[i] = ev.value
-            elif ev.kind == "set_speed":
-                ws[i] = ev.value
-            elif ev.kind == "straggle":
-                ws[i] = base[i].w * ev.value
-            elif ev.kind == "recover":
-                cs[i], ws[i] = base[i].c, base[i].w
+            _reprice(ev, cs, ws, base_cs, base_ws)
         return cs, ws
 
     def platform_at(self, base: Platform, time: float, name: str = "") -> Platform:
@@ -407,14 +425,13 @@ class DynamicRun:
         # before T (only binding after controller mutations — see module doc)
         self.frontier = 0.0
         self.killed: list[tuple[int, float]] = []  # (cid, kill time)
-        # the fast adapter has no traces of its own; the driver synthesizes
-        # them (an adapter without control records through its own engine)
-        synth = record and adapter.supports_control
-        self._port_log: list[PortEvent] | None = [] if synth else None
-        self._comp_log: list[ComputeEvent] | None = [] if synth else None
-        # event-free windows run on FastEngine's own drain loops; trace
-        # synthesis and completion tracking need the per-message loop
-        self._native = adapter.supports_control and not synth and completion is None
+        # the fast engine records into its own log (an adapter without
+        # control records through its own engine)
+        if record and adapter.supports_control:
+            adapter.engine._log = ([], [])
+        # event-free windows run on FastEngine's own posting loop; recorded
+        # and completion-tracked runs walk the per-message loop
+        self._native = adapter.supports_control and not record and completion is None
         policy = plan.policy
         self._order: list[int] | None = None
         self._pos = 0
@@ -436,15 +453,8 @@ class DynamicRun:
     # ------------------------------------------------------------------
     def _apply_event(self, ev: TimelineEvent) -> None:
         i = ev.worker
-        if ev.kind == "set_bandwidth":
-            self.cur_cs[i] = ev.value
-        elif ev.kind == "set_speed":
-            self.cur_ws[i] = ev.value
-        elif ev.kind == "straggle":
-            self.cur_ws[i] = self.base_ws[i] * ev.value
-        elif ev.kind == "recover":
-            self.cur_cs[i] = self.base_cs[i]
-            self.cur_ws[i] = self.base_ws[i]
+        if _reprice(ev, self.cur_cs, self.cur_ws, self.base_cs, self.base_ws):
+            self.adapter.set_params(i, self.cur_cs[i], self.cur_ws[i])
         elif ev.kind == "crash":
             # unreachable until the matching join (forever if none)
             until = _INF
@@ -453,11 +463,8 @@ class DynamicRun:
                     until = later.time
                     break
             self.avail[i] = until
-            return
         else:  # join
             self.avail[i] = ev.time
-            return
-        self.adapter.set_params(i, self.cur_cs[i], self.cur_ws[i])
 
     def _apply_due(self, start: float) -> None:
         applied: list[TimelineEvent] = []
@@ -504,9 +511,9 @@ class DynamicRun:
 
     def _choose_ready(self) -> tuple[int, float] | None:
         # Ascending index scan with strict improvement: the same
-        # (effective start, priority key) comparison as
-        # FastEngine._run_ready, with the crash-window floor folded into
-        # each worker's legal start.
+        # (effective start, priority key) comparison as the ready scan of
+        # FastEngine._drain, with the crash-window floor folded into each
+        # worker's legal start.
         ad = self.adapter
         by_cid = self._priority == selection_order_priority
         avail = self.avail
@@ -562,7 +569,7 @@ class DynamicRun:
                 if track is not None and ad.head_is_c_return(widx)
                 else None
             )
-            self._post(widx)
+            ad.post(widx, self._floor(widx))
             if self._order is not None:
                 self._pos += 1
                 self._executed.append(widx)
@@ -582,7 +589,7 @@ class DynamicRun:
 
     def _advance_window(self) -> None:
         """Post every message that starts before the next timeline event
-        through :class:`FastEngine`'s own drain loops, with each worker's
+        through :class:`FastEngine`'s own posting loop, with each worker's
         :meth:`_floor` as its start floor.  Returns at the event boundary,
         when the run drains, or before any message the per-message step
         must handle (a worker that never rejoins, a strict order naming a
@@ -592,9 +599,9 @@ class DynamicRun:
         floors = [self._floor(i) for i in range(eng._p)]
         order = self._order
         if order is None:
-            eng._run_ready(self.allocator, self._priority, floors, until)
+            eng._drain(None, floors, until, allocator=self.allocator, priority=self._priority)
         else:
-            pos = eng._run_strict(order, floors, until, self._pos)
+            pos = eng._drain(order, floors, until, self._pos)
             self._executed.extend(order[self._pos : pos])
             self._pos = pos
 
@@ -618,41 +625,6 @@ class DynamicRun:
         for i in range(self.adapter.p):
             self.kill_in_flight(i, at=at)
             self.reclaim_unstarted(i)
-
-    def _post(self, widx: int) -> None:
-        """Post worker ``widx``'s head message, synthesizing trace events
-        when recording (same float expressions as ``FastEngine.post_next``,
-        so recorded times are exactly what the engine computes)."""
-        floor = self._floor(widx)
-        log = self._port_log
-        if log is None:
-            self.adapter.post(widx, floor)
-            return
-        eng = self.adapter.engine
-        kind = eng._head_stage_kind[widx]
-        legal = eng._head_legal[widx]
-        nblocks = eng._head_nblocks[widx]
-        cid = eng._head_cid[widx]
-        port_free = eng.port_free
-        start = port_free if port_free > legal else legal
-        if floor > start:
-            start = floor
-        end = start + nblocks * eng._c[widx]
-        st = eng._stage[widx]
-        if kind == FastEngine._K_ROUND:
-            rec = eng._chunks[widx][eng._pos[widx]]
-            updates = rec[4][st - 1]
-            comp_free = eng._comp_free[widx]
-            cs = end if end > comp_free else comp_free
-            ce = cs + updates * eng._w[widx]
-            self._comp_log.append(ComputeEvent(cs, ce, widx, cid, st - 1, updates))
-            mkind, ridx = MsgKind.ROUND, st - 1
-        elif kind == FastEngine._K_C_SEND:
-            mkind, ridx = MsgKind.C_SEND, -1
-        else:
-            mkind, ridx = MsgKind.C_RETURN, -1
-        log.append(PortEvent(start, end, widx, mkind, cid, ridx, nblocks))
-        self.adapter.post(widx, floor)
 
     # ------------------------------------------------------------------
     # controller helpers (fast adapter only)
@@ -855,8 +827,6 @@ class DynamicRun:
         other.avail = list(self.avail)
         other.frontier = self.frontier
         other.killed = []
-        other._port_log = None  # probes are what-ifs: never recorded
-        other._comp_log = None
         other._native = True
         other._order = None if self._order is None else list(self._order)
         # probes never re-select (no controller), so they carry no history
@@ -888,7 +858,7 @@ def simulate_dynamic(
 
     With an empty (or ``None``) timeline the result is bit-identical to
     :func:`~repro.sim.fastpath.fast_simulate`.  Each event-free window
-    runs on ``FastEngine``'s own drain loops (see the module docstring);
+    runs on ``FastEngine``'s own posting loop (see the module docstring);
     ``record_events`` and ``completion`` runs walk the per-message loop
     instead, with bit-identical results.  ``controller`` fires at every
     event boundary with the live :class:`DynamicRun`.
@@ -896,9 +866,9 @@ def simulate_dynamic(
     ``record_events`` is the one trace switch: the result then carries
     full port/compute traces and an audit annex in ``meta["dynamic"]``
     (``c_mode``, ``killed_cids``) — everything
-    :func:`repro.sim.validate.validate_dynamic` needs.  The driver
-    synthesizes the events (bit-identical times, no engine overhead when
-    off).
+    :func:`repro.sim.validate.validate_dynamic` needs.  The engine's
+    posting loop records the events as it posts them (the times it
+    computes, no overhead when off).
 
     ``completion`` installs an early-stop criterion (the coded-redundancy
     family's decode threshold — see :mod:`repro.schedulers.coded`): an
@@ -946,9 +916,10 @@ def simulate_dynamic(
         meta["dynamic"]["killed_cids"] = sorted(cid for cid, _t in run.killed)
         meta["dynamic"]["kills"] = sorted(run.killed)
     result = adapter.result(grid, meta)
-    if run._port_log is not None:
-        result.port_events = tuple(run._port_log)
-        result.compute_events = tuple(run._comp_log)
+    if record_events and adapter.supports_control:
+        port_log, comp_log = adapter.engine._log
+        result.port_events = tuple(port_log)
+        result.compute_events = tuple(comp_log)
     return result
 
 

@@ -16,9 +16,11 @@ scalar arrays:
 * each worker's head message (legal start, size, cid) is cached and
   refreshed only when that worker posts or receives a chunk -- a port
   decision is a tight scan over ``p`` floats;
-* both plan policies (:class:`StrictOrderPolicy`, :class:`ReadyPolicy`
-  with its one-key priority) and the demand allocators are interpreted
-  directly, so every plan runs here.
+* one posting loop, ``FastEngine._drain``, interprets both plan policies
+  (:class:`StrictOrderPolicy`, :class:`ReadyPolicy` with its one-key
+  priority) and the demand allocators, so every plan runs here;
+  ``post_next`` and the dynamic driver's event-free windows go through
+  the same loop, which also records the dynamic driver's event traces.
 
 Every floating-point operation is performed in exactly the order of the
 reference engine, so makespans, per-worker statistics and port busy time
@@ -29,12 +31,13 @@ pin this.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from math import inf as _INF
 from typing import Sequence
 
 from ..core.blocks import BlockGrid
 from ..core.chunks import Chunk
+from ..core.ops import ComputeEvent, MsgKind, PortEvent
 from ..obs import counter, stopwatch
 from ..platform.model import Platform
 from .allocator import PanelDemandAllocator
@@ -51,7 +54,8 @@ _ChunkRec = tuple[Chunk, int, int, tuple[int, ...], tuple[int, ...], int]
 
 
 class FastEngine:
-    """One-port simulator over flat per-worker arrays (no event traces).
+    """One-port simulator over flat per-worker arrays (event traces only
+    for the dynamic driver's recorded runs).
 
     State and transition rules mirror :class:`~repro.sim.engine.Engine` +
     :class:`~repro.sim.worker_state.WorkerSim` exactly; only the data layout
@@ -74,7 +78,6 @@ class FastEngine:
         "_chunks",
         "_pos",
         "_stage",
-        "_rounds_posted",
         "_ring",
         "_ring_pos",
         "_comp_free",
@@ -91,6 +94,7 @@ class FastEngine:
         "_head_stage_kind",
         "_round_cache",
         "_init_stage",
+        "_log",
     )
 
     # head kind codes (match the stage tests of WorkerSim.head)
@@ -126,7 +130,6 @@ class FastEngine:
         self._chunks: list[list[_ChunkRec]] = [[] for _ in range(p)]
         self._pos = [0] * p
         self._stage = [self._init_stage] * p
-        self._rounds_posted = [0] * p
         self._ring: list[list[float]] = [[0.0] * d for d in self._depth]
         self._ring_pos = [0] * p
         self._comp_free = [0.0] * p
@@ -147,6 +150,8 @@ class FastEngine:
         # once, keyed by identity; the record keeps the tuple alive so ids
         # cannot be recycled while this engine exists.
         self._round_cache: dict[int, tuple] = {}
+        # (port_events, compute_events) appended to by every post, or None
+        self._log: tuple[list[PortEvent], list[ComputeEvent]] | None = None
 
     # ------------------------------------------------------------------
     # assignment
@@ -202,12 +207,10 @@ class FastEngine:
             self._head_nblocks[i] = c_blocks
         elif st <= nr:
             self._head_stage_kind[i] = self._K_ROUND
-            if self._rounds_posted[i] < self._depth[i]:
-                self._head_legal[i] = 0.0
-            else:
-                # oldest entry of the full compute ring == compute end of
-                # round (rounds_posted - depth), exactly WorkerSim.comp_ring[0]
-                self._head_legal[i] = self._ring[i][self._ring_pos[i]]
+            # oldest entry of the compute ring: the compute end of round
+            # (rounds posted - depth), exactly WorkerSim.comp_ring[0] once the
+            # ring is full, and one of its initial 0.0s until then
+            self._head_legal[i] = self._ring[i][self._ring_pos[i]]
             self._head_nblocks[i] = nblocks[st - 1]
         else:
             self._head_stage_kind[i] = self._K_C_RETURN
@@ -226,60 +229,9 @@ class FastEngine:
         layer's crash/join windows); the default 0.0 leaves the start time
         bit-identical to the two-way ``max``.
         """
-        kind = self._head_stage_kind[widx]
-        if kind == self._K_NONE:
+        if self._head_stage_kind[widx] == self._K_NONE:
             raise RuntimeError(f"worker {widx} has no pending message to post")
-        legal = self._head_legal[widx]
-        nblocks = self._head_nblocks[widx]
-        port_free = self.port_free
-        start = port_free if port_free > legal else legal
-        if min_start > start:
-            start = min_start
-        end = start + nblocks * self._c[widx]
-        self.port_free = end
-        self.port_busy += end - start
-        self.blocks_through_port += nblocks
-        st = self._stage[widx]
-        rec = self._chunks[widx][self._pos[widx]]
-        nr = rec[5]
-        if kind == self._K_ROUND:
-            updates = rec[4][st - 1]
-            comp_free = self._comp_free[widx]
-            cs = end if end > comp_free else comp_free
-            ce = cs + updates * self._w[widx]
-            ring = self._ring[widx]
-            rp = self._ring_pos[widx]
-            ring[rp] = ce
-            self._ring_pos[widx] = (rp + 1) % self._depth[widx]
-            self._comp_free[widx] = ce
-            self._last_comp_end[widx] = ce
-            self._rounds_posted[widx] += 1
-            self._blocks_in[widx] += nblocks
-            self._updates_done[widx] += updates
-            self._compute_busy[widx] += ce - cs
-            self.total_updates += updates
-            if ce > self.last_end:
-                self.last_end = ce
-        elif kind == self._K_C_SEND:
-            self._blocks_in[widx] += nblocks
-        else:  # C_RETURN
-            self._blocks_out[widx] += nblocks
-            self._c_return_end[widx] = end
-        if end > self.last_end:
-            self.last_end = end
-        # advance the pipeline (mirrors WorkerSim._advance)
-        self._stage[widx] = st + 1
-        if kind == self._K_ROUND and st == nr:
-            if self.c_mode is not CMode.BOTH:
-                self._next_chunk(widx)
-        elif kind == self._K_C_RETURN:
-            self._next_chunk(widx)
-        self._refresh_head(widx)
-
-    def _next_chunk(self, widx: int) -> None:
-        self._pos[widx] += 1
-        self._stage[widx] = self._init_stage
-        self._chunks_done[widx] += 1
+        self._drain((widx,), [min_start] * self._p, _INF)
 
     # ------------------------------------------------------------------
     # full-state cloning and parameter rescaling (dynamic-platform layer)
@@ -309,7 +261,6 @@ class FastEngine:
         other._chunks = [list(lst) for lst in self._chunks]
         other._pos = list(self._pos)
         other._stage = list(self._stage)
-        other._rounds_posted = list(self._rounds_posted)
         other._ring = [list(ring) for ring in self._ring]
         other._ring_pos = list(self._ring_pos)
         other._comp_free = list(self._comp_free)
@@ -325,6 +276,7 @@ class FastEngine:
         other._head_cid = list(self._head_cid)
         other._head_stage_kind = list(self._head_stage_kind)
         other._round_cache = self._round_cache
+        other._log = None  # what-if continuations are never recorded
         return other
 
     def set_worker_params(self, widx: int, c: float, w: float) -> None:
@@ -382,32 +334,58 @@ class FastEngine:
         policy = plan.policy
         floors = [0.0] * self._p
         if isinstance(policy, StrictOrderPolicy):
-            self._run_strict(policy.order, floors, _INF)
+            self._drain(policy.order, floors, _INF)
         else:
-            self._run_ready(plan.allocator, policy.priority, floors, _INF)
+            self._drain(None, floors, _INF, allocator=plan.allocator, priority=policy.priority)
         if not self.all_done:
             leftover = self.pending_workers
             raise RuntimeError(f"policy stopped with pending messages on workers {leftover}")
 
-    def _run_strict(
-        self, order: Sequence[int], floors: Sequence[float], until: float, first: int = 0
+    def _drain(
+        self,
+        order: Sequence[int] | None,
+        floors: Sequence[float],
+        until: float,
+        first: int = 0,
+        allocator: PanelDemandAllocator | None = None,
+        priority: str | None = None,
     ) -> int:
-        """Post ``order[first:]`` and return the position it stopped at.
+        """The posting loop: post messages until the run drains or the next
+        message would start at or after ``until`` (an exclusive horizon),
+        and return the position reached in ``order``.
+
+        With an ``order``, the workers come from ``order[first:]`` (strict
+        replay; an entry naming a drained worker raises).  With
+        ``order=None`` each message goes to the pending worker with the
+        least (effective start, ``priority`` key) -- an ascending index
+        scan with strict improvement, which reproduces the reference
+        tie-breaking exactly (remaining ties go to the lowest index).
 
         ``floors`` are per-worker start floors (``post_next``'s
-        ``min_start``; ``inf`` never serves the worker) and ``until`` an
-        exclusive horizon: the loop stops before posting a message whose
-        start is ``>= until``.  Static replays pass zero floors and
-        ``until=inf``; the dynamic driver passes its crash-window/frontier
-        floors and the next timeline event's time.
+        ``min_start``): a floor raises the worker's legal start before it
+        is compared, so it feeds both the effective start and the
+        ``legal_start`` key, and a worker whose floor is ``inf`` is never
+        served.  Static replays pass zero floors and ``until=inf``; the
+        dynamic driver passes its crash-window/frontier floors and the next
+        timeline event's time.
+
+        The allocator is refilled on entry and then once per drain, not
+        before every message as in the reference loop: after a refill each
+        allocator worker either has a pending message or can get no more
+        work (its cursor and the panel supply are empty, which stays so),
+        and a post only changes the posted worker, so a refill is a no-op
+        until a post leaves its worker without a head message.
+
+        While ``_log`` holds a ``(port_events, compute_events)`` pair every
+        post appends the reference engine's events for it.
         """
-        # Inlined post_next: strict-order replay needs no head cache (the
-        # message sequence is fixed), so the whole recurrence runs on local
-        # references.  Operation-for-operation identical to post_next.
+        kinds = self._head_stage_kind
+        heads = self._head_legal
+        head_nblocks = self._head_nblocks
+        cids = self._head_cid
         chunks = self._chunks
         pos_arr = self._pos
         stage_arr = self._stage
-        rounds_posted = self._rounds_posted
         rings = self._ring
         ring_pos = self._ring_pos
         comp_free = self._comp_free
@@ -421,60 +399,75 @@ class FastEngine:
         c_arr = self._c
         w_arr = self._w
         depth = self._depth
+        refresh = self._refresh_head
         both = self.c_mode is CMode.BOTH
         init_stage = self._init_stage
+        log = self._log
+        p = self._p
+        drained, k_round, k_send = self._K_NONE, self._K_ROUND, self._K_C_SEND
+        by_cid = priority == selection_order_priority
+        # static replays (zero floors, no horizon) skip the window test
+        windowed = until != _INF or any(floors)
         port_free = self.port_free
         port_busy = self.port_busy
         through = self.blocks_through_port
         total_updates = self.total_updates
         last_end = self.last_end
-        # static replays (zero floors, no horizon) skip the window test
-        windowed = until != _INF or any(floors)
-        stop = len(order)
+        if order is None:
+            picks = repeat(-1)  # -1: pick by the ready scan
+            stop = first
+            if allocator is not None:
+                self._refill(allocator)
+        else:
+            picks = islice(order, first, None) if first else order
+            stop = len(order)
         try:
-            todo = islice(order, first, None) if first else order
-            for opos, widx in enumerate(todo, first):
-                lst = chunks[widx]
-                pos = pos_arr[widx]
-                if pos >= len(lst):
-                    raise RuntimeError(
-                        f"strict order names worker {widx} at position {opos} "
-                        "but it has no pending message"
-                    )
-                rec = lst[pos]
-                nr = rec[5]
-                st = stage_arr[widx]
-                if st == 0:  # C_SEND
-                    nblocks = rec[2]
-                    legal = c_return_end[widx]
-                    kind = 1
-                elif st <= nr:  # ROUND st-1
-                    nblocks = rec[3][st - 1]
-                    legal = (
-                        0.0
-                        if rounds_posted[widx] < depth[widx]
-                        else rings[widx][ring_pos[widx]]
-                    )
-                    kind = 2
-                else:  # C_RETURN
-                    nblocks = rec[2]
-                    legal = last_comp_end[widx]
-                    kind = 3
-                if windowed:
-                    floor = floors[widx]
-                    if floor > legal:
-                        legal = floor
+            for opos, widx in enumerate(picks, first):
+                if widx < 0:
+                    start = 0.0
+                    best_key: float | int = 0
+                    for i in range(p):
+                        if kinds[i] == drained:
+                            continue
+                        legal = heads[i]
+                        f = floors[i]
+                        if f > legal:
+                            legal = f
+                        eff = port_free if port_free > legal else legal
+                        key = cids[i] if by_cid else legal
+                        if widx < 0 or eff < start or (eff == start and key < best_key):
+                            widx = i
+                            start = eff
+                            best_key = key
+                    if widx < 0 or start >= until:
+                        break
+                    kind = kinds[widx]
+                else:
+                    kind = kinds[widx]
+                    if kind == drained:
+                        raise RuntimeError(
+                            f"strict order names worker {widx} at position {opos} "
+                            "but it has no pending message"
+                        )
+                    legal = heads[widx]
+                    if windowed:
+                        floor = floors[widx]
+                        if floor > legal:
+                            legal = floor
                     start = port_free if port_free > legal else legal
                     if start >= until:
                         stop = opos
                         break
-                else:
-                    start = port_free if port_free > legal else legal
+                # post (mirrors Engine.post_next + WorkerSim._advance)
+                nblocks = head_nblocks[widx]
                 end = start + nblocks * c_arr[widx]
                 port_free = end
                 port_busy += end - start
                 through += nblocks
-                if kind == 2:
+                st = stage_arr[widx]
+                pos = pos_arr[widx]
+                rec = chunks[widx][pos]
+                if kind == k_round:
                     updates = rec[4][st - 1]
                     cf = comp_free[widx]
                     cs = end if end > cf else cf
@@ -485,94 +478,48 @@ class FastEngine:
                     ring_pos[widx] = (rp + 1) % depth[widx]
                     comp_free[widx] = ce
                     last_comp_end[widx] = ce
-                    rounds_posted[widx] += 1
                     blocks_in[widx] += nblocks
                     updates_done[widx] += updates
                     compute_busy[widx] += ce - cs
                     total_updates += updates
                     if ce > last_end:
                         last_end = ce
-                elif kind == 1:
-                    blocks_in[widx] += nblocks
+                    if log is not None:
+                        log[0].append(
+                            PortEvent(start, end, widx, MsgKind.ROUND, rec[1], st - 1, nblocks)
+                        )
+                        log[1].append(ComputeEvent(cs, ce, widx, rec[1], st - 1, updates))
+                    last = st == rec[5] and not both
                 else:
-                    blocks_out[widx] += nblocks
-                    c_return_end[widx] = end
+                    if kind == k_send:
+                        blocks_in[widx] += nblocks
+                        mkind = MsgKind.C_SEND
+                        last = False
+                    else:
+                        blocks_out[widx] += nblocks
+                        c_return_end[widx] = end
+                        mkind = MsgKind.C_RETURN
+                        last = True
+                    if log is not None:
+                        log[0].append(PortEvent(start, end, widx, mkind, rec[1], -1, nblocks))
                 if end > last_end:
                     last_end = end
-                # advance (mirrors WorkerSim._advance)
-                if (kind == 2 and st == nr and not both) or kind == 3:
+                if last:
                     pos_arr[widx] = pos + 1
                     stage_arr[widx] = init_stage
                     chunks_done[widx] += 1
                 else:
                     stage_arr[widx] = st + 1
+                refresh(widx)
+                if allocator is not None and kinds[widx] == drained:
+                    self._refill(allocator)
         finally:
             self.port_free = port_free
             self.port_busy = port_busy
             self.blocks_through_port = through
             self.total_updates = total_updates
             self.last_end = last_end
-            for i in range(self._p):
-                self._refresh_head(i)
         return stop
-
-    def _run_ready(
-        self,
-        allocator: PanelDemandAllocator | None,
-        priority: str,
-        floors: Sequence[float],
-        until: float,
-    ) -> None:
-        """Serve pending workers by (effective start, priority key) until
-        they drain, or until the chosen message would start at or after
-        ``until``.
-
-        ``floors`` (as in :meth:`_run_strict`) raise each worker's legal
-        start before it is compared, so a floored start feeds both the
-        effective start and the ``legal_start`` key; a worker whose floor
-        is ``inf`` is never served (the loop stops once only such workers
-        remain).  Ascending index scan with strict improvement reproduces
-        the reference tie-breaking exactly (remaining ties go to the
-        lowest worker index).
-
-        The allocator is refilled on entry and then once per drain, not
-        before every message as in the reference loop: after a refill each
-        allocator worker either has a pending message or can get no more
-        work (its cursor and the panel supply are empty, which stays so),
-        and a post only changes the posted worker, so a refill is a no-op
-        until a post leaves its worker without a head message.
-        """
-        by_cid = priority == selection_order_priority
-        kinds = self._head_stage_kind
-        heads = self._head_legal
-        cids = self._head_cid
-        p = self._p
-        drained = self._K_NONE
-        if allocator is not None:
-            self._refill(allocator)
-        while True:
-            best = -1
-            best_eff = 0.0
-            best_key: float | int = 0
-            port_free = self.port_free
-            for i in range(p):
-                if kinds[i] == drained:
-                    continue
-                legal = heads[i]
-                f = floors[i]
-                if f > legal:
-                    legal = f
-                eff = port_free if port_free > legal else legal
-                key = cids[i] if by_cid else legal
-                if best < 0 or eff < best_eff or (eff == best_eff and key < best_key):
-                    best = i
-                    best_eff = eff
-                    best_key = key
-            if best < 0 or best_eff >= until:
-                break
-            self.post_next(best, floors[best])
-            if allocator is not None and kinds[best] == drained:
-                self._refill(allocator)
 
 
 def fast_simulate(

@@ -174,17 +174,12 @@ class WorkerSim:
 
     # ------------------------------------------------------------------
     def _advance(self, msg: HeadMsg) -> None:
-        ch = msg.chunk
-        nr = len(ch.rounds)
-        self.stage += 1
-        if msg.kind is MsgKind.ROUND and msg.round_idx == nr - 1:
-            # past the last round: is there a C_RETURN stage?
-            if self.c_mode is not CMode.BOTH:
-                self._next_chunk()
-        elif msg.kind is MsgKind.C_RETURN:
-            self._next_chunk()
-
-    def _next_chunk(self) -> None:
-        self.chunk_pos += 1
-        self.stage = 0 if self.c_mode is not CMode.NONE else 1
-        self.chunks_done += 1
+        # the chunk is done after its C_RETURN, or after its last round
+        # when there is no C_RETURN stage
+        last_round = msg.kind is MsgKind.ROUND and msg.round_idx == len(msg.chunk.rounds) - 1
+        if (last_round and self.c_mode is not CMode.BOTH) or msg.kind is MsgKind.C_RETURN:
+            self.chunk_pos += 1
+            self.stage = 0 if self.c_mode is not CMode.NONE else 1
+            self.chunks_done += 1
+        else:
+            self.stage += 1

@@ -134,13 +134,14 @@ def test_dynamic_crash_window_floors_match_reference(het_platform, ragged_grid, 
     nominal = simulate(het_platform, sched.plan(het_platform, ragged_grid), ragged_grid).makespan
     tl = PlatformTimeline().crash(0.1 * nominal, 0).join(0.6 * nominal, 0)
     seen_floors: list[float] = []
-    run_ready = FastEngine._run_ready
+    drain = FastEngine._drain
 
-    def spy(self, allocator, priority, floors, until):
-        seen_floors.extend(floors)
-        return run_ready(self, allocator, priority, floors, until)
+    def spy(self, order, floors, until, *args, **kwargs):
+        if order is None:  # a ready window (per-message posts pass an order)
+            seen_floors.extend(floors)
+        return drain(self, order, floors, until, *args, **kwargs)
 
-    monkeypatch.setattr(FastEngine, "_run_ready", spy)
+    monkeypatch.setattr(FastEngine, "_drain", spy)
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
     ref = simulate_reference(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
     assert any(0.0 < f < float("inf") for f in seen_floors)

@@ -15,7 +15,7 @@ adaptive replanning).  Coded-redundancy runs (pseudo-mode ``coded``,
 >= ``k`` distinct returns per stripe, killed shares never returning C.
 
 Every case also runs without recording, where the driver advances
-event-free windows on ``FastEngine``'s own drain loops, and must match
+event-free windows on ``FastEngine``'s posting loop, and must match
 its recorded rerun (which walks the per-message loop) bit for bit.
 
 The fuzz wall draws seeded random cases; a failure message always carries
@@ -457,7 +457,7 @@ def test_fuzz_engines_agree_and_validate(offset):
     assert fast.worker_stats == ref.worker_stats, f"replay seed {seed}"
     for sim in (fast, ref):
         validate_dynamic(sim, timeline, grid=grid)
-    # the synthesized fast-path trace is the reference engine's trace
+    # the recorded fast-path trace is the reference engine's trace
     assert fast.port_events == ref.port_events, f"replay seed {seed}"
     assert fast.compute_events == ref.compute_events, f"replay seed {seed}"
 
