@@ -4,8 +4,8 @@ Subcommands
 -----------
 ``figure``    run one paper figure (fig4..fig8) and print relative tables
 ``summary``   run the Figure 9 cross-experiment summary
-``run``       run one algorithm on one platform/grid on the traced
-              reference engine, print details/Gantt (``--execute``
+``run``       run one algorithm on one platform/grid with full event
+              traces, print details/Gantt (``--execute``
               performs the schedule for real on the threaded runtime and
               checks the result against C + A @ B)
 ``serve``     multi-process scheduling service: admit N concurrent
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument(
         "--validate",
         action="store_true",
-        help="simulate on the reference engine and audit its traces",
+        help="simulate with full event traces and audit them",
     )
     add_runner_opts(p_fig)
 

@@ -127,7 +127,7 @@ def run_figure(
 
     ``validate``, ``parallel``, ``cache`` and ``objective`` are forwarded
     to :func:`~repro.experiments.harness.run_experiment`, so a figure's
-    (algorithm, instance) runs can be audited on the reference engine, fan
+    (algorithm, instance) runs can be replayed with traces and audited, fan
     out across cores, reuse content-addressed results from earlier
     invocations, or score a chosen objective.  Planning and replay step on
     the process's kernel backend (``REPRO_KERNEL``, set by ``--kernel``).

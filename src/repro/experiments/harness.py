@@ -157,9 +157,9 @@ def run_experiment(
     Every run goes through :meth:`~repro.schedulers.base.Scheduler.run`:
     eventless runs replay on the fast path (batch-replayable plans through
     a single-instance :class:`~repro.sim.batch.BatchEngine` on the
-    compiled kernel).  ``validate`` is the oracle switch: it needs full
-    traces and so forces the in-process reference engine, whose makespans
-    are bit-identical (the golden wall pins this).
+    compiled kernel).  ``validate`` is the trace switch: it replays each
+    plan in process with full event traces (same makespans, bit for bit;
+    the golden wall pins this) and audits them.
 
     ``parallel`` fans whole (algorithm, instance) runs out across worker
     processes (see :func:`repro.experiments.parallel.resolve_workers` for

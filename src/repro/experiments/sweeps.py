@@ -166,7 +166,7 @@ def heterogeneity_sweep(
     ``parallel``, ``cache`` and ``objective`` mean what they mean for
     :func:`~repro.experiments.harness.run_experiment`; each point plans
     and replays on the process's kernel backend (``REPRO_KERNEL``), and
-    its makespans equal the reference engine's bit for bit."""
+    its makespans equal a traced replay's bit for bit."""
     sweep = HeterogeneitySweep(algorithms=list(algorithms))
     grid = scale_grid(BlockGrid.paper_instance(s_elements), scale)
     labelled = []

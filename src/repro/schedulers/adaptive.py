@@ -435,28 +435,11 @@ class AdaptiveScheduler:
             candidates.append(cand)
         if not candidates:
             raise SchedulingError(f"{self.name}: no feasible plan on the final platform")
-        # allocator plans are consumed by scoring: score a rebuilt copy
-        scores = [
-            fast_simulate(final, self._rescorable(cand)).makespan for cand in candidates
-        ]
+        scores = [fast_simulate(final, cand).makespan for cand in candidates]
         best = min(range(len(candidates)), key=lambda i: (scores[i], i))
         plan = candidates[best]
         plan.meta["clairvoyant_estimate"] = scores[best]
         return plan
-
-    @staticmethod
-    def _rescorable(plan: Plan) -> Plan:
-        """A scoring copy whose consumable allocator (if any) is cloned."""
-        if plan.allocator is None:
-            return plan
-        return Plan(
-            assignments=[list(chs) for chs in plan.assignments],
-            policy=plan.policy,
-            depths=list(plan.depths),
-            allocator=plan.allocator.clone(),
-            c_mode=plan.c_mode,
-            meta=dict(plan.meta),
-        )
 
     # ------------------------------------------------------------------
     # online rescheduling

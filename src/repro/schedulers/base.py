@@ -83,18 +83,17 @@ class Scheduler(ABC):
         name and the wall-clock planning time (the paper includes each
         algorithm's decision process in its measured times).
 
-        Without event collection the plan is replayed on the fast path
-        (:func:`~repro.sim.fastpath.fast_simulate`), which is bit-identical
-        to the reference engine but an order of magnitude faster; asking
-        for events selects the reference engine with its full traces.
-        Planning searches and the eventless replay both step on the
-        process's kernel backend (``REPRO_KERNEL``, see
-        :mod:`repro.sim.kernels`).
+        With ``collect_events`` the plan is replayed by
+        :func:`~repro.sim.engine.simulate`, which records the full port and
+        compute traces; without it by
+        :func:`~repro.sim.fastpath.fast_simulate`, which returns the same
+        makespan and statistics with empty traces.  Planning searches and
+        the eventless replay both step on the process's kernel backend
+        (``REPRO_KERNEL``, see :mod:`repro.sim.kernels`).
         """
         with trace("plan", algorithm=self.name), stopwatch("plan.seconds") as sw:
             plan = self.plan(platform, grid)
-        engine = "reference" if collect_events else "fast"
-        with trace("simulate", algorithm=self.name, engine=engine):
+        with trace("simulate", algorithm=self.name):
             if collect_events:
                 result = simulate(platform, plan, grid)
             else:

@@ -29,8 +29,8 @@ Two variants:
     fixed-rate MDS-like: exactly ``n = k + redundancy`` shares per stripe,
     statically staggered across the enrolled workers so one stripe's
     shares land on distinct workers whenever ``n <= p``.  The plan is a
-    plain assignment plan — all three engines (reference / fast / batch)
-    replay it unchanged.
+    plain assignment plan — the fast and batch engines replay it
+    unchanged.
 
 ``CodedRL`` (:class:`RatelessCodedScheduler`)
     rateless: a :class:`CodedDemandAllocator` streams shares to drained
@@ -220,8 +220,8 @@ class CodedDemandAllocator:
     def refill_via(self, has_pending, assign_chunk) -> None:
         """Engine-agnostic refill: one share per drained enrolled worker
         per engine iteration, in ascending worker order — the same demand
-        discipline as the panel allocator, so both engines hand shares out
-        in an identical order."""
+        discipline as the panel allocator, so every engine hands shares
+        out in an identical order."""
         for widx in self.enrolled:
             if has_pending(widx):
                 continue

@@ -18,7 +18,7 @@ from .dynamic import (
     random_timeline,
     simulate_dynamic,
 )
-from .engine import Engine, SimResult, WorkerStats, simulate
+from .engine import SimResult, WorkerStats, simulate
 from .fastpath import FastEngine, fast_simulate
 from .plan import Plan
 from .policies import (
@@ -34,11 +34,10 @@ from .validate import (
     validate_dynamic,
     validate_result,
 )
-from .worker_state import CMode, HeadMsg, WorkerSim
+from .worker_state import CMode
 
 __all__ = [
     "PanelDemandAllocator",
-    "Engine",
     "SimResult",
     "WorkerStats",
     "simulate",
@@ -71,6 +70,4 @@ __all__ = [
     "validate_dynamic",
     "validate_result",
     "CMode",
-    "HeadMsg",
-    "WorkerSim",
 ]

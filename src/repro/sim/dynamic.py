@@ -43,9 +43,10 @@ scheduler × CMode × policy matrix).  Native windows and the per-message
 loop are bit-identical too (makespans, statistics, kills and boundary
 decisions — the equivalence wall in ``tests/test_dynamic_validation.py``).
 The engine equivalence wall replays the same timeline interpretation on
-the reference event engine through a test-side adapter
-(``tests/dynamic_oracle.py``), which stands in for :class:`_FastAdapter`
-without online control (``supports_control = False``).
+a per-message event engine kept on the test side as the oracle, through
+an adapter (``tests/dynamic_oracle.py``) that stands in for
+:class:`_FastAdapter` without online control
+(``supports_control = False``).
 
 **Online control.**  A ``controller`` callback fires at every event
 boundary with the live :class:`DynamicRun`; it may reclaim unstarted
@@ -65,7 +66,7 @@ stay bit-identical.
 **Auditability.**  With ``record_events=True`` the fast engine's posting
 loop records, for every message it posts, the same
 :class:`~repro.core.ops.PortEvent` / :class:`~repro.core.ops.ComputeEvent`
-records the reference engine would emit — including under online control,
+records a traced static replay emits — including under online control,
 where the driver also logs killed (abandoned) chunk ids into
 ``meta["dynamic"]``; probes never record — so every dynamic run, static or
 adaptive, can be audited by :func:`repro.sim.validate.validate_dynamic`.
@@ -408,7 +409,8 @@ class DynamicRun:
         completion=None,
     ) -> None:
         self.adapter = adapter
-        self.allocator = plan.allocator
+        # the run consumes its allocator: a clone leaves the plan replayable
+        self.allocator = None if plan.allocator is None else plan.allocator.clone()
         self.c_mode = plan.c_mode
         self.controller = controller
         self.completion = completion
@@ -915,12 +917,7 @@ def simulate_dynamic(
         meta["dynamic"]["c_mode"] = plan.c_mode.name
         meta["dynamic"]["killed_cids"] = sorted(cid for cid, _t in run.killed)
         meta["dynamic"]["kills"] = sorted(run.killed)
-    result = adapter.result(grid, meta)
-    if record_events and adapter.supports_control:
-        port_log, comp_log = adapter.engine._log
-        result.port_events = tuple(port_log)
-        result.compute_events = tuple(comp_log)
-    return result
+    return adapter.result(grid, meta)
 
 
 # ----------------------------------------------------------------------

@@ -1,31 +1,32 @@
-"""The one-port discrete-event engine.
+"""Simulation results and the traced one-port replay.
 
 The master owns a single communication port: at any instant it is sending
 to, or receiving from, at most one worker (Bhat-Raghavendra-Prasanna's
 one-port model, which the paper's MPI experiments obey).  Worker timelines
 are deterministic recurrences of the port schedule (see
-:mod:`repro.sim.worker_state`), so the engine is a simple sequential loop:
-the plan's port policy picks which worker's next pipeline message to post,
-the engine computes its legal start time (buffer rules), occupies the port,
+:mod:`repro.sim.worker_state`), so a simulation is a sequential loop: the
+plan's port policy picks which worker's next pipeline message to post, the
+engine computes its legal start time (buffer rules), occupies the port,
 and updates the worker's compute timeline.
 
-For bulk evaluation (the experiment layer, selection scoring) prefer
-:mod:`repro.sim.fastpath`, which replays plans over flat arrays with
-bit-identical results.
+That loop is :class:`~repro.sim.fastpath.FastEngine`'s.  :func:`simulate`
+runs it with its event log switched on and returns the full port and
+compute traces; :func:`~repro.sim.fastpath.fast_simulate` returns the same
+result without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from ..core.blocks import BlockGrid
 from ..core.chunks import Chunk
 from ..core.ops import ComputeEvent, PortEvent
 from ..platform.model import Platform
-from .worker_state import CMode, HeadMsg, WorkerSim
+from .plan import Plan
 
-__all__ = ["Engine", "WorkerStats", "SimResult", "simulate"]
+__all__ = ["WorkerStats", "SimResult", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -106,170 +107,19 @@ class SimResult:
         return "\n".join(lines)
 
 
-class Engine:
-    """Incremental one-port simulator over a platform.
-
-    Parameters
-    ----------
-    platform:
-        The star platform.
-    depths:
-        Per-worker prefetch depth (from the memory layout); default 2
-        (the overlapped maximum re-use layout).
-    c_mode:
-        Which C messages to simulate (see :class:`CMode`).
-
-    The engine records every port and compute event: it is the traced
-    oracle, and eventless replays go through
-    :func:`~repro.sim.fastpath.fast_simulate` instead.
-    """
-
-    def __init__(
-        self,
-        platform: Platform,
-        *,
-        depths: Sequence[int] | None = None,
-        c_mode: CMode = CMode.BOTH,
-    ) -> None:
-        if depths is None:
-            depths = [2] * platform.p
-        if len(depths) != platform.p:
-            raise ValueError("need one prefetch depth per worker")
-        self.platform = platform
-        self.port_free = 0.0
-        self.port_busy = 0.0
-        self.blocks_through_port = 0
-        self.total_updates = 0
-        self.workers = [
-            WorkerSim(platform[i], depths[i], c_mode) for i in range(platform.p)
-        ]
-        self.port_events: list[PortEvent] = []
-        self.compute_events: list[ComputeEvent] = []
-        self.all_chunks: list[Chunk] = []
-        self.last_end = 0.0
-
-    # ------------------------------------------------------------------
-    # assignment and stepping
-    # ------------------------------------------------------------------
-    def assign_chunk(self, widx: int, chunk: Chunk) -> None:
-        """Append ``chunk`` to worker ``widx``'s pipeline."""
-        if chunk.worker != widx:
-            raise ValueError(f"chunk {chunk.cid} owned by {chunk.worker}, assigned to {widx}")
-        self.workers[widx].assign(chunk)
-        self.all_chunks.append(chunk)
-
-    def head(self, widx: int) -> HeadMsg | None:
-        return self.workers[widx].head()
-
-    def has_pending(self, widx: int) -> bool:
-        """True when worker ``widx`` still has messages to post."""
-        return self.workers[widx].has_pending
-
-    def legal_start(self, widx: int) -> float:
-        """Earliest start of worker ``widx``'s head message (which must exist)."""
-        ws = self.workers[widx]
-        msg = ws.head()
-        if msg is None:
-            raise RuntimeError(f"worker {widx} has no pending message")
-        return ws.legal_start(msg)
-
-    def effective_start(self, widx: int) -> float:
-        """Earliest start accounting for the port being busy."""
-        return max(self.port_free, self.legal_start(widx))
-
-    def post_next(self, widx: int, min_start: float = 0.0) -> PortEvent:
-        """Post worker ``widx``'s next pipeline message on the port.
-
-        ``min_start`` adds an external availability floor (the dynamic
-        layer's crash/join windows); the default 0.0 leaves the start time
-        bit-identical to the two-way ``max``.
-        """
-        ws = self.workers[widx]
-        msg = ws.head()
-        if msg is None:
-            raise RuntimeError(f"worker {widx} has no pending message to post")
-        start = max(self.port_free, ws.legal_start(msg))
-        if min_start > start:
-            start = min_start
-        end = start + msg.nblocks * ws.worker.c
-        self.port_free = end
-        self.port_busy += end - start
-        self.blocks_through_port += msg.nblocks
-        comp = ws.post(msg, start, end)
-        if comp is not None:
-            self.total_updates += comp.updates
-            self.last_end = max(self.last_end, comp.end)
-            self.compute_events.append(comp)
-        self.last_end = max(self.last_end, end)
-        evt = PortEvent(start, end, widx, msg.kind, msg.chunk.cid, msg.round_idx, msg.nblocks)
-        self.port_events.append(evt)
-        return evt
-
-    @property
-    def pending_workers(self) -> list[int]:
-        """Workers that still have messages to post."""
-        return [i for i, ws in enumerate(self.workers) if ws.has_pending]
-
-    @property
-    def all_done(self) -> bool:
-        return not any(ws.has_pending for ws in self.workers)
-
-    # ------------------------------------------------------------------
-    def result(self, grid: BlockGrid | None = None, meta: dict | None = None) -> SimResult:
-        """Freeze the engine state into a :class:`SimResult`."""
-        stats = tuple(
-            WorkerStats(
-                worker=i,
-                chunks=ws.chunks_done,
-                blocks_in=ws.blocks_in,
-                blocks_out=ws.blocks_out,
-                updates=ws.updates_done,
-                compute_busy=ws.compute_busy,
-                finish=max(ws.c_return_end, ws.last_comp_end),
-            )
-            for i, ws in enumerate(self.workers)
-        )
-        return SimResult(
-            makespan=self.last_end,
-            platform=self.platform,
-            grid=grid,
-            worker_stats=stats,
-            port_busy=self.port_busy,
-            total_updates=self.total_updates,
-            blocks_through_port=self.blocks_through_port,
-            chunks=tuple(self.all_chunks),
-            port_events=tuple(self.port_events),
-            compute_events=tuple(self.compute_events),
-            meta=dict(meta or {}),
-        )
-
-
-def simulate(platform: Platform, plan: "Plan", grid: BlockGrid | None = None) -> SimResult:
-    """Run a :class:`~repro.sim.plan.Plan` to completion and return its result.
+def simulate(platform: Platform, plan: Plan, grid: BlockGrid | None = None) -> SimResult:
+    """Run a :class:`~repro.sim.plan.Plan` to completion and return its
+    result with the full port and compute event traces.
 
     The plan's policy chooses the port service order; its optional allocator
     materializes chunks on demand (dynamic algorithms).  Static chunk
     assignments are installed first.
     """
-    from .plan import Plan  # local import to avoid a cycle
+    from .fastpath import FastEngine  # local import: fastpath imports SimResult
 
     if not isinstance(plan, Plan):
         raise TypeError(f"expected a Plan, got {type(plan)!r}")
-    engine = Engine(platform, depths=plan.depths, c_mode=plan.c_mode)
-    for widx, chunks in enumerate(plan.assignments):
-        for ch in chunks:
-            engine.assign_chunk(widx, ch)
-    policy = plan.policy.fresh()
-    allocator = plan.allocator
-    while True:
-        if allocator is not None:
-            allocator.refill_via(engine.has_pending, engine.assign_chunk)
-        widx = policy.next_choice(engine)
-        if widx is None:
-            break
-        engine.post_next(widx)
-    if not engine.all_done:
-        leftover = engine.pending_workers
-        raise RuntimeError(f"policy stopped with pending messages on workers {leftover}")
-    meta = dict(plan.meta)
-    return engine.result(grid=grid, meta=meta)
+    engine = FastEngine(platform, depths=plan.depths, c_mode=plan.c_mode)
+    engine._log = ([], [])
+    engine.run_plan(plan)
+    return engine.result(grid=grid, meta=dict(plan.meta))

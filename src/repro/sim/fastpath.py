@@ -1,15 +1,8 @@
 """Fast-path simulation: flat-array replay of a plan.
 
-The reference :class:`~repro.sim.engine.Engine` is written for clarity: it
-materializes a :class:`~repro.sim.worker_state.HeadMsg` object every time a
-policy inspects a worker (three times per port decision) and keeps one
-:class:`WorkerSim` object per worker.  That is fine for a single traced run
-but dominates the wall clock of the experiment layer, where one paper
-figure triggers hundreds of what-if simulations (HomI's virtual-platform
-search alone runs ~p^3 of them).
-
-:class:`FastEngine` replays the *same* recurrence over flat per-worker
-scalar arrays:
+:class:`FastEngine` is the per-message engine behind every traced run,
+every allocator plan and the dynamic driver.  It keeps the one-port
+recurrence over flat per-worker scalar arrays:
 
 * chunk pipelines are pre-digested into ``(cid, c_blocks, nblocks[],
   updates[])`` tuples, so no per-message objects are created;
@@ -20,13 +13,17 @@ scalar arrays:
   (:class:`StrictOrderPolicy`, :class:`ReadyPolicy` with its one-key
   priority) and the demand allocators, so every plan runs here;
   ``post_next`` and the dynamic driver's event-free windows go through
-  the same loop, which also records the dynamic driver's event traces.
+  the same loop, which also records the port and compute events of every
+  traced run (:func:`~repro.sim.engine.simulate` and the dynamic driver's
+  ``record_events``).
 
-Every floating-point operation is performed in exactly the order of the
-reference engine, so makespans, per-worker statistics and port busy time
-are **bit-identical** -- the equivalence and golden-regression test walls
+The batch engine and its kernels (:mod:`repro.sim.batch`) perform the same
+floating-point operations in the same order, so makespans, per-worker
+statistics and port busy time are **bit-identical** across engines.  The
+equivalence and golden-regression test walls
 (``tests/test_fastpath_equivalence.py``, ``tests/test_regression_golden.py``)
-pin this.
+pin this against a per-message event engine kept on the test side as the
+oracle (``tests/reference_engine.py``).
 """
 
 from __future__ import annotations
@@ -54,12 +51,11 @@ _ChunkRec = tuple[Chunk, int, int, tuple[int, ...], tuple[int, ...], int]
 
 
 class FastEngine:
-    """One-port simulator over flat per-worker arrays (event traces only
-    for the dynamic driver's recorded runs).
+    """One-port simulator over flat per-worker arrays (event traces while
+    ``_log`` is set).
 
-    State and transition rules mirror :class:`~repro.sim.engine.Engine` +
-    :class:`~repro.sim.worker_state.WorkerSim` exactly; only the data layout
-    differs.  See the module docstring for the bit-identity contract.
+    The buffer rules are :mod:`repro.sim.worker_state`'s.  See the module
+    docstring for the bit-identity contract.
     """
 
     __slots__ = (
@@ -97,7 +93,7 @@ class FastEngine:
         "_log",
     )
 
-    # head kind codes (match the stage tests of WorkerSim.head)
+    # head kind codes (per pipeline stage: C_SEND, a round, C_RETURN)
     _K_NONE, _K_C_SEND, _K_ROUND, _K_C_RETURN = 0, 1, 2, 3
 
     def __init__(
@@ -208,8 +204,8 @@ class FastEngine:
         elif st <= nr:
             self._head_stage_kind[i] = self._K_ROUND
             # oldest entry of the compute ring: the compute end of round
-            # (rounds posted - depth), exactly WorkerSim.comp_ring[0] once the
-            # ring is full, and one of its initial 0.0s until then
+            # (rounds posted - depth) once the ring is full, and one of its
+            # initial 0.0s until then
             self._head_legal[i] = self._ring[i][self._ring_pos[i]]
             self._head_nblocks[i] = nblocks[st - 1]
         else:
@@ -222,8 +218,7 @@ class FastEngine:
     # posting
     # ------------------------------------------------------------------
     def post_next(self, widx: int, min_start: float = 0.0) -> None:
-        """Post worker ``widx``'s head message on the port (same arithmetic,
-        in the same order, as ``Engine.post_next``).
+        """Post worker ``widx``'s head message on the port.
 
         ``min_start`` adds an external availability floor (the dynamic
         layer's crash/join windows); the default 0.0 leaves the start time
@@ -294,7 +289,9 @@ class FastEngine:
     # result
     # ------------------------------------------------------------------
     def result(self, grid: BlockGrid | None = None, meta: dict | None = None) -> SimResult:
-        """Freeze the state into a :class:`SimResult` (no event traces)."""
+        """Freeze the state into a :class:`SimResult`, with the logged
+        events when ``_log`` is set (empty traces otherwise)."""
+        log = self._log or ((), ())
         stats = tuple(
             WorkerStats(
                 worker=i,
@@ -316,6 +313,8 @@ class FastEngine:
             total_updates=self.total_updates,
             blocks_through_port=self.blocks_through_port,
             chunks=tuple(self.all_chunks),
+            port_events=tuple(log[0]),
+            compute_events=tuple(log[1]),
             meta=dict(meta or {}),
         )
 
@@ -326,8 +325,9 @@ class FastEngine:
         allocator.refill_via(self.has_pending, self.assign_chunk)
 
     def run_plan(self, plan: Plan) -> None:
-        """Drive the plan's policy/allocator to completion (the analogue of
-        the ``simulate`` main loop)."""
+        """Drive the plan's policy to completion.  A demand allocator is
+        consumed by the replay, so it runs on a clone and the plan can be
+        replayed again."""
         for widx, chunks in enumerate(plan.assignments):
             for ch in chunks:
                 self.assign_chunk(widx, ch)
@@ -336,7 +336,8 @@ class FastEngine:
         if isinstance(policy, StrictOrderPolicy):
             self._drain(policy.order, floors, _INF)
         else:
-            self._drain(None, floors, _INF, allocator=plan.allocator, priority=policy.priority)
+            allocator = None if plan.allocator is None else plan.allocator.clone()
+            self._drain(None, floors, _INF, allocator=allocator, priority=policy.priority)
         if not self.all_done:
             leftover = self.pending_workers
             raise RuntimeError(f"policy stopped with pending messages on workers {leftover}")
@@ -358,8 +359,8 @@ class FastEngine:
         replay; an entry naming a drained worker raises).  With
         ``order=None`` each message goes to the pending worker with the
         least (effective start, ``priority`` key) -- an ascending index
-        scan with strict improvement, which reproduces the reference
-        tie-breaking exactly (remaining ties go to the lowest index).
+        scan with strict improvement, so remaining ties go to the lowest
+        index.
 
         ``floors`` are per-worker start floors (``post_next``'s
         ``min_start``): a floor raises the worker's legal start before it
@@ -370,14 +371,14 @@ class FastEngine:
         timeline event's time.
 
         The allocator is refilled on entry and then once per drain, not
-        before every message as in the reference loop: after a refill each
+        before every message: after a refill each
         allocator worker either has a pending message or can get no more
         work (its cursor and the panel supply are empty, which stays so),
         and a post only changes the posted worker, so a refill is a no-op
         until a post leaves its worker without a head message.
 
         While ``_log`` holds a ``(port_events, compute_events)`` pair every
-        post appends the reference engine's events for it.
+        post appends its port event (and, for a round, its compute event).
         """
         kinds = self._head_stage_kind
         heads = self._head_legal
@@ -458,7 +459,7 @@ class FastEngine:
                     if start >= until:
                         stop = opos
                         break
-                # post (mirrors Engine.post_next + WorkerSim._advance)
+                # post: occupy the port, schedule a round's compute, advance
                 nblocks = head_nblocks[widx]
                 end = start + nblocks * c_arr[widx]
                 port_free = end
@@ -529,10 +530,9 @@ def fast_simulate(
 ) -> SimResult:
     """Run ``plan`` on the fast path and return its :class:`SimResult`.
 
-    Drop-in replacement for :func:`repro.sim.engine.simulate` when event
-    traces are not needed: makespan, per-worker statistics, port busy time
-    and the chunk list are bit-identical to the reference engine; the
-    ``port_events`` / ``compute_events`` tuples are always empty.
+    :func:`repro.sim.engine.simulate` without the event traces: makespan,
+    per-worker statistics, port busy time and the chunk list are the same;
+    the ``port_events`` / ``compute_events`` tuples are always empty.
 
     The stepping backend is the process's (see :mod:`repro.sim.kernels`).
     Under a whole-run backend, batch-replayable plans route through a

@@ -360,7 +360,7 @@ def validate_dynamic(
     if c_mode is not None:
         expect_c_send = c_mode != "NONE"
         expect_c_return = c_mode == "BOTH"
-    else:  # traced reference-engine run without the audit annex
+    else:  # traced run without the audit annex
         expect_c_send = any(e.kind is MsgKind.C_SEND for e in port)
         expect_c_return = any(e.kind is MsgKind.C_RETURN for e in port)
 

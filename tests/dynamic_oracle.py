@@ -4,7 +4,7 @@ segmented driver.
 :func:`repro.sim.dynamic.simulate_dynamic` always drives the flat-array
 :class:`~repro.sim.fastpath.FastEngine` through ``_FastAdapter``.  The
 engine equivalence wall wants the same timeline interpretation replayed a
-second time on the per-message :class:`~repro.sim.engine.Engine`, so
+second time on the per-message :class:`tests.reference_engine.Engine`, so
 :func:`reference_engine` swaps :class:`ReferenceAdapter` in for the
 duration of a ``with`` block.  Everything that runs inside
 ``simulate_dynamic`` -- the coded family's decode tracking included --
@@ -22,8 +22,9 @@ from unittest import mock
 
 import repro.sim.dynamic as dynamic
 from repro.core.ops import MsgKind
-from repro.sim.engine import Engine, SimResult
+from repro.sim.engine import SimResult
 from repro.sim.worker_state import CMode
+from tests.reference_engine import Engine
 
 
 class ReferenceAdapter:
@@ -110,7 +111,7 @@ def on_engine(name: str):
     return reference_engine() if name == "reference" else nullcontext()
 
 
-def simulate_reference(*args, **kwargs) -> SimResult:
+def simulate_dynamic_reference(*args, **kwargs) -> SimResult:
     """:func:`repro.sim.dynamic.simulate_dynamic` on the reference engine."""
     with reference_engine():
         return dynamic.simulate_dynamic(*args, **kwargs)

@@ -8,11 +8,12 @@ from repro.platform.model import Platform
 from repro.schedulers.registry import make_scheduler
 from repro.sim.allocator import PanelDemandAllocator
 from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
-from repro.sim.engine import Engine, simulate
-from repro.sim.fastpath import FastEngine
+from repro.sim.engine import simulate
+from repro.sim.fastpath import FastEngine, fast_simulate
 from repro.sim.plan import Plan
 from repro.sim.policies import ReadyPolicy, demand_priority, selection_order_priority
-from tests.dynamic_oracle import simulate_reference
+from tests.dynamic_oracle import simulate_dynamic_reference
+from tests.reference_engine import Engine, assert_same_run, simulate_reference
 
 
 class TestPanelDemandAllocator:
@@ -75,28 +76,18 @@ class TestPanelDemandAllocator:
 # ----------------------------------------------------------------------
 # FastEngine's ready replay refills the allocator only when a worker drains
 # ----------------------------------------------------------------------
-def _count_refills(allocator) -> list[int]:
-    """Wrap ``allocator.refill_via`` in place; returns the live call count."""
+def _count_refills(monkeypatch) -> list[int]:
+    """Count every ``PanelDemandAllocator.refill_via`` call (replays refill
+    a clone of the plan's allocator); returns the live call count."""
     calls = [0]
-    inner = allocator.refill_via
+    inner = PanelDemandAllocator.refill_via
 
-    def counted(has_pending, assign_chunk):
+    def counted(self, has_pending, assign_chunk):
         calls[0] += 1
-        inner(has_pending, assign_chunk)
+        inner(self, has_pending, assign_chunk)
 
-    allocator.refill_via = counted
+    monkeypatch.setattr(PanelDemandAllocator, "refill_via", counted)
     return calls
-
-
-def _assert_same_run(ref, fast):
-    assert fast.makespan == ref.makespan
-    assert fast.port_busy == ref.port_busy
-    assert fast.blocks_through_port == ref.blocks_through_port
-    assert fast.total_updates == ref.total_updates
-    assert fast.worker_stats == ref.worker_stats
-    assert [(c.cid, c.worker, c.i0, c.j0) for c in fast.chunks] == [
-        (c.cid, c.worker, c.i0, c.j0) for c in ref.chunks
-    ]
 
 
 @pytest.mark.parametrize("name", ["ODDOML", "BMM"])
@@ -106,24 +97,21 @@ def _assert_same_run(ref, fast):
     ids=["registry-spec", "selection-order"],
 )
 @pytest.mark.parametrize("grid", [BlockGrid(r=7, t=6, s=13, q=3), BlockGrid(r=12, t=5, s=31)])
-def test_fast_ready_replay_refills_once_per_drain(name, priority, grid, het_platform):
-    def build():
-        plan = make_scheduler(name).plan(het_platform, grid)  # allocators are single-use
-        if priority is not None:
-            plan.policy = ReadyPolicy(priority)
-        return plan
-
-    ref_plan = build()
-    ref = simulate(het_platform, ref_plan, grid)
-    plan = build()
-    calls = _count_refills(plan.allocator)
+def test_fast_ready_replay_refills_once_per_drain(
+    name, priority, grid, het_platform, monkeypatch
+):
+    plan = make_scheduler(name).plan(het_platform, grid)
+    if priority is not None:
+        plan.policy = ReadyPolicy(priority)
+    ref = simulate_reference(het_platform, plan, grid)
+    calls = _count_refills(monkeypatch)
     eng = FastEngine(het_platform, depths=plan.depths, c_mode=plan.c_mode)
     eng.run_plan(plan)
     fast = eng.result(grid=grid, meta=dict(plan.meta))
-    _assert_same_run(ref, fast)
+    assert_same_run(fast, ref, events=False)
     chunks_done = sum(ws.chunks for ws in fast.worker_stats)
     assert chunks_done == len(fast.chunks) > 1
-    assert calls[0] <= 1 + chunks_done
+    assert 1 <= calls[0] <= 1 + chunks_done
 
 
 def test_dynamic_crash_window_floors_match_reference(het_platform, ragged_grid, monkeypatch):
@@ -143,7 +131,29 @@ def test_dynamic_crash_window_floors_match_reference(het_platform, ragged_grid, 
 
     monkeypatch.setattr(FastEngine, "_drain", spy)
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
-    ref = simulate_reference(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
+    ref = simulate_dynamic_reference(
+        het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid
+    )
     assert any(0.0 < f < float("inf") for f in seen_floors)
-    _assert_same_run(ref, fast)
+    assert_same_run(fast, ref, events=False)
     assert fast.makespan > nominal
+
+
+@pytest.mark.parametrize("name", ["ODDOML", "BMM", "CodedRL"])
+def test_allocator_plan_replays_alike(name, het_platform, small_grid):
+    """A replay drives a clone of the plan's demand allocator, so a second
+    replay of the same plan -- on any entry point -- sees the same grants
+    instead of an exhausted allocator (which ran nothing: makespan 0)."""
+    plan = make_scheduler(name).plan(het_platform, small_grid)
+    assert plan.allocator is not None
+    nominal = simulate(het_platform, plan, small_grid).makespan
+    timeline = PlatformTimeline().straggle(0.3 * nominal, 0, 3.0)
+    replays = {
+        "simulate": lambda: simulate(het_platform, plan, small_grid),
+        "fast_simulate": lambda: fast_simulate(het_platform, plan, small_grid),
+        "simulate_dynamic": lambda: simulate_dynamic(het_platform, plan, timeline, small_grid),
+    }
+    for entry, replay in replays.items():
+        first, second = replay().makespan, replay().makespan
+        assert first == second > 0, entry
+    assert fast_simulate(het_platform, plan, small_grid).makespan == nominal

@@ -60,22 +60,21 @@ from repro.sim.policies import (
 )
 from repro.sim.worker_state import CMode
 from tests.per_mode import kernel_env, per_mode_makespans, per_mode_outcomes
+from tests.reference_engine import simulate_reference
 
 
-def assert_outcome_equivalent(fast, outcome):
-    """Exact equality between a fast-path SimResult and a BatchOutcome."""
-    assert outcome.makespan == fast.makespan
-    assert outcome.port_busy == fast.port_busy
-    assert outcome.total_updates == fast.total_updates
-    assert outcome.blocks_through_port == fast.blocks_through_port
-    assert outcome.worker_stats == fast.worker_stats
-    assert outcome.n_enrolled == fast.n_enrolled
+def assert_outcome_equivalent(ref, outcome):
+    """Exact equality between a scalar SimResult and a BatchOutcome."""
+    assert outcome.makespan == ref.makespan
+    assert outcome.port_busy == ref.port_busy
+    assert outcome.total_updates == ref.total_updates
+    assert outcome.blocks_through_port == ref.blocks_through_port
+    assert outcome.worker_stats == ref.worker_stats
+    assert outcome.n_enrolled == ref.n_enrolled
 
 
 def clone_plan(plan: Plan) -> Plan:
-    """Fresh plan with a fresh policy (strict policies carry a cursor).
-    Only for allocator-free plans -- allocators are single-use, so
-    allocator-driven plans must be re-planned by a fresh scheduler."""
+    """Fresh copy of an allocator-free plan, with a fresh policy."""
     assert plan.allocator is None
     if isinstance(plan.policy, StrictOrderPolicy):
         policy = StrictOrderPolicy(plan.policy.order)
@@ -128,33 +127,24 @@ def test_registry_one_ragged_batch(het_platform, hom_platform, small_grid, ragge
         (het_platform, ragged_grid),
         (hom_platform, small_grid),
     ]
-    runs, fasts = [], []
+    runs, refs = [], []
     for platform, grid in instances:
         for name in sorted(SCHEDULERS):
             try:
                 plan = make_scheduler(name).plan(platform, grid)
             except SchedulingError:
                 continue
-            # fresh plan for the scalar reference (allocators are single-use)
-            fast_plan = make_scheduler(name).plan(platform, grid)
-            fasts.append(fast_simulate(platform, fast_plan, grid))
-            runs.append((platform, plan, name, grid))
-    assert any(not supports_batch(plan) for _pf, plan, _n, _g in runs)  # fallbacks
-    assert any(supports_batch(plan) for _pf, plan, _n, _g in runs)
-    outcomes = per_mode_outcomes([(p, pl) for p, pl, _n, _g in runs])
-    for fast, outcome in zip(fasts, outcomes):
-        assert_outcome_equivalent(fast, outcome)
-    # the routed batch_outcomes / batch_simulate agree (fresh plans again)
-    routed = batch_outcomes(
-        [(p, make_scheduler(n).plan(p, g)) for p, _pl, n, g in runs]
-    )
-    for fast, outcome in zip(fasts, routed):
-        assert_outcome_equivalent(fast, outcome)
-    makespans = batch_simulate(
-        [(p, make_scheduler(n).plan(p, g)) for p, _pl, n, g in runs]
-    )
-    for fast, ms in zip(fasts, makespans):
-        assert ms == fast.makespan
+            refs.append(simulate_reference(platform, plan, grid))
+            runs.append((platform, plan))
+    assert any(not supports_batch(plan) for _pf, plan in runs)  # fallbacks
+    assert any(supports_batch(plan) for _pf, plan in runs)
+    for ref, outcome in zip(refs, per_mode_outcomes(runs)):
+        assert_outcome_equivalent(ref, outcome)
+    # the routed batch_outcomes / batch_simulate agree
+    for ref, outcome in zip(refs, batch_outcomes(runs)):
+        assert_outcome_equivalent(ref, outcome)
+    for ref, ms in zip(refs, batch_simulate(runs)):
+        assert ms == ref.makespan
 
 
 def test_small_groups_fall_back_identically(het_platform, small_grid):
@@ -199,15 +189,14 @@ def test_property_equivalence_all_schedulers(params, grid):
         except SchedulingError:
             continue
         ref_plan = make_scheduler(name).plan(platform, grid)
-        refs.append(simulate(platform, ref_plan, grid))
+        refs.append(simulate_reference(platform, ref_plan, grid))
         runs.append((platform, plan))
     outcomes = per_mode_outcomes(runs)
     for ref, outcome in zip(refs, outcomes):
         assert outcome.makespan == ref.makespan
         assert outcome.port_busy == ref.port_busy
         assert outcome.worker_stats == ref.worker_stats
-    # allocator plans were consumed by the numpy pass above; the compiled
-    # backends replay the replayable (policy-driven) runs bit-identically
+    # the compiled backends replay the replayable (policy-driven) runs bit-identically
     replayable = [
         (ref, (platform, clone_plan(plan)))
         for ref, (platform, plan) in zip(refs, runs)
@@ -279,17 +268,15 @@ def test_mode_depth_policy_matrix(policy_factory, kernel, het_platform, small_gr
     """backend x mode x priority key wall: every kernel backend replays
     the CMode/depth/policy matrix bit-identically to the reference."""
     runs = _hand_built_runs(het_platform, small_grid, ragged_grid, policy_factory)
-    fasts = [
-        simulate(platform, clone_plan(plan), None) for platform, plan in runs
-    ]
+    refs = [simulate_reference(platform, plan, None) for platform, plan in runs]
     with kernel_env(kernel):
         outcomes = per_mode_outcomes(runs)
-    for fast, outcome in zip(fasts, outcomes):
-        assert_outcome_equivalent(fast, outcome)
+    for ref, outcome in zip(refs, outcomes):
+        assert_outcome_equivalent(ref, outcome)
 
 
 def test_key_spec_interpretations_match_reference(het_platform, ragged_grid):
-    """Both priority keys rank identically in the reference engine, the
+    """Both priority keys rank identically in the test-side event engine, the
     fast path and the batch engine."""
     rng = random.Random(11)
     assignments = _chunk_assignments(het_platform, ragged_grid, [3, 2, 2, 4], rng)
@@ -302,7 +289,7 @@ def test_key_spec_interpretations_match_reference(het_platform, ragged_grid):
                 depths=[2, 1, 3, 2],
             )
 
-        ref = simulate(het_platform, build(), ragged_grid)
+        ref = simulate_reference(het_platform, build(), ragged_grid)
         fast = fast_simulate(het_platform, build(), ragged_grid)
         (outcome,) = per_mode_outcomes([(het_platform, build())])
         assert fast.makespan == ref.makespan
@@ -690,7 +677,7 @@ def test_homi_dedupe_preserves_choice(het_platform, small_grid):
     sigs = [(ch.n_workers, ch.mu, ch.c, ch.w) for ch in candidates]
     assert len(sigs) == len(set(sigs))
     plan = sched.plan(het_platform, small_grid)
-    ref = simulate(het_platform, clone_plan(plan), small_grid)
+    ref = simulate_reference(het_platform, clone_plan(plan), small_grid)
     fast = fast_simulate(het_platform, clone_plan(plan), small_grid)
     assert fast.makespan == ref.makespan
 
@@ -760,7 +747,7 @@ def test_numpy_buckets_compile_each_plan_stream_once(monkeypatch, het_platform):
 def test_worker_count_mismatch_rejected(scheduler, delta_p, kernel):
     """A plan carries one prefetch depth (and one chunk list) per worker;
     replaying it on a platform with one worker fewer or more must raise
-    the reference engine's ValueError on every engine and backend,
+    the same ValueError on every engine and backend,
     never drop a worker's chunks or index past the plan."""
     workers = [Worker(i, 1.0, 2.0, 60) for i in range(3)]
     grid = BlockGrid(r=30, t=4, s=60, q=2)

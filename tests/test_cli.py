@@ -96,8 +96,8 @@ class TestNewCommands:
 
 class TestEngineFlag:
     def test_unknown_engine_rejected(self):
-        # run always traces on the reference engine; no subcommand takes
-        # an engine switch
+        # run always replays with full traces; no subcommand takes an
+        # engine switch
         for engine in ("fast", "reference", "batch", "warp"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["run", "--engine", engine])

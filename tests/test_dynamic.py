@@ -53,7 +53,7 @@ from repro.sim.policies import (
 )
 from repro.sim.validate import validate_dynamic
 from repro.sim.worker_state import CMode
-from tests.dynamic_oracle import reference_engine, simulate_reference
+from tests.dynamic_oracle import reference_engine, simulate_dynamic_reference
 
 
 def assert_equivalent(ref, dyn):
@@ -247,7 +247,7 @@ def test_reference_oracle_replaces_the_fast_adapter(het_platform, small_grid):
     sched = make_scheduler("Het")
     tl = PlatformTimeline().straggle(5.0, 0, 4.0)
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
-    ref = simulate_reference(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
+    ref = simulate_dynamic_reference(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
     assert fast.port_events == () and ref.port_events
     assert ref.makespan == fast.makespan
     with reference_engine(), pytest.raises(TypeError, match="fast engine"):
@@ -275,7 +275,7 @@ def test_event_interpretations_agree(name, het_platform, ragged_grid):
         .recover(0.7 * nominal, 0)
     )
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid)
-    ref = simulate_reference(
+    ref = simulate_dynamic_reference(
         het_platform, sched.plan(het_platform, ragged_grid), tl, ragged_grid
     )
     assert_equivalent(ref, fast)

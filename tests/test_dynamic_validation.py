@@ -63,7 +63,7 @@ from repro.sim.fastpath import fast_simulate
 from repro.sim.policies import ReadyPolicy, StrictOrderPolicy, demand_priority
 from repro.sim.validate import InvariantViolation, validate_dynamic
 from repro.theory.steady_state import makespan_lower_bound
-from tests.dynamic_oracle import simulate_reference
+from tests.dynamic_oracle import simulate_dynamic_reference
 
 # The paper's seven (the default suite): the algorithms whose runs the
 # validator is a contract for.  MaxReuse1 is deliberately absent — it
@@ -352,7 +352,7 @@ def test_native_crash_rejoin_mid_run_matches(name, het_platform, ragged_grid):
     )
     native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, plan)
     assert native == recorded
-    ref = simulate_reference(het_platform, plan(), timeline, ragged_grid)
+    ref = simulate_dynamic_reference(het_platform, plan(), timeline, ragged_grid)
     assert native == (ref.makespan, ref.worker_stats, ref.port_busy)
     assert native[0] > nominal
 
@@ -373,7 +373,7 @@ def test_native_generic_key_spec_matches(offset):
 
     native, recorded = _native_and_recorded(platform, grid, timeline, make_plan)
     assert native == recorded, f"replay seed {seed}"
-    ref = simulate_reference(platform, make_plan(), timeline, grid)
+    ref = simulate_dynamic_reference(platform, make_plan(), timeline, grid)
     assert native == (ref.makespan, ref.worker_stats, ref.port_busy), f"seed {seed}"
 
 
@@ -452,7 +452,7 @@ def test_fuzz_engines_agree_and_validate(offset):
     except SchedulingError:
         return
     fast = simulate_dynamic(platform, plan_a, timeline, grid, record_events=True)
-    ref = simulate_reference(platform, plan_b, timeline, grid, record_events=True)
+    ref = simulate_dynamic_reference(platform, plan_b, timeline, grid, record_events=True)
     assert fast.makespan == ref.makespan, f"engines disagree (replay seed {seed})"
     assert fast.worker_stats == ref.worker_stats, f"replay seed {seed}"
     for sim in (fast, ref):

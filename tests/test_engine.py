@@ -1,4 +1,5 @@
-"""Engine tests: hand-computed timelines and structural guarantees."""
+"""Engine tests: hand-computed timelines and structural guarantees of
+``simulate`` and the :class:`~repro.sim.fastpath.FastEngine` behind it."""
 
 import pytest
 
@@ -6,7 +7,8 @@ from repro.core.blocks import BlockGrid
 from repro.core.chunks import make_chunk
 from repro.core.ops import MsgKind
 from repro.platform.model import Platform
-from repro.sim.engine import Engine, simulate
+from repro.sim.engine import simulate
+from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
 from repro.sim.policies import ReadyPolicy, StrictOrderPolicy, demand_priority
 from repro.sim.validate import validate_result
@@ -81,13 +83,13 @@ class TestOverlapTimeline:
 class TestEngineMechanics:
     def test_assign_wrong_worker_rejected(self):
         plat = Platform.homogeneous(2, 1.0, 1.0, 50)
-        eng = Engine(plat)
+        eng = FastEngine(plat)
         with pytest.raises(ValueError):
             eng.assign_chunk(0, make_chunk(0, 1, 0, 1, 0, 1, 1))
 
     def test_post_without_pending_raises(self):
         plat = Platform.homogeneous(1, 1.0, 1.0, 50)
-        eng = Engine(plat)
+        eng = FastEngine(plat)
         with pytest.raises(RuntimeError):
             eng.post_next(0)
 
@@ -108,7 +110,7 @@ class TestEngineMechanics:
     def test_depths_length_checked(self):
         plat = Platform.homogeneous(2, 1.0, 1.0, 50)
         with pytest.raises(ValueError):
-            Engine(plat, depths=[2])
+            FastEngine(plat, depths=[2])
 
     def test_result_without_grid(self):
         plat = Platform.homogeneous(1, 1.0, 1.0, 50)

@@ -1,8 +1,10 @@
 """Equivalence wall: the fast path must be bit-identical to the engine.
 
-``fast_simulate`` replays plans over flat arrays; these tests pin its
-contract against the reference ``simulate`` -- same makespan, same
-per-worker statistics, same port busy time, same chunk stream -- across
+``fast_simulate`` and the traced ``simulate`` replay plans over flat
+arrays; these tests pin both against the test-side event engine
+(``tests/reference_engine.py``) -- same makespan, same per-worker
+statistics, same port busy time, same chunk stream, and for ``simulate``
+the same port and compute events, event for event -- across
 
 * every scheduler in the registry on fixed and property-generated
   (platform, grid) instances,
@@ -36,28 +38,19 @@ from repro.sim.policies import (
     selection_order_priority,
 )
 from repro.sim.worker_state import CMode
+from tests.reference_engine import assert_same_run, simulate_reference
 
 
-def assert_equivalent(ref, fast, *, expect_chunks=True):
-    """Exact equality of everything but the (intentionally absent) traces."""
-    assert fast.makespan == ref.makespan
-    assert fast.port_busy == ref.port_busy
-    assert fast.total_updates == ref.total_updates
-    assert fast.blocks_through_port == ref.blocks_through_port
-    assert fast.worker_stats == ref.worker_stats
-    if expect_chunks:
-        assert [c.cid for c in fast.chunks] == [c.cid for c in ref.chunks]
-        assert [c.worker for c in fast.chunks] == [c.worker for c in ref.chunks]
+def assert_equivalent(platform, plan, grid):
+    """Replay ``plan`` on the oracle, the fast path and the traced
+    ``simulate``: exact equality of the results, empty traces from the fast
+    path, and the oracle's events from ``simulate``, event for event."""
+    ref = simulate_reference(platform, plan, grid)
+    fast = fast_simulate(platform, plan, grid)
+    assert_same_run(fast, ref, events=False)
     assert fast.port_events == ()
     assert fast.compute_events == ()
-
-
-def run_both(sched, platform, grid):
-    ref_plan = sched.plan(platform, grid)
-    ref = simulate(platform, ref_plan, grid)
-    fast_plan = sched.plan(platform, grid)  # fresh plan: allocators are single-use
-    fast = fast_simulate(platform, fast_plan, grid)
-    return ref, fast
+    assert_same_run(simulate(platform, plan, grid), ref)
 
 
 # ----------------------------------------------------------------------
@@ -65,14 +58,14 @@ def run_both(sched, platform, grid):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_registry_equivalence_het_platform(name, het_platform, small_grid):
-    ref, fast = run_both(make_scheduler(name), het_platform, small_grid)
-    assert_equivalent(ref, fast)
+    plan = make_scheduler(name).plan(het_platform, small_grid)
+    assert_equivalent(het_platform, plan, small_grid)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_registry_equivalence_ragged(name, het_platform, ragged_grid):
-    ref, fast = run_both(make_scheduler(name), het_platform, ragged_grid)
-    assert_equivalent(ref, fast)
+    plan = make_scheduler(name).plan(het_platform, ragged_grid)
+    assert_equivalent(het_platform, plan, ragged_grid)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
@@ -108,12 +101,10 @@ def test_property_equivalence_all_schedulers(params, grid):
     for name in sorted(SCHEDULERS):
         sched = make_scheduler(name)
         try:
-            ref_plan = sched.plan(platform, grid)
+            plan = sched.plan(platform, grid)
         except SchedulingError:
             continue
-        ref = simulate(platform, ref_plan, grid)
-        fast = fast_simulate(platform, sched.plan(platform, grid), grid)
-        assert_equivalent(ref, fast)
+        assert_equivalent(platform, plan, grid)
 
 
 # ----------------------------------------------------------------------
@@ -160,17 +151,13 @@ def test_strict_order_equivalence_modes(c_mode, depth, seed, het_platform, small
     order = [w for w, n in enumerate(counts) for _ in range(n)]
     rng.shuffle(order)
 
-    def build():
-        return Plan(
-            assignments=[list(chs) for chs in assignments],
-            policy=StrictOrderPolicy(order),
-            depths=[depth] * het_platform.p,
-            c_mode=c_mode,
-        )
-
-    ref = simulate(het_platform, build(), small_grid)
-    fast = fast_simulate(het_platform, build(), small_grid)
-    assert_equivalent(ref, fast)
+    plan = Plan(
+        assignments=[list(chs) for chs in assignments],
+        policy=StrictOrderPolicy(order),
+        depths=[depth] * het_platform.p,
+        c_mode=c_mode,
+    )
+    assert_equivalent(het_platform, plan, small_grid)
 
 
 @pytest.mark.parametrize(
@@ -183,17 +170,13 @@ def test_ready_policy_equivalence_modes(priority, c_mode, seed, het_platform, ra
     sides = [3, 2, 2, 4]
     assignments = _chunk_assignments(het_platform, ragged_grid, sides, rng)
 
-    def build():
-        return Plan(
-            assignments=[list(chs) for chs in assignments],
-            policy=ReadyPolicy(priority),
-            depths=[2, 1, 3, 2],
-            c_mode=c_mode,
-        )
-
-    ref = simulate(het_platform, build(), ragged_grid)
-    fast = fast_simulate(het_platform, build(), ragged_grid)
-    assert_equivalent(ref, fast)
+    plan = Plan(
+        assignments=[list(chs) for chs in assignments],
+        policy=ReadyPolicy(priority),
+        depths=[2, 1, 3, 2],
+        c_mode=c_mode,
+    )
+    assert_equivalent(het_platform, plan, ragged_grid)
 
 
 def test_fast_simulate_rejects_non_plan(het_platform):

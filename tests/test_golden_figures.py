@@ -2,9 +2,9 @@
 
 ``tests/data/golden_figures.json`` freezes the makespan of every
 (algorithm, instance) pair of each paper figure at scale 0.1.  All three
-engines -- the reference event engine, the flat-array fast path and the
-vectorized batch engine (which simulates each figure's plans on one
-engine per replay mode) -- must reproduce every value exactly, so no
+engines -- the test-side event engine (``tests/reference_engine.py``), the
+fast path and the vectorized batch engine (which simulates each figure's
+plans on one engine per replay mode) -- must reproduce every value exactly, so no
 engine can silently drift from the semantics that produced the paper's
 comparisons, or from the frozen history.
 
@@ -33,9 +33,9 @@ import pytest
 from repro.experiments.figures import FIGURES
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import default_suite
-from repro.sim.engine import simulate
 from repro.sim.fastpath import fast_simulate
 from tests.per_mode import kernel_env, per_mode_makespans
+from tests.reference_engine import simulate_reference
 
 SCALE = 0.1
 DATA = pathlib.Path(__file__).parent / "data" / "golden_figures.json"
@@ -76,7 +76,7 @@ def _collect(engine: str) -> dict[str, dict[str, float]]:
             if engine == "fast":
                 res = fast_simulate(inst.platform, plan, inst.grid)
             elif engine == "reference":
-                res = simulate(inst.platform, plan, inst.grid)
+                res = simulate_reference(inst.platform, plan, inst.grid)
             else:
                 keys.append(f"{sched.name}|{inst.label}")
                 runs.append((inst.platform, plan))

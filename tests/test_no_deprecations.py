@@ -3,9 +3,10 @@
 No deprecated path is left: a :class:`~repro.sim.policies.ReadyPolicy`
 takes one of its two priority keys, and engines read it straight from
 ``policy.priority``.  This wall runs a representative workload — every
-registry scheduler through the reference, fast, batch and dynamic engines
+registry scheduler through the traced, fast, batch and dynamic replays
 plus the experiment harness — and asserts nothing under ``repro`` raises a
-DeprecationWarning.
+DeprecationWarning.  The per-message event engine lives on the test side
+(``tests/reference_engine.py``), with no alias left in ``repro.sim``.
 
 It also pins the trace switches: each entry point has exactly one
 (``collect_events`` on ``Scheduler.run``, ``record_events`` on the dynamic
@@ -46,7 +47,7 @@ def _representative_workload():
     runs = []
     for name in sorted(SCHEDULERS):
         sched = make_scheduler(name)
-        sched.run(platform, grid)  # reference engine
+        sched.run(platform, grid)  # traced replay
         fast_simulate(platform, sched.plan(platform, grid), grid)
         runs.append((platform, sched.plan(platform, grid)))
         batch_outcomes([(platform, sched.plan(platform, grid))])
@@ -135,3 +136,15 @@ def test_plan_has_no_trace_flag():
 
     with pytest.raises(TypeError, match="collect_events"):
         Plan(assignments=[[]], policy=StrictOrderPolicy([]), depths=[2], collect_events=False)
+
+
+def test_event_engine_lives_in_tests():
+    import repro.sim
+    from repro.sim import engine, policies, worker_state
+
+    for name in ("Engine", "WorkerSim", "HeadMsg"):
+        assert name not in repro.sim.__all__
+        for module in (repro.sim, engine, worker_state):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for policy in (policies.StrictOrderPolicy, policies.ReadyPolicy):
+        assert not hasattr(policy, "next_choice") and not hasattr(policy, "fresh")

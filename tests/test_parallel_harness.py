@@ -28,6 +28,7 @@ from repro.experiments.sweeps import heterogeneity_sweep, straggler_sweep
 from repro.platform.model import Platform, Worker
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import make_scheduler
+from tests.reference_engine import simulate_reference
 
 
 @pytest.fixture
@@ -355,17 +356,17 @@ class TestCacheEviction:
 
 
 # ----------------------------------------------------------------------
-# the one simulation path against its oracle: validate forces the
-# reference engine, which must agree bit for bit
+# the one simulation path against its oracle: the traced (validate) runs
+# and the test-side event engine must agree with it bit for bit
 # ----------------------------------------------------------------------
 def _reference_makespans(platform, grid, algorithms) -> dict[str, float]:
     out = {}
     for name in algorithms:
         try:
-            sim = make_scheduler(name).run(platform, grid, collect_events=True)
+            plan = make_scheduler(name).plan(platform, grid)
         except SchedulingError:
             continue
-        out[name] = sim.makespan
+        out[name] = simulate_reference(platform, plan, grid).makespan
     return out
 
 

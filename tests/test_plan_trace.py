@@ -66,7 +66,7 @@ class TestTraceHelpers:
         assert "C" in art and "=" in art and "R" in art and "#" in art
 
     def test_gantt_empty(self):
-        from repro.sim.engine import Engine
+        from repro.sim.fastpath import FastEngine
 
-        empty = Engine(Platform.homogeneous(1, 1.0, 1.0, 50)).result()
+        empty = FastEngine(Platform.homogeneous(1, 1.0, 1.0, 50)).result()
         assert gantt_ascii(empty) == "(empty trace)"

@@ -11,7 +11,6 @@ from repro.platform.model import Platform, Worker
 from repro.schedulers.registry import make_scheduler
 from repro.sim.allocator import PanelDemandAllocator
 from repro.sim.dynamic import PlatformTimeline, simulate_dynamic
-from repro.sim.engine import Engine
 from repro.sim.plan import Plan
 from repro.sim.policies import (
     ReadyPolicy,
@@ -19,6 +18,7 @@ from repro.sim.policies import (
     demand_priority,
     selection_order_priority,
 )
+from tests.reference_engine import Engine, chooser
 
 
 def _engine(p=2, c=1.0, w=1.0, m=50):
@@ -30,7 +30,7 @@ class TestStrictOrder:
         eng = _engine()
         eng.assign_chunk(0, make_chunk(0, 0, 0, 1, 0, 1, 1))
         eng.assign_chunk(1, make_chunk(1, 1, 0, 1, 1, 1, 1))
-        policy = StrictOrderPolicy([0, 1, 0, 1, 0, 1])
+        policy = chooser(StrictOrderPolicy([0, 1, 0, 1, 0, 1]))
         served = []
         while True:
             w = policy.next_choice(eng)
@@ -42,7 +42,7 @@ class TestStrictOrder:
         assert eng.all_done
 
     def test_fresh_resets(self):
-        policy = StrictOrderPolicy([0, 0])
+        policy = chooser(StrictOrderPolicy([0, 0]))
         eng = _engine(p=1)
         eng.assign_chunk(0, make_chunk(0, 0, 0, 1, 0, 1, 1))
         policy.next_choice(eng)
@@ -52,7 +52,7 @@ class TestStrictOrder:
 
     def test_raises_on_drained_worker(self):
         eng = _engine(p=1)
-        policy = StrictOrderPolicy([0])
+        policy = chooser(StrictOrderPolicy([0]))
         with pytest.raises(RuntimeError):
             policy.next_choice(eng)
 
@@ -60,14 +60,14 @@ class TestStrictOrder:
 class TestReadyPolicy:
     def test_returns_none_when_done(self):
         eng = _engine()
-        assert ReadyPolicy(demand_priority).next_choice(eng) is None
+        assert chooser(ReadyPolicy(demand_priority)).next_choice(eng) is None
 
     def test_picks_earliest_effective_start(self):
         # worker 1's compute blocks its next round; worker 0 is free
         eng = _engine(p=2, c=1.0, w=10.0)
         eng.assign_chunk(0, make_chunk(0, 0, 0, 1, 0, 1, 3))
         eng.assign_chunk(1, make_chunk(1, 1, 0, 1, 1, 1, 3))
-        policy = ReadyPolicy(demand_priority)
+        policy = chooser(ReadyPolicy(demand_priority))
         # serve worker 1 fully up to its buffer limit first
         for _ in range(3):  # C_SEND, round0, round1
             eng.post_next(1)
@@ -78,14 +78,14 @@ class TestReadyPolicy:
         eng = _engine(p=2)
         eng.assign_chunk(1, make_chunk(0, 1, 0, 1, 0, 1, 1))  # cid 0 on worker 1
         eng.assign_chunk(0, make_chunk(1, 0, 0, 1, 1, 1, 1))  # cid 1 on worker 0
-        policy = ReadyPolicy(selection_order_priority)
+        policy = chooser(ReadyPolicy(selection_order_priority))
         assert policy.next_choice(eng) == 1  # cid 0 first
 
     def test_demand_priority_breaks_ties_by_index(self):
         eng = _engine(p=2)
         eng.assign_chunk(0, make_chunk(0, 0, 0, 1, 0, 1, 1))
         eng.assign_chunk(1, make_chunk(1, 1, 0, 1, 1, 1, 1))
-        assert ReadyPolicy(demand_priority).next_choice(eng) == 0
+        assert chooser(ReadyPolicy(demand_priority)).next_choice(eng) == 0
 
 
 class TestPolicyKeySpec:

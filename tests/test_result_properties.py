@@ -5,7 +5,8 @@ import pytest
 from repro.core.blocks import BlockGrid
 from repro.core.chunks import make_chunk
 from repro.platform.model import Platform, Worker
-from repro.sim.engine import Engine, WorkerStats, simulate
+from repro.sim.engine import WorkerStats, simulate
+from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
 from repro.sim.policies import StrictOrderPolicy
 
@@ -31,7 +32,7 @@ class TestSimResultProperties:
         assert res.throughput == pytest.approx(res.total_updates / res.makespan)
 
     def test_empty_result_throughput_infinite(self):
-        empty = Engine(Platform.homogeneous(1, 1.0, 1.0, 50)).result()
+        empty = FastEngine(Platform.homogeneous(1, 1.0, 1.0, 50)).result()
         assert empty.throughput == float("inf")
         assert empty.port_utilization == 0.0
 

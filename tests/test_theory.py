@@ -106,9 +106,9 @@ class TestMeasuredCCR:
         assert measured_ccr(res) > ccr_lower_bound(m)
 
     def test_no_updates_rejected(self):
-        from repro.sim.engine import Engine
+        from repro.sim.fastpath import FastEngine
 
-        res = Engine(Platform.homogeneous(1, 1.0, 1.0, 21)).result()
+        res = FastEngine(Platform.homogeneous(1, 1.0, 1.0, 21)).result()
         with pytest.raises(ValueError):
             measured_ccr(res)
 

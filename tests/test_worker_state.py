@@ -1,11 +1,13 @@
-"""Unit tests for per-worker simulation state (pipeline + buffer rules)."""
+"""Unit tests for the oracle's per-worker simulation state (pipeline +
+buffer rules, as :mod:`repro.sim.worker_state` states them)."""
 
 import pytest
 
 from repro.core.chunks import make_chunk
 from repro.core.ops import MsgKind
 from repro.platform.model import Worker
-from repro.sim.worker_state import CMode, WorkerSim
+from repro.sim.worker_state import CMode
+from tests.reference_engine import WorkerSim
 
 
 def _chunk(cid=0, h=2, w=2, t=3, widx=0):
