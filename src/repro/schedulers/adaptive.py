@@ -457,7 +457,7 @@ class AdaptiveScheduler:
 
     def _boundary_decision(self, run: DynamicRun, applied) -> None:
         now = applied[-1].time if applied else 0.0
-        p = run.adapter.p
+        p = run.engine.platform.p
         suspects = {
             i
             for i in range(p)
@@ -654,7 +654,7 @@ class AdaptiveScheduler:
         platform = self._platform
         p = platform.p
         sides = self._sides
-        eng = run.adapter.engine
+        eng = run.engine
         mus = [sides[i] if i in healthy else 0 for i in range(p)]
         state = SelectionState(
             Platform(

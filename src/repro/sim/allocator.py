@@ -8,10 +8,11 @@ worker per engine iteration, so panel hand-out order follows the demand
 order of the simulation.
 
 Every engine drives an allocator through the same engine-agnostic
-:meth:`PanelDemandAllocator.refill_via` call: the dynamic driver's
-per-message loop before each port decision, the fast engine's posting
-loop on entry and after each post that drains a worker (the only moments
-a refill can hand anything out).  A replay consumes the allocator it
+:meth:`PanelDemandAllocator.refill_via` call: the fast engine's posting
+loop (behind static replays and every dynamic window) on entry and after
+each post that drains a worker (the only moments a refill can hand
+anything out), the test-side per-message engines before each port
+decision.  A replay consumes the allocator it
 drives, so every replay runs on a :meth:`~PanelDemandAllocator.clone`
 and a plan can be replayed any number of times.
 :class:`repro.schedulers.coded.CodedDemandAllocator` duck-types that

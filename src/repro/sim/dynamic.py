@@ -22,31 +22,33 @@ permanently removes the worker, and a run that still holds messages for it
 raises :class:`DynamicStall` unless a controller migrates the work.
 
 **Native windows.**  Between two timeline events nothing changes the
-platform, so on the fast engine the driver hands each event-free window
-to :class:`~repro.sim.fastpath.FastEngine`'s one posting loop (strict
-order or ready policy, with the demand allocator refilling as usual): it
-takes per-worker start floors (crash-window availability and the event
+platform, so the driver hands each event-free window to
+:class:`~repro.sim.fastpath.FastEngine`'s one posting loop (strict order
+or ready policy, with the demand allocator refilling as usual): it takes
+per-worker start floors (crash-window availability and the event
 frontier, ``inf`` for a worker that never rejoins) and stops before the
-first message that would start at or after the next event.  The driver
-then applies the due events, fires the controller and opens the next
-window.  The per-message interpretation of the same rules stays where it
-is needed: runs with ``record_events`` and ``completion`` criteria (the
-coded family's per-return decode check); it also raises the stall and
-strict-order errors where a window stops short of them.  Both paths post
-through the same loop, so the message arithmetic is written once.
+first message that would start at or after the next event, reporting
+that message's start.  The driver then applies the events due by that
+start, fires the controller and opens the next window.  A window that
+reports no next message ends the run: it drained, the ``completion``
+criterion (the coded family's decode check, which the loop consults after
+every ``C_RETURN``) was met, or only workers that never rejoin hold
+messages, which raises :class:`DynamicStall`.  Every run, recorded or
+not, takes this one path, so the selection rule and the message
+arithmetic are written once.
 
 **Bit-identity.**  With an empty timeline the driver posts exactly the
 message sequence of :func:`~repro.sim.fastpath.fast_simulate`, through the
 same arithmetic, so makespans and per-worker statistics are bit-identical
 (the property wall in ``tests/test_dynamic.py`` pins this across the
-scheduler × CMode × policy matrix).  Native windows and the per-message
-loop are bit-identical too (makespans, statistics, kills and boundary
-decisions — the equivalence wall in ``tests/test_dynamic_validation.py``).
-The engine equivalence wall replays the same timeline interpretation on
-a per-message event engine kept on the test side as the oracle, through
-an adapter (``tests/dynamic_oracle.py``) that stands in for
-:class:`_FastAdapter` without online control
-(``supports_control = False``).
+scheduler × CMode × policy matrix).  The test side keeps the per-message
+interpretation of the driver as the oracle (``tests/dynamic_oracle.py``):
+a :class:`DynamicRun` subclass that picks and posts one message at a time,
+on a ``FastEngine`` (so controller runs are checked too) or on the
+per-message event engine of ``tests/reference_engine.py``.  The walls in
+``tests/test_dynamic_validation.py`` require native windows to match it
+bit for bit: makespans, statistics, kills, boundary decisions and the
+recorded port and compute events.
 
 **Online control.**  A ``controller`` callback fires at every event
 boundary with the live :class:`DynamicRun`; it may reclaim unstarted
@@ -92,7 +94,7 @@ from .allocator import PanelDemandAllocator
 from .engine import SimResult
 from .fastpath import FastEngine
 from .plan import Plan
-from .policies import StrictOrderPolicy, selection_order_priority
+from .policies import StrictOrderPolicy
 from .worker_state import c_message_count
 
 __all__ = [
@@ -331,65 +333,11 @@ class PlatformTimeline:
 
 
 # ----------------------------------------------------------------------
-# engine adapters
-# ----------------------------------------------------------------------
-class _FastAdapter:
-    """Flat-array engine behind the segmented driver."""
-
-    supports_control = True
-
-    def __init__(self, platform: Platform, plan: Plan) -> None:
-        self.platform = platform
-        self.engine = FastEngine(platform, depths=plan.depths, c_mode=plan.c_mode)
-        for widx, chunks in enumerate(plan.assignments):
-            for ch in chunks:
-                self.engine.assign_chunk(widx, ch)
-
-    @property
-    def p(self) -> int:
-        return self.platform.p
-
-    @property
-    def port_free(self) -> float:
-        return self.engine.port_free
-
-    def has_pending(self, i: int) -> bool:
-        return self.engine.has_pending(i)
-
-    def head_legal(self, i: int) -> float:
-        return self.engine._head_legal[i]
-
-    def head_cid(self, i: int) -> int:
-        return self.engine._head_cid[i]
-
-    def head_is_c_return(self, i: int) -> bool:
-        return self.engine._head_stage_kind[i] == FastEngine._K_C_RETURN
-
-    def post(self, i: int, min_start: float) -> None:
-        self.engine.post_next(i, min_start)
-
-    def set_params(self, i: int, c: float, w: float) -> None:
-        self.engine.set_worker_params(i, c, w)
-
-    @property
-    def pending_workers(self) -> list[int]:
-        return self.engine.pending_workers
-
-    def result(self, grid, meta) -> SimResult:
-        return self.engine.result(grid=grid, meta=meta)
-
-    def clone(self) -> "_FastAdapter":
-        other = _FastAdapter.__new__(_FastAdapter)
-        other.platform = self.platform
-        other.engine = self.engine.clone()
-        return other
-
-
-# ----------------------------------------------------------------------
 # the segmented driver
 # ----------------------------------------------------------------------
 class DynamicRun:
-    """One segmented simulation in flight.
+    """One segmented simulation in flight, on its own
+    :class:`~repro.sim.fastpath.FastEngine` (``run.engine``).
 
     Most callers go through :func:`simulate_dynamic`; controllers receive
     the live run and use the mutation helpers (``reclaim_unstarted``,
@@ -399,16 +347,20 @@ class DynamicRun:
 
     def __init__(
         self,
-        adapter,
+        platform: Platform,
         plan: Plan,
         events: Sequence[TimelineEvent],
-        base_cs: Sequence[float],
-        base_ws: Sequence[float],
         controller: Callable[["DynamicRun", list[TimelineEvent]], None] | None = None,
         record: bool = False,
         completion=None,
     ) -> None:
-        self.adapter = adapter
+        self.engine = FastEngine(platform, depths=plan.depths, c_mode=plan.c_mode)
+        for widx, chunks in enumerate(plan.assignments):
+            for ch in chunks:
+                self.engine.assign_chunk(widx, ch)
+        if record:
+            # the engine's posting loop records every post (probes never do)
+            self.engine._log = ([], [])
         # the run consumes its allocator: a clone leaves the plan replayable
         self.allocator = None if plan.allocator is None else plan.allocator.clone()
         self.c_mode = plan.c_mode
@@ -417,23 +369,15 @@ class DynamicRun:
         self.events = list(events)
         self.eidx = 0
         self.events_applied = 0
-        p = adapter.p
-        self.base_cs = list(base_cs)
-        self.base_ws = list(base_ws)
-        self.cur_cs = list(base_cs)
-        self.cur_ws = list(base_ws)
-        self.avail = [0.0] * p
+        self.base_cs = list(platform.cs)
+        self.base_ws = list(platform.ws)
+        self.cur_cs = list(platform.cs)
+        self.cur_ws = list(platform.ws)
+        self.avail = [0.0] * platform.p
         # causality floor: once an event at T applied, no later post starts
         # before T (only binding after controller mutations — see module doc)
         self.frontier = 0.0
         self.killed: list[tuple[int, float]] = []  # (cid, kill time)
-        # the fast engine records into its own log (an adapter without
-        # control records through its own engine)
-        if record and adapter.supports_control:
-            adapter.engine._log = ([], [])
-        # event-free windows run on FastEngine's own posting loop; recorded
-        # and completion-tracked runs walk the per-message loop
-        self._native = adapter.supports_control and not record and completion is None
         policy = plan.policy
         self._order: list[int] | None = None
         self._pos = 0
@@ -456,7 +400,7 @@ class DynamicRun:
     def _apply_event(self, ev: TimelineEvent) -> None:
         i = ev.worker
         if _reprice(ev, self.cur_cs, self.cur_ws, self.base_cs, self.base_ws):
-            self.adapter.set_params(i, self.cur_cs[i], self.cur_ws[i])
+            self.engine.set_worker_params(i, self.cur_cs[i], self.cur_ws[i])
         elif ev.kind == "crash":
             # unreachable until the matching join (forever if none)
             until = _INF
@@ -482,130 +426,55 @@ class DynamicRun:
             self.controller(self, applied)
 
     # ------------------------------------------------------------------
-    # choosing the next message (mirrors the fast path's interpreters)
-    # ------------------------------------------------------------------
-    def _choose(self) -> tuple[int, float] | None:
-        if self._order is not None:
-            return self._choose_strict()
-        return self._choose_ready()
-
-    def _choose_strict(self) -> tuple[int, float] | None:
-        if self._pos >= len(self._order):
-            return None
-        widx = self._order[self._pos]
-        ad = self.adapter
-        if not ad.has_pending(widx):
-            raise RuntimeError(
-                f"strict order names worker {widx} at position {self._pos} "
-                "but it has no pending message"
-            )
-        if self.avail[widx] == _INF:
-            raise DynamicStall(
-                f"strict order blocks on worker {widx}, which crashed and "
-                "never rejoins"
-            )
-        legal = ad.head_legal(widx)
-        floor = self._floor(widx)
-        if floor > legal:
-            legal = floor
-        port_free = ad.port_free
-        return widx, (port_free if port_free > legal else legal)
-
-    def _choose_ready(self) -> tuple[int, float] | None:
-        # Ascending index scan with strict improvement: the same
-        # (effective start, priority key) comparison as the ready scan of
-        # FastEngine._drain, with the crash-window floor folded into each
-        # worker's legal start.
-        ad = self.adapter
-        by_cid = self._priority == selection_order_priority
-        avail = self.avail
-        port_free = ad.port_free
-        best = -1
-        best_eff = 0.0
-        best_key: float | int = 0
-        frontier = self.frontier
-        for i in range(ad.p):
-            if not ad.has_pending(i) or avail[i] == _INF:
-                continue
-            legal = ad.head_legal(i)
-            floor = avail[i] if avail[i] > frontier else frontier
-            if floor > legal:
-                legal = floor
-            eff = port_free if port_free > legal else legal
-            key = ad.head_cid(i) if by_cid else legal
-            if best < 0 or eff < best_eff or (eff == best_eff and key < best_key):
-                best, best_eff, best_key = i, eff, key
-        if best < 0:
-            return None
-        return best, best_eff
-
-    # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
     def run(self) -> "DynamicRun":
-        ad = self.adapter
+        """Post window after window on the engine's posting loop.  Each
+        window stops before the first message that would start at or after
+        the next timeline event; the driver applies the events due by that
+        message's start, fires the controller and opens the next window.
+        A window that reports no next message ends the run: the completion
+        criterion was met, the run drained, or only workers that never
+        rejoin hold messages (a stall)."""
+        eng = self.engine
         events = self.events
         while True:
-            if self.allocator is not None:
-                self.allocator.refill_via(ad.engine.has_pending, ad.engine.assign_chunk)
-            if self._native:
-                self._advance_window()
-            # one interpreted step: at a native window's end this applies
-            # the due events, raises the stall/strict-order error, or ends
-            # the run -- exactly where the window stopped
-            pick = self._choose()
-            if pick is None:
-                if self._order is None and ad.pending_workers:
-                    raise DynamicStall(
-                        "all remaining messages belong to workers that "
-                        f"crashed and never rejoin: {ad.pending_workers}"
-                    )
-                break
-            widx, start = pick
-            if self.eidx < len(events) and events[self.eidx].time <= start:
-                self._apply_due(start)
-                continue  # re-choose under the new parameters/availability
-            track = self.completion
-            ret_cid = (
-                ad.head_cid(widx)
-                if track is not None and ad.head_is_c_return(widx)
-                else None
+            until = events[self.eidx].time if self.eidx < len(events) else _INF
+            floors = [self._floor(i) for i in range(eng._p)]
+            order = self._order
+            pos, start = eng._drain(
+                order,
+                floors,
+                until,
+                self._pos,
+                allocator=self.allocator,
+                priority=self._priority,
+                completion=self.completion,
             )
-            ad.post(widx, self._floor(widx))
-            if self._order is not None:
-                self._pos += 1
-                self._executed.append(widx)
-            if ret_cid is not None:
-                # the message just posted ends at the (now advanced) port
-                # horizon — the time the master holds this share's C blocks
-                track.on_return(ret_cid, ad.port_free)
-                if track.satisfied:
-                    self._abandon_pending()
-                    break
-        leftover = ad.pending_workers
+            if order is not None:
+                self._executed.extend(order[self._pos : pos])
+                self._pos = pos
+            if start == _INF:
+                break
+            self._apply_due(start)
+        if self.completion is not None and self.completion.satisfied:
+            self._abandon_pending()
+        elif self._order is not None and self._pos < len(self._order):
+            raise DynamicStall(
+                f"strict order blocks on worker {self._order[self._pos]}, which "
+                "crashed and never rejoins"
+            )
+        elif self._order is None and eng.pending_workers:
+            raise DynamicStall(
+                "all remaining messages belong to workers that "
+                f"crashed and never rejoin: {eng.pending_workers}"
+            )
+        leftover = eng.pending_workers
         if leftover:
             raise RuntimeError(
                 f"policy stopped with pending messages on workers {leftover}"
             )
         return self
-
-    def _advance_window(self) -> None:
-        """Post every message that starts before the next timeline event
-        through :class:`FastEngine`'s own posting loop, with each worker's
-        :meth:`_floor` as its start floor.  Returns at the event boundary,
-        when the run drains, or before any message the per-message step
-        must handle (a worker that never rejoins, a strict order naming a
-        drained worker raises there too)."""
-        eng = self.adapter.engine
-        until = self.events[self.eidx].time if self.eidx < len(self.events) else _INF
-        floors = [self._floor(i) for i in range(eng._p)]
-        order = self._order
-        if order is None:
-            eng._drain(None, floors, until, allocator=self.allocator, priority=self._priority)
-        else:
-            pos = eng._drain(order, floors, until, self._pos)
-            self._executed.extend(order[self._pos : pos])
-            self._pos = pos
 
     def _floor(self, widx: int) -> float:
         """External start floor of worker ``widx``'s next message: its
@@ -617,40 +486,30 @@ class DynamicRun:
         """Drop everything still pending once the completion criterion is
         met: in-flight chunks are killed at the completion time (their sunk
         port and compute time stays on the books), unstarted chunks are
-        silently reclaimed.  An adapter without online control drops its
-        own pending work (``abandon_pending(at)`` returns the kills), so a
-        second engine can witness the same decode semantics."""
-        at = self.adapter.port_free
-        if not self.adapter.supports_control:
-            self.killed.extend(self.adapter.abandon_pending(at))
-            return
-        for i in range(self.adapter.p):
+        silently reclaimed."""
+        at = self.engine.port_free
+        for i in range(self.engine._p):
             self.kill_in_flight(i, at=at)
             self.reclaim_unstarted(i)
 
     # ------------------------------------------------------------------
-    # controller helpers (fast adapter only)
+    # controller helpers
     # ------------------------------------------------------------------
-    def _engine(self) -> FastEngine:
-        if not self.adapter.supports_control:
-            raise TypeError("online control requires the fast engine")
-        return self.adapter.engine
-
     def chunk_started(self, widx: int) -> bool:
         """Whether worker ``widx``'s current chunk has posted any message."""
-        eng = self._engine()
+        eng = self.engine
         if not eng.has_pending(widx):
             return False
         return eng._stage[widx] != eng._init_stage
 
     def pending_chunks(self, widx: int) -> list[Chunk]:
         """Chunks still (partly) unposted on worker ``widx``, in order."""
-        eng = self._engine()
+        eng = self.engine
         return [rec[0] for rec in eng._chunks[widx][eng._pos[widx] :]]
 
     def pending_messages(self, widx: int) -> int:
         """Port messages worker ``widx`` still has to post."""
-        eng = self._engine()
+        eng = self.engine
         lst = eng._chunks[widx]
         pos = eng._pos[widx]
         if pos >= len(lst):
@@ -665,7 +524,7 @@ class DynamicRun:
         """Port messages worker ``widx``'s *started* chunk still has to
         post (0 when nothing is in flight) — the messages that survive a
         reclaim of every unstarted chunk."""
-        eng = self._engine()
+        eng = self.engine
         if not self.chunk_started(widx):
             return 0
         rec = eng._chunks[widx][eng._pos[widx]]
@@ -693,12 +552,12 @@ class DynamicRun:
         :meth:`executed_order` + :meth:`pending_order` this reconstructs
         the run as one strict-order plan over current parameters (the
         shared prefix of the boundary re-selection's candidate batch)."""
-        eng = self._engine()
+        eng = self.engine
         return [rec[0] for rec in eng._chunks[widx]]
 
     def depths(self) -> list[int]:
         """Per-worker prefetch depths of the underlying engine."""
-        return list(self._engine()._depth)
+        return list(self.engine._depth)
 
     def _drop_from_all(self, eng: FastEngine, dropped: list) -> None:
         if not dropped:
@@ -715,7 +574,7 @@ class DynamicRun:
         partially-walked panel with its owner (migrating it would split it
         into bands and re-pay its A traffic) and re-spreads only the
         untouched whole panels behind it."""
-        eng = self._engine()
+        eng = self.engine
         lst = eng._chunks[widx]
         keep = eng._pos[widx] + (1 if self.chunk_started(widx) else 0) + keep_extra
         dropped = lst[keep:]
@@ -733,7 +592,7 @@ class DynamicRun:
         with the frontier floor on later posts, keeps replacement traffic
         within the worker's memory.  Returns the abandoned chunk, or
         ``None`` if nothing was in flight."""
-        eng = self._engine()
+        eng = self.engine
         if not self.chunk_started(widx):
             return None
         posted = eng._stage[widx] - eng._init_stage
@@ -762,12 +621,11 @@ class DynamicRun:
 
     def append_chunk(self, widx: int, chunk: Chunk) -> None:
         """Append a chunk to worker ``widx``'s pipeline."""
-        self._engine().assign_chunk(widx, chunk)
+        self.engine.assign_chunk(widx, chunk)
 
     def set_allocator(self, allocator: PanelDemandAllocator | None) -> None:
         """Swap the demand allocator driving dynamic refills (ready-policy
         runs only, as in a :class:`~repro.sim.plan.Plan`)."""
-        self._engine()
         if allocator is not None and self._order is not None:
             raise TypeError("a strict order cannot be driven by a demand allocator")
         self.allocator = allocator
@@ -779,7 +637,7 @@ class DynamicRun:
         ``new_tail``."""
         if self._order is None:
             raise TypeError("not a strict-order run")
-        eng = self._engine()
+        eng = self.engine
         need = [self.pending_messages(i) for i in range(eng._p)]
         # exclude messages the new tail itself will serve: new_tail entries
         # consume pipeline suffixes appended by the replan, so `need` must
@@ -795,7 +653,7 @@ class DynamicRun:
 
     def next_cid(self) -> int:
         """A chunk id strictly above everything the run has seen."""
-        eng = self._engine()
+        eng = self.engine
         top = max((ch.cid for ch in eng.all_chunks), default=-1) + 1
         for lst in eng._chunks:
             for rec in lst:
@@ -813,8 +671,8 @@ class DynamicRun:
         cursor, availability and current parameters, but no future events
         and no controller — :meth:`finish` then answers "what makespan if
         conditions stay as they are now and we change nothing else?"."""
-        other = DynamicRun.__new__(DynamicRun)
-        other.adapter = self.adapter.clone()
+        other = type(self).__new__(type(self))
+        other.engine = self.engine.clone()
         other.allocator = None if self.allocator is None else self.allocator.clone()
         other.c_mode = self.c_mode
         other.controller = None
@@ -829,7 +687,6 @@ class DynamicRun:
         other.avail = list(self.avail)
         other.frontier = self.frontier
         other.killed = []
-        other._native = True
         other._order = None if self._order is None else list(self._order)
         # probes never re-select (no controller), so they carry no history
         other._executed = []
@@ -840,7 +697,7 @@ class DynamicRun:
     def finish(self) -> float:
         """Run to completion and return the makespan."""
         self.run()
-        return self.adapter.engine.last_end
+        return self.engine.last_end
 
 
 # ----------------------------------------------------------------------
@@ -860,10 +717,9 @@ def simulate_dynamic(
 
     With an empty (or ``None``) timeline the result is bit-identical to
     :func:`~repro.sim.fastpath.fast_simulate`.  Each event-free window
-    runs on ``FastEngine``'s own posting loop (see the module docstring);
-    ``record_events`` and ``completion`` runs walk the per-message loop
-    instead, with bit-identical results.  ``controller`` fires at every
-    event boundary with the live :class:`DynamicRun`.
+    runs on ``FastEngine``'s own posting loop (see the module docstring),
+    whatever the switches below.  ``controller`` fires at every event
+    boundary with the live :class:`DynamicRun`.
 
     ``record_events`` is the one trace switch: the result then carries
     full port/compute traces and an audit annex in ``meta["dynamic"]``
@@ -875,7 +731,8 @@ def simulate_dynamic(
     ``completion`` installs an early-stop criterion (the coded-redundancy
     family's decode threshold — see :mod:`repro.schedulers.coded`): an
     object with ``on_return(cid, end)`` called after every posted
-    ``C_RETURN`` and a ``satisfied`` property.  The instant it is
+    ``C_RETURN`` (before the allocator refills) and a ``satisfied``
+    property.  The instant it is
     satisfied the run stops, killing in-flight chunks at the completion
     time (recorded in ``killed_cids``/``kills`` like controller kills)
     and discarding unstarted ones.
@@ -885,15 +742,10 @@ def simulate_dynamic(
     if timeline is None:
         timeline = PlatformTimeline()
     timeline.validate_for(platform)
-    adapter = _FastAdapter(platform, plan)
-    if controller is not None and not adapter.supports_control:
-        raise TypeError("controller callbacks require the fast engine")
     run = DynamicRun(
-        adapter,
+        platform,
         plan,
         timeline.events,
-        base_cs=platform.cs,
-        base_ws=platform.ws,
         controller=controller,
         record=record_events,
         completion=completion,
@@ -917,7 +769,7 @@ def simulate_dynamic(
         meta["dynamic"]["c_mode"] = plan.c_mode.name
         meta["dynamic"]["killed_cids"] = sorted(cid for cid, _t in run.killed)
         meta["dynamic"]["kills"] = sorted(run.killed)
-    return adapter.result(grid, meta)
+    return run.engine.result(grid=grid, meta=meta)
 
 
 # ----------------------------------------------------------------------

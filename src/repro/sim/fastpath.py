@@ -11,11 +11,12 @@ recurrence over flat per-worker scalar arrays:
   decision is a tight scan over ``p`` floats;
 * one posting loop, ``FastEngine._drain``, interprets both plan policies
   (:class:`StrictOrderPolicy`, :class:`ReadyPolicy` with its one-key
-  priority) and the demand allocators, so every plan runs here;
-  ``post_next`` and the dynamic driver's event-free windows go through
-  the same loop, which also records the port and compute events of every
-  traced run (:func:`~repro.sim.engine.simulate` and the dynamic driver's
-  ``record_events``).
+  priority) and the demand allocators, so every plan runs here; every
+  window of the dynamic driver goes through the same loop, which also
+  records the port and compute events of every traced run
+  (:func:`~repro.sim.engine.simulate` and the dynamic driver's
+  ``record_events``) and reports each ``C_RETURN`` to a decode-completion
+  criterion.
 
 The batch engine and its kernels (:mod:`repro.sim.batch`) perform the same
 floating-point operations in the same order, so makespans, per-worker
@@ -215,20 +216,6 @@ class FastEngine:
         self._head_cid[i] = cid
 
     # ------------------------------------------------------------------
-    # posting
-    # ------------------------------------------------------------------
-    def post_next(self, widx: int, min_start: float = 0.0) -> None:
-        """Post worker ``widx``'s head message on the port.
-
-        ``min_start`` adds an external availability floor (the dynamic
-        layer's crash/join windows); the default 0.0 leaves the start time
-        bit-identical to the two-way ``max``.
-        """
-        if self._head_stage_kind[widx] == self._K_NONE:
-            raise RuntimeError(f"worker {widx} has no pending message to post")
-        self._drain((widx,), [min_start] * self._p, _INF)
-
-    # ------------------------------------------------------------------
     # full-state cloning and parameter rescaling (dynamic-platform layer)
     # ------------------------------------------------------------------
     def clone(self) -> "FastEngine":
@@ -350,10 +337,14 @@ class FastEngine:
         first: int = 0,
         allocator: PanelDemandAllocator | None = None,
         priority: str | None = None,
-    ) -> int:
+        completion=None,
+    ) -> tuple[int, float]:
         """The posting loop: post messages until the run drains or the next
-        message would start at or after ``until`` (an exclusive horizon),
-        and return the position reached in ``order``.
+        message would start at or after ``until`` (an exclusive horizon).
+        Returns ``(position, start)``: the position reached in ``order``
+        and the start time of the message the loop stopped before -- ``inf``
+        when the run drained, when only workers whose floor is ``inf`` still
+        hold messages, or when ``completion`` was met.
 
         With an ``order``, the workers come from ``order[first:]`` (strict
         replay; an entry naming a drained worker raises).  With
@@ -362,11 +353,10 @@ class FastEngine:
         scan with strict improvement, so remaining ties go to the lowest
         index.
 
-        ``floors`` are per-worker start floors (``post_next``'s
-        ``min_start``): a floor raises the worker's legal start before it
-        is compared, so it feeds both the effective start and the
-        ``legal_start`` key, and a worker whose floor is ``inf`` is never
-        served.  Static replays pass zero floors and ``until=inf``; the
+        ``floors`` are per-worker start floors: a floor raises the worker's
+        legal start before it is compared, so it feeds both the effective
+        start and the ``legal_start`` key, and a worker whose floor is
+        ``inf`` is never served.  Static replays pass zero floors and ``until=inf``; the
         dynamic driver passes its crash-window/frontier floors and the next
         timeline event's time.
 
@@ -379,6 +369,11 @@ class FastEngine:
 
         While ``_log`` holds a ``(port_events, compute_events)`` pair every
         post appends its port event (and, for a round, its compute event).
+
+        ``completion`` is the dynamic driver's decode criterion: its
+        ``on_return(cid, end)`` sees every posted ``C_RETURN`` before the
+        allocator refills (the coded allocator issues from the decode
+        state), and the loop stops once it is ``satisfied``.
         """
         kinds = self._head_stage_kind
         heads = self._head_legal
@@ -406,6 +401,7 @@ class FastEngine:
         log = self._log
         p = self._p
         drained, k_round, k_send = self._K_NONE, self._K_ROUND, self._K_C_SEND
+        k_return = self._K_C_RETURN
         by_cid = priority == selection_order_priority
         # static replays (zero floors, no horizon) skip the window test
         windowed = until != _INF or any(floors)
@@ -414,6 +410,7 @@ class FastEngine:
         through = self.blocks_through_port
         total_updates = self.total_updates
         last_end = self.last_end
+        stop_start = _INF
         if order is None:
             picks = repeat(-1)  # -1: pick by the ready scan
             stop = first
@@ -440,7 +437,10 @@ class FastEngine:
                             widx = i
                             start = eff
                             best_key = key
-                    if widx < 0 or start >= until:
+                    if widx < 0:
+                        break
+                    if start >= until:
+                        stop_start = start
                         break
                     kind = kinds[widx]
                 else:
@@ -457,7 +457,7 @@ class FastEngine:
                             legal = floor
                     start = port_free if port_free > legal else legal
                     if start >= until:
-                        stop = opos
+                        stop, stop_start = opos, start
                         break
                 # post: occupy the port, schedule a round's compute, advance
                 nblocks = head_nblocks[widx]
@@ -512,6 +512,11 @@ class FastEngine:
                 else:
                     stage_arr[widx] = st + 1
                 refresh(widx)
+                if completion is not None and kind == k_return:
+                    completion.on_return(rec[1], end)
+                    if completion.satisfied:
+                        stop = opos + 1
+                        break
                 if allocator is not None and kinds[widx] == drained:
                     self._refill(allocator)
         finally:
@@ -520,7 +525,7 @@ class FastEngine:
             self.blocks_through_port = through
             self.total_updates = total_updates
             self.last_end = last_end
-        return stop
+        return stop, stop_start
 
 
 def fast_simulate(

@@ -14,16 +14,20 @@ speed, so that every equivalence wall compares two implementations:
   recording every port and compute event;
 * :class:`StrictCursor` / :class:`ReadyChoice` -- the two plan policies'
   ``next_choice`` interpretations;
-* :func:`simulate_reference` -- a plan replayed on all of the above.
+* :func:`simulate_reference` -- a plan replayed on all of the above;
+* :func:`post_next` -- one message posted on a
+  :class:`~repro.sim.fastpath.FastEngine`, the fast engine's side of the
+  per-message walls.
 
 ``tests/dynamic_oracle.py`` drives the same :class:`Engine` under the
-dynamic driver's timeline semantics.
+dynamic driver's timeline semantics, one message at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import inf
 from typing import Sequence
 
 from repro.core.blocks import BlockGrid
@@ -31,6 +35,7 @@ from repro.core.chunks import Chunk
 from repro.core.ops import ComputeEvent, MsgKind, PortEvent
 from repro.platform.model import Platform, Worker
 from repro.sim.engine import SimResult, WorkerStats
+from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
 from repro.sim.policies import StrictOrderPolicy, selection_order_priority
 from repro.sim.worker_state import CMode
@@ -252,6 +257,12 @@ class Engine:
         self.port_events.append(evt)
         return evt
 
+    def set_worker_params(self, widx: int, c: float, w: float) -> None:
+        """Reprice worker ``widx`` for the messages posted (and computes
+        scheduled) from now on: the dynamic layer's timeline events."""
+        ws = self.workers[widx]
+        ws.worker = replace(ws.worker, c=c, w=w)
+
     @property
     def pending_workers(self) -> list[int]:
         """Workers that still have messages to post."""
@@ -357,6 +368,13 @@ def chooser(policy) -> StrictCursor | ReadyChoice:
     if isinstance(policy, StrictOrderPolicy):
         return StrictCursor(policy.order)
     return ReadyChoice(policy.priority)
+
+
+def post_next(engine: FastEngine, widx: int, min_start: float = 0.0) -> None:
+    """Post worker ``widx``'s head message on ``engine``: a one-entry strict
+    window of its posting loop, with ``min_start`` as every worker's start
+    floor.  A drained worker raises the strict-order error."""
+    engine._drain((widx,), [min_start] * engine._p, inf)
 
 
 def simulate_reference(platform: Platform, plan: Plan, grid: BlockGrid | None = None) -> SimResult:

@@ -6,10 +6,14 @@ dynamic runner (makespan = decode time, abandoned shares killed), the
 decode-threshold boundary cases of the issue (k-of-n exactly met at the
 final event boundary; every spare of a stripe crashed must raise
 ``DynamicStall``, not hang; reference vs fast agreement on empty
-timelines) and the validator's decode audit.
+timelines), the validator's decode audit, and the completion wall: native
+decode stops equal the test-side per-message driver loop.
 """
 
 from __future__ import annotations
+
+import random
+from contextlib import nullcontext
 
 import pytest
 
@@ -25,11 +29,15 @@ from repro.schedulers.coded import (
     decode_threshold,
 )
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
-from repro.sim.dynamic import DynamicStall, PlatformTimeline
+from repro.sim.dynamic import DynamicStall, PlatformTimeline, random_timeline
 from repro.sim.engine import simulate
 from repro.sim.fastpath import FastEngine, fast_simulate
+from repro.sim.kernels import available_backends
+from repro.sim.plan import Plan
+from repro.sim.policies import StrictOrderPolicy
 from repro.sim.validate import validate_dynamic, validate_result
-from tests.dynamic_oracle import on_engine
+from tests.dynamic_oracle import on_engine, per_message, reference_engine
+from tests.per_mode import kernel_env
 
 
 def _platform(p: int = 3, m: int = 21) -> Platform:
@@ -276,3 +284,89 @@ class TestCodedAllocator:
     def test_cap_below_one_rejected(self):
         with pytest.raises(ValueError):
             CodedDemandAllocator([(0, 1, 0, 1)], seg=1, enrolled=[0], p=1, cap=0)
+
+
+# ----------------------------------------------------------------------
+# completion wall: native decode stops vs the per-message driver loop
+# ----------------------------------------------------------------------
+class _StrictCoded(CodedScheduler):
+    """Fixed-rate coding posted in the strict order of its own static
+    ready replay, so the decode stop also cuts a strict order short."""
+
+    def plan(self, platform: Platform, grid: BlockGrid) -> Plan:
+        plan = super().plan(platform, grid)
+        plan.policy = StrictOrderPolicy([ev.worker for ev in simulate(platform, plan).port_events])
+        return plan
+
+
+_COMPLETION_WALL = {
+    "Coded-ready": lambda: CodedScheduler(redundancy=2, k=2),
+    "Coded-strict": lambda: _StrictCoded(redundancy=2, k=2),
+    "CodedRL-ready": lambda: RatelessCodedScheduler(redundancy=1, k=2),
+}
+
+
+def _decode_outcome(sched, platform, timeline, driver) -> tuple:
+    """Everything a recorded decode-stopped run must reproduce on another
+    driver: result, kills, decode annex and both event traces."""
+    with driver:
+        sim = sched.run_dynamic(platform, GRID, timeline, record_events=True)
+    dyn = sim.meta["dynamic"]
+    return (
+        sim.makespan,
+        sim.worker_stats,
+        sim.port_busy,
+        [ch.cid for ch in sim.chunks],
+        dyn["kills"],
+        dyn["killed_cids"],
+        dyn["coded"],
+        sim.port_events,
+        sim.compute_events,
+    )
+
+
+class TestCompletionWall:
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("variant", sorted(_COMPLETION_WALL))
+    @pytest.mark.parametrize("family", ["straggler", "crash", "mixed"])
+    def test_native_decode_stop_matches_per_message_loop(self, kernel, variant, family):
+        """Native windows stop at the decode threshold exactly where the
+        per-message loop does, on a ``FastEngine`` and on the reference
+        event engine: same kills, killed cids, decode time and events."""
+        platform = _platform(p=4)
+        killed = 0
+        with kernel_env(kernel):
+            for seed in range(4):
+                sched = _COMPLETION_WALL[variant]()
+                horizon = fast_simulate(platform, sched.plan(platform, GRID), GRID).makespan
+                tl = random_timeline(random.Random(seed), family, platform, horizon, rate=4.0)
+                native = _decode_outcome(sched, platform, tl, nullcontext())
+                stepped = _decode_outcome(sched, platform, tl, per_message())
+                ref = _decode_outcome(sched, platform, tl, reference_engine())
+                assert native == stepped, f"{variant} {family} seed {seed}"
+                assert native == ref, f"{variant} {family} seed {seed}"
+                assert native[6]["decode_time"] == native[0]
+                killed += len(native[5])
+        assert killed > 0  # the decode stop really abandons in-flight shares
+
+    def test_tracker_sees_each_return_before_the_refill(self, monkeypatch):
+        """The rateless allocator issues from the decode state, so every
+        ``C_RETURN`` reaches the tracker before the refill it triggers: at
+        each refill the tracker has counted every chunk the engine
+        completed."""
+        seen: list[tuple[int, int]] = []
+        refill = CodedDemandAllocator.refill_via
+
+        def spy(self, has_pending, assign_chunk):
+            engine = has_pending.__self__
+            seen.append((self.tracker.total_returns, sum(engine._chunks_done)))
+            return refill(self, has_pending, assign_chunk)
+
+        monkeypatch.setattr(CodedDemandAllocator, "refill_via", spy)
+        platform = _platform(p=3)
+        sched = RatelessCodedScheduler(redundancy=1, k=2)
+        tl = PlatformTimeline().straggle(5.0, 0, 8.0)
+        dyn = sched.run_dynamic(platform, GRID, tl)
+        assert dyn.meta["dynamic"]["coded"]["shares_returned"] > 1
+        assert sum(done for _returns, done in seen) > 0
+        assert all(returns == done for returns, done in seen), seen

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.dynamic as dynamic
 from repro.core.blocks import BlockGrid
 from repro.core.chunks import PanelAllocator, PanelCursor
 from repro.experiments.harness import DynamicInstance, run_dynamic_experiment
@@ -38,12 +39,13 @@ from repro.schedulers.adaptive import DYNAMIC_MODES, AdaptiveScheduler
 from repro.schedulers.base import SchedulingError
 from repro.schedulers.registry import SCHEDULERS, make_scheduler
 from repro.sim.dynamic import (
+    DynamicRun,
     DynamicStall,
     PlatformTimeline,
     TimelineEvent,
     simulate_dynamic,
 )
-from repro.sim.fastpath import fast_simulate
+from repro.sim.fastpath import FastEngine, fast_simulate
 from repro.sim.plan import Plan
 from repro.sim.policies import (
     ReadyPolicy,
@@ -53,7 +55,8 @@ from repro.sim.policies import (
 )
 from repro.sim.validate import validate_dynamic
 from repro.sim.worker_state import CMode
-from tests.dynamic_oracle import reference_engine, simulate_dynamic_reference
+from tests.dynamic_oracle import PerMessageRun, reference_engine, simulate_dynamic_reference
+from tests.reference_engine import Engine
 
 
 def assert_equivalent(ref, dyn):
@@ -240,24 +243,32 @@ def test_empty_timeline_mode_matrix(c_mode, depth, policy_factory, het_platform,
 # ----------------------------------------------------------------------
 # events: fast == reference interpretation
 # ----------------------------------------------------------------------
-def test_reference_oracle_replaces_the_fast_adapter(het_platform, small_grid):
-    """The test-side oracle really swaps the driver's engine: its runs keep
-    the reference engine's own trace without ``record_events``, and it
-    refuses online control like any adapter without ``supports_control``."""
+def test_reference_oracle_replaces_the_driver_engine(het_platform, small_grid):
+    """The test-side oracle really swaps what the driver builds: inside the
+    block a run is the per-message loop on the reference event engine,
+    whose runs keep its own trace without ``record_events`` and refuse
+    online control; outside it the driver is native on ``FastEngine``."""
     sched = make_scheduler("Het")
     tl = PlatformTimeline().straggle(5.0, 0, 4.0)
     fast = simulate_dynamic(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
-    ref = simulate_dynamic_reference(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
+    with reference_engine():
+        run = dynamic.DynamicRun(het_platform, sched.plan(het_platform, small_grid), tl.events)
+        assert type(run) is PerMessageRun and type(run.engine) is Engine
+        ref = simulate_dynamic(het_platform, sched.plan(het_platform, small_grid), tl, small_grid)
+        with pytest.raises(TypeError, match="fast engine"):
+            simulate_dynamic(
+                het_platform,
+                sched.plan(het_platform, small_grid),
+                tl,
+                small_grid,
+                controller=lambda run, applied: None,
+            )
+    assert dynamic.DynamicRun is DynamicRun and dynamic.FastEngine is FastEngine
     assert fast.port_events == () and ref.port_events
     assert ref.makespan == fast.makespan
-    with reference_engine(), pytest.raises(TypeError, match="fast engine"):
-        simulate_dynamic(
-            het_platform,
-            sched.plan(het_platform, small_grid),
-            tl,
-            small_grid,
-            controller=lambda run, applied: None,
-        )
+    assert simulate_dynamic_reference(
+        het_platform, sched.plan(het_platform, small_grid), tl, small_grid
+    ).port_events == ref.port_events
 
 
 @pytest.mark.parametrize("name", ["Het", "ODDOML", "Hom", "BMM", "OMMOML"])

@@ -14,9 +14,11 @@ adaptive replanning).  Coded-redundancy runs (pseudo-mode ``coded``,
 ~20% of the draw) are audited against the decode criterion instead:
 >= ``k`` distinct returns per stripe, killed shares never returning C.
 
-Every case also runs without recording, where the driver advances
-event-free windows on ``FastEngine``'s posting loop, and must match
-its recorded rerun (which walks the per-message loop) bit for bit.
+Every case also reruns through the test-side per-message driver loop
+(``tests/dynamic_oracle.py``), which picks and posts one message at a
+time, probes included; the driver's native windows on ``FastEngine``'s
+posting loop must match it bit for bit, recorded port and compute events
+included.
 
 The fuzz wall draws seeded random cases; a failure message always carries
 the reproducing seed.  To replay one case by hand::
@@ -63,7 +65,11 @@ from repro.sim.fastpath import fast_simulate
 from repro.sim.policies import ReadyPolicy, StrictOrderPolicy, demand_priority
 from repro.sim.validate import InvariantViolation, validate_dynamic
 from repro.theory.steady_state import makespan_lower_bound
-from tests.dynamic_oracle import simulate_dynamic_reference
+from tests.dynamic_oracle import (
+    per_message,
+    simulate_dynamic_per_message,
+    simulate_dynamic_reference,
+)
 
 # The paper's seven (the default suite): the algorithms whose runs the
 # validator is a contract for.  MaxReuse1 is deliberately absent — it
@@ -146,11 +152,12 @@ def _case(seed: int):
     return platform, grid, timeline, name, mode
 
 
-def _simulate_case(seed: int, *, record_events: bool):
+def _simulate_case(seed: int, *, record_events: bool, stepped: bool = False):
     """One seeded case's dynamic run: ``(result, kills)``, where ``kills``
-    lists each live run's ``(cid, time)`` kills (probes excluded)."""
+    lists each live run's ``(cid, time)`` kills (probes excluded).
+    ``stepped`` runs it through the test-side per-message loop."""
     platform, grid, timeline, name, mode = _case(seed)
-    with _live_runs() as runs:
+    with _live_runs() as runs, per_message() if stepped else contextlib.nullcontext():
         if mode == "coded":
             sim = make_scheduler(name).run_dynamic(
                 platform, grid, timeline, record_events=record_events
@@ -181,29 +188,34 @@ def _live_runs():
 
 
 def _outcome(sim, kills) -> tuple:
-    """Everything the native and interpreted drivers must agree on, bit
-    for bit."""
+    """Everything the native and per-message drivers must agree on, bit
+    for bit.  The last three entries (the audit annex and the event
+    traces) are empty unless recorded."""
     return (
         sim.makespan,
         sim.worker_stats,
         sim.port_busy,
         kills,
         sim.meta["dynamic"].get("decisions"),
+        sim.meta["dynamic"].get("coded"),
+        sim.meta["dynamic"].get("killed_cids"),
+        sim.port_events,
+        sim.compute_events,
     )
 
 
 def _run_and_validate(seed: int) -> bool:
-    """Run one seeded case, audit it, and require the default run (native
-    event-free windows) to match its ``record_events=True`` rerun, which
-    walks the driver's per-message loop; False when unschedulable."""
+    """Run one seeded case recorded, audit it, and require the driver's
+    native windows to match the test-side per-message loop on outcome and
+    on the recorded events; False when unschedulable."""
     platform, grid, timeline, name, mode = _case(seed)
     try:
-        native = _simulate_case(seed, record_events=False)
         sim, kills = _simulate_case(seed, record_events=True)
+        stepped = _simulate_case(seed, record_events=True, stepped=True)
     except SchedulingError:
         return False  # instance infeasible for this algorithm: vacuous
-    assert _outcome(*native) == _outcome(sim, kills), (
-        f"native windows diverge from the interpreted rerun; reproduce with "
+    assert _outcome(sim, kills) == _outcome(*stepped), (
+        f"native windows diverge from the per-message driver; reproduce with "
         f"tests.test_dynamic_validation.replay({seed})"
     )
     validate_dynamic(sim, timeline, grid=grid)
@@ -266,39 +278,41 @@ def test_fuzz_wall_randomized_long():
 # native event-free windows vs the per-message driver loop
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("offset", range(0, 48, 8))
-def test_native_windows_match_per_message_driver(offset, monkeypatch):
-    """The fuzz wall compares each live run with its recorded rerun, whose
-    probes still run native windows; here every window, probes included,
-    is switched off, so the adaptive/reselect boundary scores are checked
-    against the per-message loop too."""
+def test_native_windows_match_per_message_driver(offset):
+    """The default run (native windows, no trace) and its recorded rerun
+    must both match the per-message loop, probes and boundary scores
+    included; the recorded runs must match event for event."""
     base = _seed_base() + 90_000 + offset
     for seed in range(base, base + 8):
         try:
-            native = _outcome(*_simulate_case(seed, record_events=False))
+            native = _simulate_case(seed, record_events=False)
         except SchedulingError:
             continue
-        with monkeypatch.context() as m:
-            m.setattr(DynamicRun, "_advance_window", lambda self: None)
-            stepped = _outcome(*_simulate_case(seed, record_events=False))
-        assert native == stepped, (
+        recorded = _outcome(*_simulate_case(seed, record_events=True))
+        stepped = _outcome(*_simulate_case(seed, record_events=True, stepped=True))
+        assert recorded == stepped, (
             f"native windows diverge from the per-message driver; reproduce "
             f"with tests.test_dynamic_validation.replay({seed})"
         )
+        assert _outcome(*native)[:6] == recorded[:6], f"replay seed {seed}"
 
 
-def _native_and_recorded(platform, grid, timeline, make_plan):
-    """Run a fresh plan natively and recorded; return both outcomes (or
-    both raised exceptions as ``(type, message)``)."""
+def _run_key(sim) -> tuple:
+    return sim.makespan, sim.worker_stats, sim.port_busy, sim.port_events, sim.compute_events
+
+
+def _native_and_stepped(platform, grid, timeline, make_plan):
+    """Run a fresh plan recorded through native windows and through the
+    per-message loop; return both outcomes, events included (or both
+    raised exceptions as ``(type, message)``)."""
     out = []
-    for record in (False, True):
+    for simulate in (simulate_dynamic, simulate_dynamic_per_message):
         try:
-            sim = simulate_dynamic(
-                platform, make_plan(), timeline, grid, record_events=record
-            )
+            sim = simulate(platform, make_plan(), timeline, grid, record_events=True)
         except RuntimeError as exc:
             out.append((type(exc), str(exc)))
         else:
-            out.append((sim.makespan, sim.worker_stats, sim.port_busy))
+            out.append(_run_key(sim))
     return out
 
 
@@ -313,8 +327,8 @@ def test_native_stall_matches_interpreted(name, het_platform, ragged_grid):
     # crash a worker holding work (the demand allocator serves them all)
     victim = max([i for i, chunks in enumerate(make_plan().assignments) if chunks] or [0])
     timeline = PlatformTimeline().straggle(0.5, 1, 3.0).crash(1.0, victim)
-    native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, make_plan)
-    assert native == recorded
+    native, stepped = _native_and_stepped(het_platform, ragged_grid, timeline, make_plan)
+    assert native == stepped
     assert native[0] is DynamicStall
 
 
@@ -329,8 +343,8 @@ def test_native_strict_order_error_matches_interpreted(het_platform, ragged_grid
         return plan
 
     timeline = PlatformTimeline().straggle(2.0, 0, 4.0)
-    native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, make_plan)
-    assert native == recorded
+    native, stepped = _native_and_stepped(het_platform, ragged_grid, timeline, make_plan)
+    assert native == stepped
     assert native[0] is RuntimeError and "has no pending message" in native[1]
 
 
@@ -350,10 +364,10 @@ def test_native_crash_rejoin_mid_run_matches(name, het_platform, ragged_grid):
         .crash(0.6 * nominal, 3)
         .join(0.6 * nominal, 3)
     )
-    native, recorded = _native_and_recorded(het_platform, ragged_grid, timeline, plan)
-    assert native == recorded
+    native, stepped = _native_and_stepped(het_platform, ragged_grid, timeline, plan)
+    assert native == stepped
     ref = simulate_dynamic_reference(het_platform, plan(), timeline, ragged_grid)
-    assert native == (ref.makespan, ref.worker_stats, ref.port_busy)
+    assert native == _run_key(ref)
     assert native[0] > nominal
 
 
@@ -371,10 +385,10 @@ def test_native_generic_key_spec_matches(offset):
         plan.policy = ReadyPolicy(demand_priority)
         return plan
 
-    native, recorded = _native_and_recorded(platform, grid, timeline, make_plan)
-    assert native == recorded, f"replay seed {seed}"
+    native, stepped = _native_and_stepped(platform, grid, timeline, make_plan)
+    assert native == stepped, f"replay seed {seed}"
     ref = simulate_dynamic_reference(platform, make_plan(), timeline, grid)
-    assert native == (ref.makespan, ref.worker_stats, ref.port_busy), f"seed {seed}"
+    assert native == _run_key(ref), f"seed {seed}"
 
 
 # ----------------------------------------------------------------------

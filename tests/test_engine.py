@@ -12,6 +12,7 @@ from repro.sim.fastpath import FastEngine
 from repro.sim.plan import Plan
 from repro.sim.policies import ReadyPolicy, StrictOrderPolicy, demand_priority
 from repro.sim.validate import validate_result
+from tests.reference_engine import post_next
 
 
 class TestHandComputedTimeline:
@@ -90,8 +91,8 @@ class TestEngineMechanics:
     def test_post_without_pending_raises(self):
         plat = Platform.homogeneous(1, 1.0, 1.0, 50)
         eng = FastEngine(plat)
-        with pytest.raises(RuntimeError):
-            eng.post_next(0)
+        with pytest.raises(RuntimeError, match="has no pending message"):
+            post_next(eng, 0)
 
     def test_strict_policy_wrong_worker_raises(self):
         plat = Platform.homogeneous(2, 1.0, 1.0, 50)

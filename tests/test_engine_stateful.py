@@ -17,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core.chunks import make_chunk
 from repro.platform.model import Platform, Worker
 from repro.sim.fastpath import FastEngine
-from tests.reference_engine import Engine, assert_same_run
+from tests.reference_engine import Engine, assert_same_run, post_next
 
 P = 3
 
@@ -51,7 +51,7 @@ class EngineMachine(RuleBasedStateMachine):
         widx = data.draw(st.sampled_from(pending))
         legal = self.engine.legal_start(widx)
         evt = self.engine.post_next(widx)
-        self.fast.post_next(widx)
+        post_next(self.fast, widx)
         assert evt.start >= legal - 1e-12
         assert evt.start >= self.last_port_free - 1e-12  # one-port
         self.posted += 1
@@ -76,7 +76,7 @@ class EngineMachine(RuleBasedStateMachine):
             for i in range(P):
                 if self.engine.workers[i].has_pending:
                     self.engine.post_next(i)
-                    self.fast.post_next(i)
+                    post_next(self.fast, i)
                     break
         assert_same_run(self.fast.result(), self.engine.result())
         if self.engine.port_events:

@@ -1,29 +1,29 @@
 """Edges of ``FastEngine``'s one posting loop (``_drain``).
 
-Every post -- ``post_next``, a static ``run_plan`` replay and the dynamic
-driver's event-free windows -- goes through the same loop, which also
-records the dynamic driver's traces.  These tests pin its error paths and
-that what-if probes (engine clones) never write into a recorded trace.
-Each runs under every available kernel backend.
+Every post -- a static ``run_plan`` replay, every window of the dynamic
+driver and the tests' one-message ``post_next`` -- goes through the same
+loop, which also records the dynamic driver's traces.  These tests pin its
+error paths and that what-if probes (engine clones) never write into a
+recorded trace.  Each runs under every available kernel backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.sim.dynamic as dynamic
 from repro.core.chunks import make_chunk
 from repro.experiments.sweeps import dynamic_scenario
 from repro.platform.model import Platform
 from repro.schedulers.adaptive import AdaptiveScheduler
 from repro.schedulers.registry import make_scheduler
-from repro.sim.dynamic import PlatformTimeline
+from repro.sim.dynamic import DynamicRun, PlatformTimeline
 from repro.sim.fastpath import FastEngine
 from repro.sim.kernels import available_backends
 from repro.sim.plan import Plan
 from repro.sim.policies import StrictOrderPolicy
 from repro.sim.validate import validate_dynamic
 from tests.per_mode import kernel_env
+from tests.reference_engine import post_next
 
 KERNELS = available_backends()
 
@@ -37,14 +37,26 @@ def _one_chunk_engine() -> FastEngine:
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_post_next_on_drained_worker_raises(kernel):
+    """One message is a one-entry strict window, so posting a drained
+    worker raises the strict-order error at position 0 and posts nothing."""
     with kernel_env(kernel):
         eng = _one_chunk_engine()
-        with pytest.raises(RuntimeError, match="worker 1 has no pending message to post"):
-            eng.post_next(1)
+        with pytest.raises(
+            RuntimeError,
+            match="strict order names worker 1 at position 0 but it has no pending message",
+        ):
+            post_next(eng, 1)
+        assert eng.port_free == 0.0 and eng.has_pending(0)
+        posts = 0
         while eng.has_pending(0):
-            eng.post_next(0)
-        with pytest.raises(RuntimeError, match="worker 0 has no pending message to post"):
-            eng.post_next(0)
+            post_next(eng, 0)
+            posts += 1
+        assert posts == 3  # C send, one round, C return
+        with pytest.raises(
+            RuntimeError,
+            match="strict order names worker 0 at position 0 but it has no pending message",
+        ):
+            post_next(eng, 0)
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -74,7 +86,7 @@ def test_clone_of_recording_engine_does_not_record(kernel):
         other = eng.clone()
         assert other._log is None
         while other.has_pending(0):
-            other.post_next(0)
+            post_next(other, 0)
         assert eng._log == ([], [])
 
 
@@ -94,39 +106,39 @@ def _straggler_case():
 )
 def test_recorded_adaptive_trace_has_one_event_per_live_post(kernel, name, case, monkeypatch):
     """Probes clone the live engine and post to completion; none of those
-    posts may reach the recorded trace.  A recorded run walks the
-    per-message loop, so the live engine posts once per ``post_next``."""
-    adapters: list = []
+    posts may reach the recorded trace.  The live engine's own counters
+    witness its posts: the recorded port events carry exactly its blocks,
+    and their durations, summed in posting order, are its port busy time
+    bit for bit."""
+    live: list = []
+    init = DynamicRun.__init__
 
-    class Tracked(dynamic._FastAdapter):
-        def __init__(self, *args) -> None:
-            super().__init__(*args)
-            adapters.append(self)
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.append(self.engine)
 
-    live_posts = [0]
     clones = [0]
-    post_next, clone = FastEngine.post_next, FastEngine.clone
-
-    def counting_post(self, widx, min_start=0.0):
-        if adapters and self is adapters[0].engine:
-            live_posts[0] += 1
-        return post_next(self, widx, min_start)
+    clone = FastEngine.clone
 
     def counting_clone(self):
         clones[0] += 1
         return clone(self)
 
-    monkeypatch.setattr(dynamic, "_FastAdapter", Tracked)
-    monkeypatch.setattr(FastEngine, "post_next", counting_post)
+    monkeypatch.setattr(DynamicRun, "__init__", tracked)
     monkeypatch.setattr(FastEngine, "clone", counting_clone)
     with kernel_env(kernel):
         platform, grid, timeline = case()
         sim = AdaptiveScheduler(make_scheduler(name), "adaptive").run_dynamic(
             platform, grid, timeline, record_events=True
         )
-    assert len(adapters) == 1
+    assert len(live) == 1
+    engine = live[0]
     assert any("migrate" in d for d in sim.meta["dynamic"]["decisions"])
     assert clones[0] > 0
-    assert len(sim.port_events) == live_posts[0] > 0
-    assert sum(ev.nblocks for ev in sim.port_events) == sim.blocks_through_port
+    assert sim.port_events
+    assert sum(ev.nblocks for ev in sim.port_events) == engine.blocks_through_port
+    busy = 0.0
+    for ev in sim.port_events:
+        busy += ev.end - ev.start
+    assert busy == engine.port_busy == sim.port_busy
     validate_dynamic(sim, timeline, grid=grid)

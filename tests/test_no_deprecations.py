@@ -148,3 +148,15 @@ def test_event_engine_lives_in_tests():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     for policy in (policies.StrictOrderPolicy, policies.ReadyPolicy):
         assert not hasattr(policy, "next_choice") and not hasattr(policy, "fresh")
+
+
+def test_per_message_driver_lives_in_tests():
+    """Every dynamic run takes native windows: the driver's per-message
+    loop and its engine adapter are the test-side oracle only."""
+    from repro.sim import dynamic
+    from repro.sim.fastpath import FastEngine
+
+    assert not hasattr(dynamic, "_FastAdapter")
+    for name in ("_choose", "_choose_strict", "_choose_ready", "_advance_window", "_engine"):
+        assert not hasattr(dynamic.DynamicRun, name), name
+    assert not hasattr(FastEngine, "post_next")
