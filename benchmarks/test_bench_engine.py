@@ -166,8 +166,7 @@ def _report_ladder(name: str, scheduler_name: str, emit) -> None:
             "warmup_seconds": warmup,
         }
     emit(name, "\n".join(lines), data=data)
-    # real compiled backends must beat the per-step numpy path handily;
-    # the interpreted `python` rung is a debugging oracle, not a target
+    # the compiled backend must beat the per-step numpy path handily
     for label, secs, _c, _w, _m in rows:
         if label == "c":
             assert base / secs >= 3.0, (label, base / secs)

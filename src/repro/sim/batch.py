@@ -46,8 +46,8 @@ Two replay modes cover the batchable plans:
 Plans with dynamic allocators are not batchable (their chunks depend on
 the timing); :func:`batch_simulate` runs them through ``fast_simulate``
 individually, so the API accepts *any* plan list.  How the batchable runs
-are split into engines follows from the resolved kernel backend.  Under a
-whole-run kernel (``c``, ``python``) each replay mode becomes one
+are split into engines follows from the resolved kernel backend.  Under
+the whole-run ``c`` kernel each replay mode becomes one
 :class:`BatchEngine`: the kernels loop instance by instance, so neither
 batch width nor length spread adds steps.  The per-step ``numpy``
 backend buckets instances by message count, so one long run cannot pin a
@@ -300,10 +300,10 @@ class BatchEngine:
     one stream.
 
     The stepping backend is the process's (see :mod:`repro.sim.kernels`):
-    the numpy backend advances one step per Python iteration, a whole-run
-    backend (``"c"``, the default where it builds, or its interpreted
-    oracle ``"python"``) advances whole ``run()`` windows in one kernel
-    call.  Results are bit-identical either way.
+    the numpy backend advances one step per Python iteration and is the
+    oracle; the whole-run ``"c"`` backend, the default where it builds,
+    advances whole ``run()`` windows in one kernel call.  Results are
+    bit-identical either way.
     """
 
     def __init__(self, runs: Sequence[tuple[Platform, Plan]]) -> None:

@@ -13,10 +13,10 @@ then the least priority key, then the lowest index -- and compute each
 message's ``nblocks * c`` / ``updates * w`` inline from the instance's
 worker costs.  The kernels loop instance by instance, so
 one call over a batch of any size or length spread costs what the
-instances' own steps cost.  The numpy per-step path remains the
-bit-identical equivalence oracle (the kernels perform the same IEEE-754
-operations in the same per-instance order, so results match exactly --
-the equivalence walls pin this).
+instances' own steps cost.  The C source below is the kernels' one text;
+the numpy per-step path is its bit-identical oracle (the kernels perform
+the same IEEE-754 operations in the same per-instance order, so results
+match exactly -- the equivalence walls pin this).
 
 Backends
 --------
@@ -29,12 +29,7 @@ Backends
     The two kernels below as a small C file, built once with the system C
     compiler (``-O2 -ffp-contract=off``) into a cached shared library and
     driven through :mod:`ctypes`.  Needs a working ``cc``/``gcc``/``clang``.
-    The default backend whenever it builds.
-``python``
-    The same two kernels interpreted by CPython (no compilation).  Slow --
-    it is the C kernels' oracle: the kernel algorithm itself stays
-    testable on hosts without a compiler, and it doubles as a debugging
-    aid.
+    The default backend whenever it builds, and the one whole-run backend.
 
 Selection: the backend is a per-process setting.  The ``REPRO_KERNEL``
 environment variable names it (the CLI's ``--kernel`` flag sets it), so
@@ -49,7 +44,7 @@ machines without a compiler.  A name outside :data:`KERNEL_NAMES` raises
 
 Kernels take an explicit ``t0``/``t1`` step window, so
 ``BatchEngine.run(max_steps=)``, ``checkpoint()/restore()`` and the
-shared-prefix incremental search all keep working under a compiled
+shared-prefix incremental search all keep working under the compiled
 backend: the engine simply asks the kernel to advance the window it would
 otherwise have stepped through in Python.  The shared-prefix search also
 passes ``B = 1`` to advance only the batch's longest instance through the
@@ -79,7 +74,7 @@ __all__ = [
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Registered backend names, in documentation order.
-KERNEL_NAMES = ("numpy", "c", "python")
+KERNEL_NAMES = ("numpy", "c")
 
 
 class KernelUnavailable(RuntimeError):
@@ -87,146 +82,14 @@ class KernelUnavailable(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# the kernels, in Python
+# the kernels, in C
 #
-# These two functions are the *source of truth* for the compiled
-# backend: the C file below is a line-by-line transcription, and the
-# ``python`` backend runs them as-is.  Every floating-point op mirrors the numpy per-step
-# paths (``BatchEngine._step_strict`` / ``_step_ready``) in per-instance
-# order, so all backends are bit-identical.
-# ----------------------------------------------------------------------
-def _strict_run(
-    t0,
-    t1,
-    B,
-    P,
-    lengths,  # (B,) int64, descending -- instance b posts steps [0, lengths[b])
-    order,  # (n,) int64       strict orders of the distinct plans, concatenated
-    order_base,  # (B,) int64  offset of instance b's order in ``order``
-    ptr,  # (B, P) int64       next stream message per (instance, worker)
-    seg,  # (B, P) int64       state-segment base per (instance, worker)
-    cost_c,  # (B, P) float64  worker port cost per block
-    cost_w,  # (B, P) float64  worker compute cost per update
-    f_kind,  # (N,) int8       shared message streams: kind codes (1/2/3)
-    f_nb,  # (N,) float64      blocks moved (integral)
-    f_upd,  # (N,) float64     block updates (integral)
-    f_legal,  # (N,) int64     legal-start slot, relative to seg
-    f_ring,  # (N,) int64      ring slot relative to seg (rounds only)
-    S,  # (s,) float64         flat state vector, one segment per (b, w)
-    port_free,  # (B,) float64
-    port_busy,  # (B,) float64
-):
-    # instances are independent, so each one runs its whole window in turn
-    for b in range(B):
-        stop = min(t1, lengths[b])
-        if stop <= t0:
-            break  # lengths descend: every later instance is drained too
-        pf = port_free[b]
-        busy = port_busy[b]
-        ob = order_base[b]
-        for t in range(t0, stop):
-            w = order[ob + t]
-            mp = ptr[b, w]
-            ptr[b, w] = mp + 1
-            sg = seg[b, w]
-            legal = S[sg + f_legal[mp]]
-            start = pf if pf > legal else legal
-            end = start + f_nb[mp] * cost_c[b, w]
-            busy += end - start
-            pf = end
-            kind = f_kind[mp]
-            if kind == 2:  # ROUND
-                cei = sg + 1
-                cf = S[cei]
-                cs = end if end > cf else cf
-                ce = cs + f_upd[mp] * cost_w[b, w]
-                S[sg + f_ring[mp]] = ce
-                S[cei] = ce
-                S[cei + 1] += ce - cs
-            elif kind == 3:  # C_RETURN
-                S[sg] = end
-        port_free[b] = pf
-        port_busy[b] = busy
-
-
-def _ready_run(
-    t0,
-    t1,
-    B,
-    P,
-    lengths,  # (B,) int64, descending
-    ptr,  # (B, P) int64      next stream message per (instance, worker)
-    endp,  # (B, P) int64     end of each (instance, worker) stream
-    seg,  # (B, P) int64      state-segment base per (instance, worker)
-    cost_c,  # (B, P) float64
-    cost_w,  # (B, P) float64
-    head_legal,  # (B, P) float64  cached head legal starts (inf = drained)
-    head_cid,  # (B, P) float64    cached head chunk ids (inf = drained)
-    f_kind,  # (N,) int8      shared message streams, as in the strict kernel
-    f_nb,  # (N,) float64
-    f_upd,  # (N,) float64
-    f_cid,  # (N,) float64    chunk ids as float64 (exact below 2**53)
-    f_legal,  # (N,) int64
-    f_ring,  # (N,) int64
-    by_cid,  # int            1: priority key head_cid, 0: legal_start
-    S,  # (s,) float64
-    port_free,  # (B,) float64
-    port_busy,  # (B,) float64
-):
-    inf = np.inf
-    for b in range(B):
-        stop = min(t1, lengths[b])
-        if stop <= t0:
-            break
-        pf = port_free[b]
-        busy = port_busy[b]
-        hl = head_legal[b]
-        hc = head_cid[b]
-        for _t in range(t0, stop):
-            # argmin over (effective start, priority key); ascending scan
-            # with strict improvement == the numpy masked argmin (ties
-            # resolve to the lowest worker index)
-            best = 0
-            v = hl[0]
-            best_eff = pf if pf > v else v
-            for i in range(1, P):
-                v = hl[i]
-                eff = pf if pf > v else v
-                if eff < best_eff or (
-                    eff == best_eff and (hc[i] < hc[best] if by_cid else v < hl[best])
-                ):
-                    best = i
-                    best_eff = eff
-            mp = ptr[b, best]
-            sg = seg[b, best]
-            end = best_eff + f_nb[mp] * cost_c[b, best]
-            busy += end - best_eff
-            pf = end
-            kind = f_kind[mp]
-            if kind == 2:  # ROUND
-                cei = sg + 1
-                cf = S[cei]
-                cs = end if end > cf else cf
-                ce = cs + f_upd[mp] * cost_w[b, best]
-                S[sg + f_ring[mp]] = ce
-                S[cei] = ce
-                S[cei + 1] += ce - cs
-            elif kind == 3:  # C_RETURN
-                S[sg] = end
-            nxt = mp + 1
-            ptr[b, best] = nxt
-            if nxt < endp[b, best]:
-                hl[best] = S[sg + f_legal[nxt]]
-                hc[best] = f_cid[nxt]
-            else:
-                hl[best] = inf
-                hc[best] = inf
-        port_free[b] = pf
-        port_busy[b] = busy
-
-
-# ----------------------------------------------------------------------
-# the kernels, in C (transcription of the two functions above)
+# This C file is the kernels' one text.  Each block carries a comment
+# naming the numpy per-step operation it mirrors (``BatchEngine._post``,
+# ``_step_strict`` and ``_step_ready`` in :mod:`repro.sim.batch`): the
+# same IEEE-754 operations in the same per-instance order, so the numpy
+# backend is the bit-identical oracle the equivalence walls check the
+# compiled kernels against.
 # ----------------------------------------------------------------------
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -234,22 +97,27 @@ _C_SOURCE = r"""
 
 #define RMAX(a, b) ((a) > (b) ? (a) : (b))
 
+/* Instances are independent, so each one runs its whole [t0, t1) window
+ * in turn.  Instance b posts steps [0, lengths[b]); lengths descend, so
+ * the first drained instance ends the batch.  Per (instance, worker)
+ * arrays are (B, P) row-major; the f_* message streams are shared by
+ * every instance replaying the same plan. */
 void strict_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
-                const int64_t *restrict lengths,
-                const int64_t *restrict order,
-                const int64_t *restrict order_base,
-                int64_t *restrict ptr,
-                const int64_t *restrict seg,
-                const double *restrict cost_c,
-                const double *restrict cost_w,
-                const int8_t *restrict f_kind,
-                const double *restrict f_nb,
-                const double *restrict f_upd,
-                const int64_t *restrict f_legal,
-                const int64_t *restrict f_ring,
-                double *restrict S,
-                double *restrict port_free,
-                double *restrict port_busy)
+                const int64_t *restrict lengths,     /* (B,) descending */
+                const int64_t *restrict order,       /* plans' strict orders, concatenated */
+                const int64_t *restrict order_base,  /* (B,) offset of b's order */
+                int64_t *restrict ptr,               /* (B, P) next stream message */
+                const int64_t *restrict seg,         /* (B, P) state-segment base */
+                const double *restrict cost_c,       /* (B, P) port cost per block */
+                const double *restrict cost_w,       /* (B, P) compute cost per update */
+                const int8_t *restrict f_kind,       /* (N,) kind code 1/2/3 */
+                const double *restrict f_nb,         /* (N,) blocks moved */
+                const double *restrict f_upd,        /* (N,) block updates */
+                const int64_t *restrict f_legal,     /* (N,) legal-start slot, rel. seg */
+                const int64_t *restrict f_ring,      /* (N,) ring slot, rel. seg */
+                double *restrict S,                  /* flat state, one segment per (b, w) */
+                double *restrict port_free,          /* (B,) */
+                double *restrict port_busy)          /* (B,) */
 {
     for (int64_t b = 0; b < B; b++) {
         int64_t stop = lengths[b] < t1 ? lengths[b] : t1;
@@ -258,24 +126,27 @@ void strict_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
         double busy = port_busy[b];
         const int64_t *ord = order + order_base[b];
         for (int64_t t = t0; t < stop; t++) {
+            /* _step_strict: the plan's order names the worker; take its
+             * next message and read that message's legal start */
             int64_t off = b * P + ord[t];
             int64_t mp = ptr[off];
             ptr[off] = mp + 1;
             int64_t sg = seg[off];
             double legal = S[sg + f_legal[mp]];
+            /* _post: the port recurrence */
             double start = RMAX(pf, legal);
             double end = start + f_nb[mp] * cost_c[off];
             busy += end - start;
             pf = end;
             int8_t kind = f_kind[mp];
-            if (kind == 2) {          /* ROUND */
+            if (kind == 2) {          /* _post, ROUND: the compute chain */
                 int64_t cei = sg + 1;
                 double cs = RMAX(end, S[cei]);
                 double ce = cs + f_upd[mp] * cost_w[off];
                 S[sg + f_ring[mp]] = ce;
                 S[cei] = ce;
                 S[cei + 1] += ce - cs;
-            } else if (kind == 3) {   /* C_RETURN */
+            } else if (kind == 3) {   /* _post, C_RETURN */
                 S[sg] = end;
             }
         }
@@ -284,19 +155,23 @@ void strict_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
     }
 }
 
+/* The ready kernel takes the strict kernel's arguments minus the order,
+ * plus each worker's stream end and its cached head keys (inf once the
+ * worker drained); by_cid picks the priority key (1: head chunk id,
+ * 0: head legal start). */
 void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
                const int64_t *restrict lengths,
                int64_t *restrict ptr,
-               const int64_t *restrict endp,
+               const int64_t *restrict endp,         /* (B, P) end of each stream */
                const int64_t *restrict seg,
                const double *restrict cost_c,
                const double *restrict cost_w,
-               double *restrict head_legal,
-               double *restrict head_cid,
+               double *restrict head_legal,          /* (B, P) head legal starts */
+               double *restrict head_cid,            /* (B, P) head chunk ids */
                const int8_t *restrict f_kind,
                const double *restrict f_nb,
                const double *restrict f_upd,
-               const double *restrict f_cid,
+               const double *restrict f_cid,         /* (N,) chunk ids, exact below 2**53 */
                const int64_t *restrict f_legal,
                const int64_t *restrict f_ring,
                int64_t by_cid,
@@ -312,6 +187,9 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
         double *hl = head_legal + b * P;
         double *hc = head_cid + b * P;
         for (int64_t t = t0; t < stop; t++) {
+            /* _step_ready: the masked argmin over (effective start,
+             * priority key); an ascending scan with strict improvement
+             * resolves ties to the lowest worker index, as argmax does */
             int64_t best = 0;
             double v = hl[0];
             double best_eff = RMAX(pf, v);
@@ -327,20 +205,22 @@ void ready_run(int64_t t0, int64_t t1, int64_t B, int64_t P,
             int64_t off = b * P + best;
             int64_t mp = ptr[off];
             int64_t sg = seg[off];
+            /* _post: the port recurrence, from the selected start */
             double end = best_eff + f_nb[mp] * cost_c[off];
             busy += end - best_eff;
             pf = end;
             int8_t kind = f_kind[mp];
-            if (kind == 2) {          /* ROUND */
+            if (kind == 2) {          /* _post, ROUND: the compute chain */
                 int64_t cei = sg + 1;
                 double cs = RMAX(end, S[cei]);
                 double ce = cs + f_upd[mp] * cost_w[off];
                 S[sg + f_ring[mp]] = ce;
                 S[cei] = ce;
                 S[cei + 1] += ce - cs;
-            } else if (kind == 3) {   /* C_RETURN */
+            } else if (kind == 3) {   /* _post, C_RETURN */
                 S[sg] = end;
             }
+            /* _step_ready: advance the pointer, refresh the head keys */
             int64_t nxt = mp + 1;
             ptr[off] = nxt;
             if (nxt < endp[off]) {
@@ -395,18 +275,6 @@ class NumpyBackend(KernelBackend):
 
     name = "numpy"
     whole_run = False
-
-
-class PythonBackend(KernelBackend):
-    """The kernels interpreted by CPython: the C kernels' oracle."""
-
-    name = "python"
-
-    def strict_run(self, *args) -> None:
-        _strict_run(*args)
-
-    def ready_run(self, *args) -> None:
-        _ready_run(*args)
 
 
 class CBackend(KernelBackend):
@@ -581,7 +449,6 @@ class CBackend(KernelBackend):
 _FACTORIES = {
     "numpy": NumpyBackend,
     "c": CBackend,
-    "python": PythonBackend,
 }
 _instances: dict[str, KernelBackend] = {}
 _failures: dict[str, str] = {}

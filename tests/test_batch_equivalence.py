@@ -249,8 +249,8 @@ def _strict_factory(assignments, c_mode, rng):
     return StrictOrderPolicy(order)
 
 
-#: Every kernel backend that can run here -- the numpy oracle plus any
-#: compiled one (c) and the interpreted kernel-algorithm oracle.
+#: Every kernel backend that can run here -- the numpy oracle plus the
+#: compiled one (c) where it builds.
 KERNELS = available_backends()
 
 
@@ -374,7 +374,7 @@ def _routed(monkeypatch, runs):
     return outcomes, built, snapshot_delta(before)
 
 
-@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("kernel", ["c"])
 def test_whole_run_kernels_build_one_engine_per_mode(
     kernel, monkeypatch, het_platform, small_grid, ragged_grid
 ):

@@ -1,5 +1,6 @@
 """CLI smoke tests for every subcommand."""
 
+import os
 from collections import Counter
 
 import pytest
@@ -128,20 +129,37 @@ class TestKernelFlag:
                 monkeypatch.setattr(cls, method, counted)
         return calls
 
-    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    @pytest.mark.parametrize("kernel", ["numpy", "c"])
     def test_flag_reaches_planning(self, kernel, monkeypatch, capsys):
-        from repro.sim.kernels import KERNEL_ENV
+        from repro.sim.kernels import KERNEL_ENV, KernelUnavailable, get_backend
 
+        if kernel == "c":
+            try:
+                get_backend("c").ensure_ready()
+            except KernelUnavailable:
+                pytest.skip("the C kernels do not build here")
         # undo the flag's write to the environment at teardown
         monkeypatch.delenv(KERNEL_ENV, raising=False)
         calls = self._count_kernel_calls(monkeypatch)
         assert main(["figure", "fig4", "--scale", "0.1", "--kernel", kernel]) == 0
         assert "HomI" in capsys.readouterr().out
-        assert calls["c"] == 0, calls
         if kernel == "numpy":
             assert sum(calls.values()) == 0, calls
         else:
-            assert calls["python"] > 0, calls
+            assert calls["c"] > 0, calls
+
+    def test_removed_backend_is_rejected(self, monkeypatch, capsys):
+        """``python`` is no backend any more: argparse rejects the flag
+        with its usage error before anything runs."""
+        from repro.sim.kernels import KERNEL_ENV
+
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig4", "--kernel", "python"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'python'" in err and "usage:" in err
+        assert KERNEL_ENV not in os.environ
 
     @pytest.mark.parametrize(
         "argv",

@@ -320,6 +320,17 @@ def test_crash_window_delays_service(het_platform, ragged_grid):
     assert out.makespan >= nominal
 
 
+@pytest.mark.parametrize("name", ["Hom", "ORROML"], ids=["strict", "ready"])
+def test_probe_carries_every_run_attribute(name, het_platform, small_grid):
+    """``probe`` re-lists the run's attributes by hand: a field added to
+    ``__init__`` but not to ``probe`` must fail here, not go missing from
+    every candidate score."""
+    plan = make_scheduler(name).plan(het_platform, small_grid)
+    run = DynamicRun(het_platform, plan, PlatformTimeline().straggle(1.0, 0, 2.0).events)
+    assert (run._order is None) == (name == "ORROML")
+    assert set(vars(run.probe())) == set(vars(run))
+
+
 # ----------------------------------------------------------------------
 # adaptive wrapper
 # ----------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_both_engines_reproduce_golden_figures(engine, golden):
 
 
 @pytest.mark.parametrize("engine", ["fast", "batch"])
-@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("kernel", ["c"])
 def test_compiled_backends_reproduce_golden_figures(engine, kernel, golden):
     """Every compiled kernel backend plans and replays the full
     golden-figure set bit-identically (environments without a backend

@@ -3,7 +3,8 @@
 The equivalence walls (``test_batch_equivalence``, ``test_golden_figures``)
 pin that every backend computes bit-identical results; this file pins the
 *registry* contract around them: resolution order (``REPRO_KERNEL`` >
-c when it builds > numpy), unknown-name errors (``numba`` among them),
+c when it builds > numpy), unknown-name errors (the removed ``numba``
+and ``python`` backends among them),
 the single-warning numpy fallback for explicitly requested but
 unavailable backends, whole-run vs per-step dispatch, windowed stepping,
 and the ``fast_simulate``/harness integration points.  Every backend is
@@ -36,20 +37,33 @@ from tests.per_mode import kernel_env, per_mode_outcomes
 # registry + resolution
 # ----------------------------------------------------------------------
 def test_registry_names_cover_all_factories():
-    assert KERNEL_NAMES == ("numpy", "c", "python")
+    assert KERNEL_NAMES == ("numpy", "c")
     assert set(kernels._FACTORIES) == set(KERNEL_NAMES)
     for name in available_backends():
         assert get_backend(name).name == name
 
 
-def test_numpy_and_python_always_available():
-    avail = available_backends()
-    assert "numpy" in avail and "python" in avail
+def test_numpy_always_available():
+    assert "numpy" in available_backends()
+
+
+def _c_builds() -> bool:
+    try:
+        get_backend("c").ensure_ready()
+    except KernelUnavailable:
+        return False
+    return True
+
+
+def _require_c() -> None:
+    if not _c_builds():
+        pytest.skip("the C kernels do not build here")
 
 
 def test_whole_run_flags():
     assert get_backend("numpy").whole_run is False
-    assert get_backend("python").whole_run is True
+    _require_c()
+    assert get_backend("c").whole_run is True
 
 
 def test_unknown_name_raises_value_error(monkeypatch):
@@ -61,28 +75,22 @@ def test_unknown_name_raises_value_error(monkeypatch):
 
 
 def test_numba_is_an_unknown_name(monkeypatch, het_platform, small_grid):
-    """``numba`` names no backend: naming it in the environment makes
-    every entry point raise the unknown-backend error listing the known
-    names instead of falling back to numpy."""
+    """``numba`` and ``python`` name no backend (both were removed):
+    naming either in the environment makes every entry point raise the
+    unknown-backend error listing the known names instead of falling
+    back to numpy."""
     from repro.sim.batch import batch_simulate
 
-    known = r"unknown kernel backend 'numba'; known: \('numpy', 'c', 'python'\)"
     plan = make_scheduler("Hom").plan(het_platform, small_grid)
-    monkeypatch.setenv(KERNEL_ENV, "numba")
-    with pytest.raises(ValueError, match=known):
-        resolve_kernel()
-    with pytest.raises(ValueError, match=known):
-        fast_simulate(het_platform, plan)
-    with pytest.raises(ValueError, match=known):
-        batch_simulate([(het_platform, plan)])
-
-
-def _c_builds() -> bool:
-    try:
-        get_backend("c").ensure_ready()
-    except KernelUnavailable:
-        return False
-    return True
+    for name in ("numba", "python"):
+        known = rf"unknown kernel backend '{name}'; known: \('numpy', 'c'\)"
+        monkeypatch.setenv(KERNEL_ENV, name)
+        with pytest.raises(ValueError, match=known):
+            resolve_kernel()
+        with pytest.raises(ValueError, match=known):
+            fast_simulate(het_platform, plan)
+        with pytest.raises(ValueError, match=known):
+            batch_simulate([(het_platform, plan)])
 
 
 def test_resolve_name_and_default(monkeypatch):
@@ -90,15 +98,14 @@ def test_resolve_name_and_default(monkeypatch):
     otherwise; a name always wins."""
     monkeypatch.delenv(KERNEL_ENV, raising=False)
     assert resolve_kernel().name == ("c" if _c_builds() else "numpy")
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert resolve_kernel().name == "python"
     monkeypatch.setenv(KERNEL_ENV, "numpy")
     assert resolve_kernel().name == "numpy"
 
 
 def test_resolve_env_knob(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    assert resolve_kernel().name == "python"
+    _require_c()
+    monkeypatch.setenv(KERNEL_ENV, "c")
+    assert resolve_kernel().name == "c"
 
 
 @pytest.fixture
@@ -256,7 +263,7 @@ def test_windowed_stepping_matches_full_run(scheduler, het_platform, small_grid,
             assert np.array_equal(replay(name, chunk), reference), (name, chunk)
 
 
-@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("kernel", ["c"])
 def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
     """Under a whole-run backend, batch-replayable plans take the compiled
     B=1 batch route and stay bit-identical to the scalar fast path."""
@@ -278,10 +285,11 @@ def test_fast_simulate_routes_through_batch(kernel, het_platform, small_grid):
 def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_grid):
     """Allocator-driven plans cannot take the batch route; a whole-run
     backend must degrade to the scalar/reference paths, not crash."""
+    _require_c()
     scalar = fast_simulate(
         het_platform, make_scheduler("BMM").plan(het_platform, small_grid), small_grid
     )
-    with kernel_env("python"):
+    with kernel_env("c"):
         routed = fast_simulate(
             het_platform, make_scheduler("BMM").plan(het_platform, small_grid), small_grid
         )
@@ -289,9 +297,10 @@ def test_fast_simulate_kernel_ignored_for_unbatchable_plans(het_platform, small_
 
 
 def test_engine_records_backend(het_platform, small_grid):
+    _require_c()
     runs = _strict_runs(het_platform, small_grid, small_grid)
-    with kernel_env("python"):
-        assert BatchEngine(runs)._backend.name == "python"
+    with kernel_env("c"):
+        assert BatchEngine(runs)._backend.name == "c"
 
 
 # ----------------------------------------------------------------------
@@ -363,8 +372,7 @@ def test_c_backend_builds_into_configured_cache(monkeypatch, tmp_path):
 def test_c_backend_rejects_mistyped_arrays(scheduler, het_platform, small_grid):
     """The C kernels read their buffers as raw memory, so the dtype and
     contiguity guard must raise (an ``assert`` would vanish under -O)."""
-    if not _c_builds():
-        pytest.skip("the C kernels do not build here")
+    _require_c()
 
     plan = make_scheduler(scheduler).plan(het_platform, small_grid)
     with kernel_env("c"):

@@ -6,7 +6,9 @@ takes one of its two priority keys, and engines read it straight from
 registry scheduler through the traced, fast, batch and dynamic replays
 plus the experiment harness — and asserts nothing under ``repro`` raises a
 DeprecationWarning.  The per-message event engine lives on the test side
-(``tests/reference_engine.py``), with no alias left in ``repro.sim``.
+(``tests/reference_engine.py``), with no alias left in ``repro.sim``,
+and the interpreted kernel backend is gone, with no alias left in
+``repro.sim.kernels``.
 
 It also pins the trace switches: each entry point has exactly one
 (``collect_events`` on ``Scheduler.run``, ``record_events`` on the dynamic
@@ -160,3 +162,13 @@ def test_per_message_driver_lives_in_tests():
     for name in ("_choose", "_choose_strict", "_choose_ready", "_advance_window", "_engine"):
         assert not hasattr(dynamic.DynamicRun, name), name
     assert not hasattr(FastEngine, "post_next")
+
+
+def test_c_source_is_the_one_kernel_text():
+    """The interpreted kernel backend is gone: the C source is the
+    kernels' one text, and the numpy per-step path is its oracle."""
+    from repro.sim import kernels
+
+    for name in ("PythonBackend", "_strict_run", "_ready_run"):
+        assert not hasattr(kernels, name), name
+    assert "python" not in kernels.KERNEL_NAMES
