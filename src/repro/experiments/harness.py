@@ -1,8 +1,14 @@
 """Experiment harness: run algorithm suites over instance suites.
 
-An *instance* is a (platform, grid) pair with a label.  The harness runs
-every algorithm on every instance, records makespans / enrollment / the
-steady-state bound, and exposes the paper's relative metrics.
+An *instance* is a (platform, grid) pair with a label (a dynamic instance
+adds an event timeline).  The harness runs every algorithm -- or, on
+dynamic instances, every algorithm × evaluation mode -- on every instance,
+records makespans / enrollment / the steady-state bound, and exposes the
+paper's relative metrics.  Both experiment kinds build one task list
+(:class:`~repro.experiments.parallel.RunTask` or
+:class:`~repro.experiments.parallel.DynamicTask`) and hand it to
+:func:`~repro.experiments.parallel.run_tasks`, the one runner; the harness
+only turns the payloads into measurements.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from typing import Sequence
 from ..core.blocks import BlockGrid
 from ..obs import merge_snapshots, snapshot, snapshot_delta, trace
 from ..platform.model import Platform
-from ..schedulers.base import Scheduler, SchedulingError
+from ..schedulers.adaptive import DYNAMIC_MODES, AdaptiveScheduler
+from ..schedulers.base import Scheduler
 from ..schedulers.registry import default_suite
-from ..sim.validate import validate_result
 from ..theory.steady_state import makespan_lower_bound
 from .metrics import Measurement, relative_table, summarize_relative
-from .objectives import Objective, PlanScore, make_objective
+from .objectives import Objective, PlanScore, billed_worker_seconds, make_objective
+from .parallel import DynamicTask, RunTask, run_tasks
 
 __all__ = [
     "Instance",
@@ -114,27 +121,54 @@ def _resolve_objective(schedulers, objective) -> Objective | None:
     return obj
 
 
-def _annotate_objective(
-    meta: dict,
-    objective: Objective,
-    *,
-    makespan: float,
-    workers: int,
-    port_blocks,
-    block_bytes: int,
-) -> dict:
-    """Record the active objective's verdict on one measurement: its name,
-    its score, and the dollar cost it prices the run at."""
-    score = PlanScore(
-        makespan=float(makespan),
-        workers=int(workers),
-        port_blocks=int(port_blocks or 0),
-        block_bytes=int(block_bytes),
-    )
-    meta["objective"] = objective.name
-    meta["objective_score"] = objective.score(score)
-    meta["dollars"] = objective.dollars(score)
-    return meta
+def _record(
+    result: ExperimentResult,
+    runs: Sequence[tuple[str, Instance | DynamicInstance, float]],
+    payloads: Sequence[dict],
+    objective: Objective | None,
+) -> None:
+    """Turn one payload per ``(algorithm name, instance, bound)`` run into
+    ``result``'s measurements and failures.
+
+    With an ``objective`` each measurement's ``meta`` records its name,
+    score and dollar cost.  Dynamic instances are billed over their
+    timeline's alive windows, so crashed workers stop costing money at
+    their crash time.
+    """
+    for (name, inst, bound), payload in zip(runs, payloads):
+        if "error" in payload:
+            result.failures[(name, inst.label)] = payload["error"]
+            continue
+        meta = dict(payload.get("meta") or {})
+        if objective is not None:
+            score = PlanScore(
+                makespan=float(payload["makespan"]),
+                workers=int(payload["n_enrolled"]),
+                port_blocks=int(payload.get("port_blocks") or 0),
+                block_bytes=inst.grid.block_bytes,
+            )
+            billed = None
+            if isinstance(inst, DynamicInstance):
+                billed = billed_worker_seconds(
+                    payload["enrolled"], score.makespan, inst.timeline
+                )
+            meta["objective"] = objective.name
+            meta["objective_score"] = (
+                objective.score(score)
+                if billed is None
+                else objective._score_billed(score, billed)
+            )
+            meta["dollars"] = objective.dollars(score, billed_seconds=billed)
+        result.measurements.append(
+            Measurement(
+                algorithm=name,
+                instance=inst.label,
+                makespan=payload["makespan"],
+                n_enrolled=payload["n_enrolled"],
+                bound=bound,
+                meta=meta,
+            )
+        )
 
 
 def run_experiment(
@@ -188,42 +222,7 @@ def run_experiment(
     :mod:`repro.obs.metrics`), and the whole experiment runs under an
     ``experiment`` span when tracing is enabled.
     """
-    before = snapshot()
-    with trace("experiment", name=name):
-        result = _run_experiment(
-            name,
-            instances,
-            schedulers,
-            validate=validate,
-            parallel=parallel,
-            cache=cache,
-            objective=objective,
-        )
-    result.metrics = snapshot_delta(before)
-    return result
-
-
-def _run_experiment(
-    name: str,
-    instances: Sequence[Instance],
-    schedulers: Sequence[Scheduler] | None = None,
-    *,
-    validate: bool = False,
-    parallel=None,
-    cache=None,
-    objective=None,
-) -> ExperimentResult:
-    scheds = list(schedulers) if schedulers is not None else default_suite()
-    obj = _resolve_objective(scheds, objective)
-    result = ExperimentResult(
-        name=name,
-        instances=[inst.label for inst in instances],
-        algorithms=[s.name for s in scheds],
-    )
-    bounds = {inst.label: makespan_lower_bound(inst.platform, inst.grid) for inst in instances}
-
-    use_runner = parallel is not None or cache is not None
-    if use_runner and validate:
+    if validate and (parallel is not None or cache is not None):
         import warnings
 
         warnings.warn(
@@ -231,66 +230,33 @@ def _run_experiment(
             "the eventless fast path",
             stacklevel=2,
         )
-    elif use_runner:
-        from .parallel import RunTask, run_tasks
-
-        pairs = [(sched, inst) for inst in instances for sched in scheds]
-        tasks = [
-            RunTask(scheduler=sched, platform=inst.platform, grid=inst.grid)
-            for sched, inst in pairs
+        parallel = cache = None
+    before = snapshot()
+    with trace("experiment", name=name):
+        scheds = list(schedulers) if schedulers is not None else default_suite()
+        obj = _resolve_objective(scheds, objective)
+        result = ExperimentResult(
+            name=name,
+            instances=[inst.label for inst in instances],
+            algorithms=[s.name for s in scheds],
+        )
+        bounds = [makespan_lower_bound(inst.platform, inst.grid) for inst in instances]
+        runs = [
+            (sched, inst, bound)
+            for inst, bound in zip(instances, bounds)
+            for sched in scheds
         ]
-        payloads = run_tasks(tasks, parallel=parallel, cache=cache)
-        for (sched, inst), payload in zip(pairs, payloads):
-            if "error" in payload:
-                result.failures[(sched.name, inst.label)] = payload["error"]
-                continue
-            meta = dict(payload.get("meta") or {})
-            if obj is not None:
-                _annotate_objective(
-                    meta,
-                    obj,
-                    makespan=payload["makespan"],
-                    workers=payload["n_enrolled"],
-                    port_blocks=payload.get("port_blocks"),
-                    block_bytes=inst.grid.block_bytes,
-                )
-            result.measurements.append(
-                Measurement(
-                    algorithm=sched.name,
-                    instance=inst.label,
-                    makespan=payload["makespan"],
-                    n_enrolled=payload["n_enrolled"],
-                    bound=bounds[inst.label],
-                    meta=meta,
-                )
-            )
-        return result
-
-    for inst in instances:
-        bound = bounds[inst.label]
-        for sched in scheds:
-            try:
-                sim = sched.run(inst.platform, inst.grid, collect_events=validate)
-            except SchedulingError as exc:
-                result.failures[(sched.name, inst.label)] = str(exc)
-                continue
-            if validate:
-                validate_result(sim)
-            meta = dict(sim.meta)
-            if obj is not None:
-                meta["objective"] = obj.name
-                meta["objective_score"] = obj.evaluate_result(sim)
-                meta["dollars"] = obj.result_dollars(sim)
-            result.measurements.append(
-                Measurement(
-                    algorithm=sched.name,
-                    instance=inst.label,
-                    makespan=sim.makespan,
-                    n_enrolled=sim.n_enrolled,
-                    bound=bound,
-                    meta=meta,
-                )
-            )
+        tasks = [
+            RunTask(sched, inst.platform, inst.grid, validate=validate)
+            for sched, inst, _bound in runs
+        ]
+        _record(
+            result,
+            [(sched.name, inst, bound) for sched, inst, bound in runs],
+            run_tasks(tasks, parallel=parallel, cache=cache),
+            obj,
+        )
+    result.metrics = snapshot_delta(before)
     return result
 
 
@@ -326,10 +292,6 @@ def run_dynamic_experiment(
     over the timeline's alive windows, so crashed workers stop costing
     money at their crash time.
     """
-    from ..schedulers.adaptive import DYNAMIC_MODES, AdaptiveScheduler
-    from ..sim.dynamic import DynamicStall
-    from ..sim.validate import validate_dynamic
-
     scheds = list(schedulers) if schedulers is not None else default_suite()
     obj = _resolve_objective(scheds, objective)
     mode_list = list(modes) if modes is not None else list(DYNAMIC_MODES)
@@ -343,37 +305,31 @@ def run_dynamic_experiment(
     )
     before = snapshot()
     with trace("experiment", name=name, dynamic=True):
-        for inst in instances:
-            final = inst.timeline.final_platform(inst.platform)
-            bound = makespan_lower_bound(final, inst.grid)
-            for wrapper in wrappers:
-                try:
-                    sim = wrapper.run_dynamic(
-                        inst.platform, inst.grid, inst.timeline, record_events=validate
-                    )
-                except (SchedulingError, DynamicStall) as exc:
-                    result.failures[(wrapper.name, inst.label)] = str(exc)
-                    continue
-                if validate:
-                    validate_dynamic(sim, inst.timeline, grid=inst.grid)
-                meta = dict(sim.meta)
-                if obj is not None:
-                    meta["objective"] = obj.name
-                    meta["objective_score"] = obj.evaluate_result(
-                        sim, timeline=inst.timeline
-                    )
-                    meta["dollars"] = obj.result_dollars(
-                        sim, timeline=inst.timeline
-                    )
-                result.measurements.append(
-                    Measurement(
-                        algorithm=wrapper.name,
-                        instance=inst.label,
-                        makespan=sim.makespan,
-                        n_enrolled=sim.n_enrolled,
-                        bound=bound,
-                        meta=meta,
-                    )
-                )
+        bounds = [
+            makespan_lower_bound(inst.timeline.final_platform(inst.platform), inst.grid)
+            for inst in instances
+        ]
+        runs = [
+            (w, inst, bound)
+            for inst, bound in zip(instances, bounds)
+            for w in wrappers
+        ]
+        tasks = [
+            DynamicTask(
+                w.base,
+                w.mode,
+                inst.platform,
+                inst.grid,
+                inst.timeline,
+                validate=validate,
+            )
+            for w, inst, _bound in runs
+        ]
+        _record(
+            result,
+            [(w.name, inst, bound) for w, inst, bound in runs],
+            run_tasks(tasks),
+            obj,
+        )
     result.metrics = snapshot_delta(before)
     return result

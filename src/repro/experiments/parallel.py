@@ -1,16 +1,28 @@
-"""Parallel experiment execution and a content-addressed result cache.
+"""The one experiment runner and its content-addressed result cache.
 
 One paper figure is dozens of independent ``(algorithm, instance)`` runs;
-the heterogeneity sweeps multiply that by every ratio on the axis.  This
-module turns those runs into a flat task list that can
+the heterogeneity sweeps multiply that by every ratio on the axis, and the
+dynamic experiments by every evaluation mode.  Every experiment matrix in
+:mod:`repro.experiments` becomes a flat task list handed to
+:func:`run_tasks`, the only place where a run is executed, looked up in
+the cache, stored, fanned out or turned into an ``error`` payload.  It
+serves two task kinds:
 
-* fan out across cores with a :class:`concurrent.futures.ProcessPoolExecutor`
-  (the simulator is pure Python, so processes -- not threads -- are what
-  buys real parallelism), and
-* skip work that was already done, via a content-addressed on-disk cache.
+* :class:`RunTask` -- a static run, ``scheduler.run(platform, grid)``;
+* :class:`DynamicTask` -- a dynamic run, one base scheduler in one
+  evaluation mode (``oblivious``/``adaptive``/``reselect``/
+  ``clairvoyant`` through
+  :class:`~repro.schedulers.adaptive.AdaptiveScheduler`, or the coded
+  family's decode-aware pseudo-mode ``coded``) under a
+  :class:`~repro.sim.dynamic.PlatformTimeline`.
 
-**Cache key scheme.**  A task's key is the SHA-256 of a canonical string
-built from these fingerprints::
+Misses can fan out across cores with a
+:class:`concurrent.futures.ProcessPoolExecutor` (the simulator is pure
+Python, so processes -- not threads -- are what buys real parallelism),
+and work that was already done is skipped via an on-disk cache.
+
+**Cache key schemes.**  A static task's key (:func:`task_key`) is the
+SHA-256 of a canonical string built from these fingerprints::
 
     engine | geometry-version | objective-version | algorithm-signature | platform | grid
 
@@ -28,11 +40,25 @@ set).  The platform contributes every worker's exact ``(c, w, m)`` scalars
 -- float ``repr`` round-trips exactly, so two platforms share a key iff
 they are numerically identical -- and the grid its ``(r, t, s, q)`` shape.
 Worker and platform *names* are deliberately excluded: they do not affect
-timing.  The simulator is deterministic, so a cache hit is bit-identical
-to a rerun; this is what makes content addressing sound.
+timing.
 
-Payloads are small JSON documents (makespan, enrollment, JSON-safe meta),
-stored under ``<root>/<key[:2]>/<key>.json`` to keep directories shallow.
+A dynamic task's key (:func:`dynamic_task_key`) extends the same string
+with the evaluation mode, the timeline's full event content and, for
+stochastic draws, the generator spec; the controlled, reselect and coded
+modes also fold in the version of the code their makespans depend on::
+
+    engine | [mode versions] | geometry-version | objective-version
+        | algorithm-signature | mode | platform | grid | timeline [| generator]
+
+The simulator is deterministic, so a cache hit is bit-identical to a
+rerun; this is what makes content addressing sound.
+
+Payloads are small JSON documents (makespan, enrollment, port traffic,
+JSON-safe meta; dynamic payloads add the enrolled worker indices, which
+timeline-aware billing needs), stored under
+``<root>/<key[:2]>/<key>.json`` to keep directories shallow.  Payloads
+that cross a process or cache boundary are projected to JSON; in-process
+uncached runs hand back the result's own meta.
 """
 
 from __future__ import annotations
@@ -48,13 +74,18 @@ from typing import Sequence
 from ..core.blocks import BlockGrid
 from ..obs import counter, trace
 from ..platform.model import Platform
+from ..schedulers.adaptive import AdaptiveScheduler
 from ..schedulers.base import Scheduler, SchedulingError
 from ..schedulers.geometry import GEOMETRY_VERSION
+from ..sim.dynamic import DynamicStall, PlatformTimeline
+from ..sim.engine import SimResult
+from ..sim.validate import validate_dynamic, validate_result
 from .objectives import OBJECTIVE_VERSION
 
 __all__ = [
     "ENGINE_FINGERPRINT",
     "RunTask",
+    "DynamicTask",
     "ResultCache",
     "fingerprint_platform",
     "fingerprint_grid",
@@ -164,24 +195,103 @@ def task_key(scheduler: Scheduler, platform: Platform, grid: BlockGrid) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _payload(result: SimResult) -> dict:
+    return {
+        "makespan": result.makespan,
+        "n_enrolled": result.n_enrolled,
+        "port_blocks": result.blocks_through_port,
+        "meta": result.meta,
+    }
+
+
 @dataclass(frozen=True)
 class RunTask:
-    """One schedulable unit: run ``scheduler`` on ``(platform, grid)``.
+    """One static run: ``scheduler`` on ``(platform, grid)``.
 
-    All three members pickle, so tasks cross process boundaries as-is.
+    All members pickle, so tasks cross process boundaries as-is.  With
+    ``validate`` the run replays with full event traces and is audited by
+    :func:`~repro.sim.validate.validate_result` where it runs (a traced
+    replay is bit-identical, so the key ignores it).
     """
 
     scheduler: Scheduler
     platform: Platform
     grid: BlockGrid
+    validate: bool = False
 
     @property
     def key(self) -> str:
         return task_key(self.scheduler, self.platform, self.grid)
 
+    def run(self) -> dict:
+        """Execute to a payload.  :class:`SchedulingError` is a
+        deterministic property of the instance, so it becomes an ``error``
+        payload (and is cacheable) rather than an exception; genuine bugs
+        still propagate."""
+        try:
+            result = self.scheduler.run(
+                self.platform, self.grid, collect_events=self.validate
+            )
+        except SchedulingError as exc:
+            return {"error": str(exc)}
+        if self.validate:
+            validate_result(result)
+        return _payload(result)
+
+
+@dataclass(frozen=True)
+class DynamicTask:
+    """One dynamic run: base ``scheduler`` in evaluation ``mode`` on
+    ``(platform, grid)`` under ``timeline``.
+
+    ``mode="coded"`` runs the coded family's own decode-aware
+    ``run_dynamic``; every other mode wraps the scheduler in an
+    :class:`~repro.schedulers.adaptive.AdaptiveScheduler`.  ``generator``
+    names how a stochastic timeline was drawn and enters the key (see
+    :func:`dynamic_task_key`).  With ``validate`` the run is recorded and
+    audited by :func:`~repro.sim.validate.validate_dynamic` where it runs.
+    """
+
+    scheduler: Scheduler
+    mode: str
+    platform: Platform
+    grid: BlockGrid
+    timeline: PlatformTimeline
+    generator: str = ""
+    validate: bool = False
+
+    @property
+    def key(self) -> str:
+        return dynamic_task_key(
+            self.scheduler,
+            self.mode,
+            self.platform,
+            self.grid,
+            self.timeline,
+            generator=self.generator,
+        )
+
+    def run(self) -> dict:
+        """Execute to a payload; a :class:`SchedulingError` or a stall on a
+        crashed worker becomes an ``error`` payload."""
+        runner = (
+            self.scheduler
+            if self.mode == "coded"
+            else AdaptiveScheduler(self.scheduler, self.mode)
+        )
+        try:
+            result = runner.run_dynamic(
+                self.platform, self.grid, self.timeline, record_events=self.validate
+            )
+        except (SchedulingError, DynamicStall) as exc:
+            return {"error": str(exc)}
+        if self.validate:
+            validate_dynamic(result, self.timeline, grid=self.grid)
+        return {**_payload(result), "enrolled": result.enrolled}
+
 
 def _json_safe(value):
-    """Best-effort JSON projection of a result meta dict."""
+    """Best-effort JSON projection of a payload."""
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -191,23 +301,9 @@ def _json_safe(value):
     return repr(value)
 
 
-def _execute_task(task: RunTask) -> dict:
-    """Run one task to a JSON-safe payload (top level so it pickles).
-
-    :class:`SchedulingError` is a deterministic property of the instance,
-    so it becomes an ``error`` payload (and is cacheable) rather than an
-    exception; genuine bugs still propagate.
-    """
-    try:
-        result = task.scheduler.run(task.platform, task.grid, collect_events=False)
-    except SchedulingError as exc:
-        return {"error": str(exc)}
-    return {
-        "makespan": result.makespan,
-        "n_enrolled": result.n_enrolled,
-        "port_blocks": result.blocks_through_port,
-        "meta": _json_safe(result.meta),
-    }
+def _execute_task(task: RunTask | DynamicTask) -> dict:
+    """Run one task in a worker process (top level so it pickles)."""
+    return _json_safe(task.run())
 
 
 class ResultCache:
@@ -449,17 +545,19 @@ def resolve_workers(parallel) -> int:
 
 
 def run_tasks(
-    tasks: Sequence[RunTask],
+    tasks: Sequence[RunTask | DynamicTask],
     *,
     parallel=None,
     cache=None,
 ) -> list[dict]:
     """Execute ``tasks``, returning one payload per task, in task order.
 
-    Payloads are either ``{"makespan", "n_enrolled", "meta"}`` or
-    ``{"error": message}`` for instances the algorithm cannot schedule.
-    Cached tasks are not re-run; misses are executed (across processes when
-    ``parallel`` asks for it) and stored back.
+    Payloads are either ``{"makespan", "n_enrolled", "port_blocks",
+    "meta"}`` (dynamic tasks add ``"enrolled"``) or ``{"error": message}``
+    for instances the algorithm cannot schedule.  Cached tasks are not
+    re-run; misses are executed (across processes when ``parallel`` asks
+    for it) and stored back.  Static and dynamic tasks mix freely in one
+    list.
     """
     store = _as_cache(cache)
     payloads: list[dict | None] = [None] * len(tasks)
@@ -477,13 +575,14 @@ def run_tasks(
     workers = min(resolve_workers(parallel), max(1, len(todo)))
     if todo:
         if workers <= 1:
-            fresh = [_execute_task(tasks[idx]) for idx in todo]
+            fresh = [tasks[idx].run() for idx in todo]
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 fresh = list(pool.map(_execute_task, [tasks[idx] for idx in todo]))
         for idx, payload in zip(todo, fresh):
-            payloads[idx] = payload
             if store is not None:
+                payload = _json_safe(payload)
                 store.put(keys[idx], payload)
+            payloads[idx] = payload
     assert all(p is not None for p in payloads)
     return payloads  # type: ignore[return-value]

@@ -6,6 +6,12 @@ large/small ratio of every platform dimension continuously and track how
 each algorithm's relative cost, Het's enrollment and the distance to the
 steady-state bound evolve -- the kind of sensitivity study a user deploying
 the library on an unknown platform needs.
+
+Every sweep builds its runs as a task list
+(:class:`~repro.experiments.parallel.RunTask` per static point,
+:class:`~repro.experiments.parallel.DynamicTask` per dynamic mode) and
+hands it to :func:`~repro.experiments.parallel.run_tasks`, which executes,
+caches and fans out; the sweeps only assemble the payloads into points.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from typing import Sequence
 from ..core.blocks import BlockGrid
 from ..obs import trace
 from ..platform.generators import fully_heterogeneous, scale_grid, scale_platform
-from ..schedulers.base import Scheduler, SchedulingError
 from ..schedulers.registry import make_scheduler
 from ..theory.steady_state import makespan_lower_bound
+from .parallel import DynamicTask, RunTask, _as_cache, run_tasks
 
 __all__ = [
     "SweepPoint",
@@ -88,62 +94,25 @@ def _measure_points(
     objective=None,
 ) -> list[SweepPoint]:
     """Shared sweep core: run every algorithm on every (ratio, platform)
-    point through the eventless
-    :meth:`~repro.schedulers.base.Scheduler.run`, skipping infeasible
-    combinations.  With ``parallel``/``cache`` the whole sweep becomes one
-    flat task list through :func:`repro.experiments.parallel.run_tasks`,
-    so a multi-ratio sweep saturates the worker pool instead of fanning
-    out one point at a time."""
+    point, skipping infeasible combinations.  The whole sweep is one flat
+    task list, so with ``parallel`` a multi-ratio sweep saturates the
+    worker pool instead of fanning out one point at a time."""
+    scheds = [make_scheduler(name, objective=objective) for name in algorithms]
+    tasks = [
+        RunTask(sched, plat, grid)
+        for _ratio, plat in labelled_platforms
+        for sched in scheds
+    ]
+    payloads = run_tasks(tasks, parallel=parallel, cache=cache)
     points: list[SweepPoint] = []
-    if parallel is not None or cache is not None:
-        from .parallel import RunTask, run_tasks
-
-        scheds = {
-            name: make_scheduler(name, objective=objective) for name in algorithms
-        }
-        tasks = [
-            RunTask(scheduler=scheds[name], platform=plat, grid=grid)
-            for _ratio, plat in labelled_platforms
-            for name in algorithms
-        ]
-        payloads = run_tasks(tasks, parallel=parallel, cache=cache)
-        cursor = 0
-        for ratio, plat in labelled_platforms:
-            makespans: dict[str, float] = {}
-            enrollment: dict[str, int] = {}
-            for name in algorithms:
-                payload = payloads[cursor]
-                cursor += 1
-                if "error" in payload:
-                    continue
-                makespans[name] = payload["makespan"]
-                enrollment[name] = payload["n_enrolled"]
-            points.append(
-                SweepPoint(
-                    ratio=ratio,
-                    makespans=makespans,
-                    enrollment=enrollment,
-                    bound=makespan_lower_bound(plat, grid),
-                )
-            )
-        return points
-
-    for ratio, plat in labelled_platforms:
-        makespans = {}
-        enrollment = {}
-        for name in algorithms:
-            sched: Scheduler = make_scheduler(name, objective=objective)
-            try:
-                res = sched.run(plat, grid, collect_events=False)
-            except SchedulingError:
-                continue
-            makespans[name] = res.makespan
-            enrollment[name] = res.n_enrolled
+    for at, (ratio, plat) in enumerate(labelled_platforms):
+        row = payloads[at * len(algorithms) : (at + 1) * len(algorithms)]
+        ok = [(name, pl) for name, pl in zip(algorithms, row) if "error" not in pl]
         points.append(
             SweepPoint(
                 ratio=ratio,
-                makespans=makespans,
-                enrollment=enrollment,
+                makespans={name: pl["makespan"] for name, pl in ok},
+                enrollment={name: pl["n_enrolled"] for name, pl in ok},
                 bound=makespan_lower_bound(plat, grid),
             )
         )
@@ -248,7 +217,6 @@ def straggler_sweep(
     """
     sweep = HeterogeneitySweep(algorithms=list(algorithms))
     labelled = []
-    grid = scale_grid(BlockGrid.paper_instance(s_elements), scale)
     for slowdown in slowdowns:
         base, grid, timeline = straggler_scenario(
             slowdown, scale=scale, p=p, s_elements=s_elements
@@ -479,10 +447,9 @@ def dynamic_sweep(
     """
     import random as _random
 
-    from ..schedulers.adaptive import DYNAMIC_MODES, AdaptiveScheduler
+    from ..schedulers.adaptive import DYNAMIC_MODES
     from ..schedulers.coded import CodedScheduler, RatelessCodedScheduler
-    from ..sim.dynamic import DynamicStall, random_timeline
-    from .parallel import _as_cache, dynamic_task_key
+    from ..sim.dynamic import random_timeline
 
     if stochastic and recover_frac is not None:
         raise ValueError(
@@ -531,71 +498,33 @@ def dynamic_sweep(
                     f"{severity!r}|{rate!r}"
                 )
             final = timeline.final_platform(platform)
-            makespans: dict[str, dict[str, float]] = {}
+            runs: list[tuple[str, DynamicTask]] = []
             for name in algorithms:
-                per_mode: dict[str, float] = {}
                 if name in coded_family:
                     # Coded schedulers decode-complete instead of replanning:
                     # one run per severity under the pseudo-mode "coded".
                     sched = coded_family[name](redundancy=redundancy, k=decode_k)
-                    key = None
-                    if store is not None:
-                        key = dynamic_task_key(
-                            sched, "coded", platform, grid, timeline,
-                            generator=generator,
-                        )
-                        hit = store.get(key)
-                        if hit is not None:
-                            if "error" not in hit:
-                                per_mode["coded"] = hit["makespan"]
-                            if per_mode:
-                                makespans[name] = per_mode
-                            continue
-                    try:
-                        sim = sched.run_dynamic(platform, grid, timeline)
-                    except (SchedulingError, DynamicStall) as exc:
-                        if store is not None:
-                            store.put(key, {"error": str(exc)})
-                        continue
-                    per_mode["coded"] = sim.makespan
-                    if store is not None:
-                        store.put(
-                            key,
-                            {"makespan": sim.makespan, "n_enrolled": sim.n_enrolled},
-                        )
-                    makespans[name] = per_mode
-                    continue
-                for mode in mode_list:
-                    if mode == "coded":
-                        continue  # pseudo-mode: only coded schedulers fill it
-                    wrapper = AdaptiveScheduler(
-                        make_scheduler(name, objective=objective), mode
+                    pairs = [(sched, "coded")]
+                else:
+                    pairs = [
+                        (make_scheduler(name, objective=objective), mode)
+                        for mode in mode_list
+                        if mode != "coded"
+                    ]
+                runs += [
+                    (
+                        name,
+                        DynamicTask(
+                            sched, mode, platform, grid, timeline, generator=generator
+                        ),
                     )
-                    key = None
-                    if store is not None:
-                        key = dynamic_task_key(
-                            wrapper.base, mode, platform, grid, timeline,
-                            generator=generator,
-                        )
-                        hit = store.get(key)
-                        if hit is not None:
-                            if "error" not in hit:
-                                per_mode[mode] = hit["makespan"]
-                            continue
-                    try:
-                        sim = wrapper.run_dynamic(platform, grid, timeline)
-                    except (SchedulingError, DynamicStall) as exc:
-                        if store is not None:
-                            store.put(key, {"error": str(exc)})
-                        continue
-                    per_mode[mode] = sim.makespan
-                    if store is not None:
-                        store.put(
-                            key,
-                            {"makespan": sim.makespan, "n_enrolled": sim.n_enrolled},
-                        )
-                if per_mode:
-                    makespans[name] = per_mode
+                    for sched, mode in pairs
+                ]
+            payloads = run_tasks([task for _name, task in runs], cache=store)
+            makespans: dict[str, dict[str, float]] = {}
+            for (name, task), payload in zip(runs, payloads):
+                if "error" not in payload:
+                    makespans.setdefault(name, {})[task.mode] = payload["makespan"]
             sweep.points.append(
                 DynamicPoint(
                     severity=severity,

@@ -379,6 +379,36 @@ class TestObjectiveThreading:
         assert m.meta["objective_score"] == m.meta["dollars"]
 
 
+    def test_dynamic_measurement_billed_over_alive_windows(self):
+        """Dynamic measurements are priced over the timeline's alive
+        windows: exactly what billing a direct run_dynamic result gives,
+        and below the makespan × enrolled price, since the crash window of
+        the enrolled worker 0 is not billed."""
+        from repro.experiments.harness import DynamicInstance, run_dynamic_experiment
+        from repro.experiments.sweeps import dynamic_scenario
+        from repro.schedulers.adaptive import AdaptiveScheduler
+
+        platform, grid, timeline = dynamic_scenario("crash-recovery", 0.2, scale=0.3)
+        modes = ("oblivious", "adaptive")
+        res = run_dynamic_experiment(
+            "bill",
+            [DynamicInstance("crash", platform, grid, timeline)],
+            [make_scheduler("Het")],
+            modes=modes,
+            objective="cost",
+        )
+        assert not res.failures
+        obj = CostObjective()
+        for mode, m in zip(modes, res.measurements):
+            assert m.algorithm == f"Het[{mode}]"
+            wrapper = AdaptiveScheduler(make_scheduler("Het", objective=obj), mode)
+            sim = wrapper.run_dynamic(platform, grid, timeline)
+            assert 0 in sim.enrolled
+            assert m.meta["dollars"] == obj.result_dollars(sim, timeline=timeline)
+            assert m.meta["objective_score"] == obj.evaluate_result(sim, timeline)
+            assert m.meta["dollars"] < obj.dollars(obj.result_score(sim))
+
+
 # ---------------------------------------------------------------------------
 # objective-consistency property: makespan objective reproduces the goldens
 # ---------------------------------------------------------------------------

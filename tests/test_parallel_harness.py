@@ -39,6 +39,16 @@ def tiny_instances(het_platform, hom_platform, small_grid, ragged_grid):
     ]
 
 
+def _untimed(value):
+    """``value`` without its wall-clock meta (``*_seconds`` keys), which
+    differs between any two executions of one run."""
+    if isinstance(value, dict):
+        return {k: _untimed(v) for k, v in value.items() if not k.endswith("_seconds")}
+    if isinstance(value, list):
+        return [_untimed(v) for v in value]
+    return value
+
+
 # ----------------------------------------------------------------------
 # keys
 # ----------------------------------------------------------------------
@@ -212,6 +222,42 @@ class TestRunner:
         assert [(m.algorithm, m.makespan) for m in res.measurements] == [
             (m.algorithm, m.makespan) for m in ref.measurements
         ]
+
+
+    def test_one_runner_serves_static_and_dynamic_tasks(
+        self, tmp_path, het_platform, small_grid
+    ):
+        # one mixed task list: equal payloads in process, across worker
+        # processes and from the cache, error payloads included
+        from repro.experiments.parallel import DynamicTask
+        from repro.sim.dynamic import PlatformTimeline
+        from repro.theory.steady_state import makespan_lower_bound
+
+        at = 0.3 * makespan_lower_bound(het_platform, small_grid)
+        timeline = PlatformTimeline().straggle(at, 0, 4.0)
+        starved = Platform([Worker(0, 1.0, 1.0, 2)])
+        tasks = [
+            RunTask(make_scheduler("Het"), het_platform, small_grid),
+            DynamicTask(
+                make_scheduler("Het"), "adaptive", het_platform, small_grid, timeline
+            ),
+            DynamicTask(
+                make_scheduler("CodedRL"), "coded", het_platform, small_grid, timeline
+            ),
+            RunTask(make_scheduler("Hom"), starved, small_grid),
+            DynamicTask(
+                make_scheduler("Hom"), "oblivious", starved, small_grid, timeline
+            ),
+        ]
+        in_process = run_tasks(tasks)
+        assert [("error" in p) for p in in_process] == [False, False, False, True, True]
+        assert in_process[1]["enrolled"] and in_process[2]["enrolled"]
+        assert _untimed(run_tasks(tasks, parallel=2)) == _untimed(in_process)
+        cache = ResultCache(tmp_path)
+        cold = run_tasks(tasks, cache=cache)
+        assert _untimed(cold) == _untimed(in_process)
+        assert run_tasks(tasks, cache=cache) == cold
+        assert cache.hits == len(tasks)
 
 
 class TestSweepsParallel:

@@ -486,3 +486,14 @@ def test_dynamic_sweep_cache_covers_reselect(tmp_path):
     replay = dynamic_sweep("straggler-onset", cache=cache, **kw)
     assert replay.points[0].makespans == first.points[0].makespans
     assert cache.hits >= 2
+
+
+def test_dynamic_sweep_cache_covers_coded_pseudo_mode(tmp_path):
+    cache = ResultCache(tmp_path / "dyn")
+    kw = dict(algorithms=("Het", "Coded", "CodedRL"), scale=0.3, cache=cache)
+    first = dynamic_sweep("straggler-onset", (8.0,), **kw)
+    replay = dynamic_sweep("straggler-onset", (8.0,), **kw)
+    makespans = first.points[0].makespans
+    assert set(makespans["Coded"]) == set(makespans["CodedRL"]) == {"coded"}
+    assert replay.points[0].makespans == makespans
+    assert cache.hits >= sum(len(per_mode) for per_mode in makespans.values())
