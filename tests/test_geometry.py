@@ -378,7 +378,6 @@ class TestObjectiveThreading:
         assert m.meta["dollars"] > 0.0
         assert m.meta["objective_score"] == m.meta["dollars"]
 
-
     def test_dynamic_measurement_billed_over_alive_windows(self):
         """Dynamic measurements are priced over the timeline's alive
         windows: exactly what billing a direct run_dynamic result gives,

@@ -223,7 +223,6 @@ class TestRunner:
             (m.algorithm, m.makespan) for m in ref.measurements
         ]
 
-
     def test_one_runner_serves_static_and_dynamic_tasks(
         self, tmp_path, het_platform, small_grid
     ):
